@@ -420,6 +420,17 @@ def cmd_export(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _nonneg_int(text: str) -> int:
+    """argparse type for counts and bounds: a negative value is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _add_out(p) -> None:
     p.add_argument("--out", help="write output to this file instead of stdout")
 
@@ -439,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dims", help="dimensions of graded basis slices")
     p.add_argument("--algebra", required=True, help="preset, e.g. pol:2x2 or cmat:1x2")
-    p.add_argument("--max-degree", type=int, default=4)
+    p.add_argument("--max-degree", type=_nonneg_int, default=4)
     p.add_argument("--bidegree", help="count one (holomorphic, conjugate) slice, e.g. 2,1")
     _add_format(p)
     _add_out(p)
@@ -460,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gram", help="Gram block of the cyclic module")
     p.add_argument("--mn", required=True, help="size, e.g. 1x2")
-    p.add_argument("--max-degree", type=int, default=2, help="degree of the block")
+    p.add_argument("--max-degree", type=_nonneg_int, default=2, help="degree of the block")
     p.add_argument("--q0", help="also certify positivity of leading minors at q=q0")
     _add_format(p)
     _add_out(p)
@@ -472,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q0", help="also evaluate at q=q0")
     p.add_argument(
         "--positivity",
-        type=int,
+        type=_nonneg_int,
         metavar="N",
         help="instead: run N random positivity samples of integral((f*)f)",
     )
@@ -487,12 +498,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rep-check", help="certified operator-representation battery")
     p.add_argument("--mn", required=True, help="size, e.g. 1x2")
-    p.add_argument("--max-degree", type=int, default=3, help="degree bound for word checks")
-    p.add_argument("--cutoff", type=int, help="override the truncation certificate")
+    p.add_argument("--max-degree", type=_nonneg_int, default=3, help="degree bound for word checks")
+    p.add_argument("--cutoff", type=_nonneg_int, help="override the truncation certificate")
     p.set_defaults(func=cmd_rep_check)
 
     p = sub.add_parser("rmatrix-check", help="Hecke/braid checks for braiding tables")
-    p.add_argument("--dim", type=int, default=3, help="dimension of the underlying space")
+    p.add_argument("--dim", type=_nonneg_int, default=3, help="dimension of the underlying space")
     p.set_defaults(func=cmd_rmatrix_check)
 
     p = sub.add_parser("export", help="dump a truncated operator")
@@ -503,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="coordinate:a,b | coordinate-star:a,b | letter:i,j | corner | "
         "opposite-corner | volume | projector",
     )
-    p.add_argument("--cutoff", type=int, help="truncation certificate (default per size)")
+    p.add_argument("--cutoff", type=_nonneg_int, help="truncation certificate (default per size)")
     _add_format(p, default="csv")
     _add_out(p)
     p.set_defaults(func=cmd_export)

@@ -6,6 +6,15 @@ rational coefficients.  Elements are kept in a canonical reduced form --
 numerator and denominator coprime, denominator monic -- so equality is dict
 equality and hashing is cheap.
 
+Inside a :class:`Scalar`, numerator and denominator are sparse polynomials
+``{exponent: (a, b, d)}`` whose coefficients are integer triples meaning
+(a + b*i)/d, kept canonical: ``d > 0``, ``gcd(a, b, d) == 1`` and no zero
+entries.  The common coefficient is a Gaussian integer (``d == 1``), which
+costs a few int operations and no gcd.  :class:`GaussRat` is the type of
+input, output and evaluation: the raw constructor accepts ``{exp: GaussRat}``
+dicts, ``eval_at`` returns a ``GaussRat``, and the text forms convert only at
+the boundary.
+
 Conjugation fixes s and sends i to -i (the deformation parameter is real).
 Evaluation at a rational point 0 < s0 < 1 is exact and returns a Gaussian
 rational.
@@ -15,6 +24,7 @@ from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
+from math import gcd, lcm
 
 __all__ = [
     "GaussRat",
@@ -121,10 +131,6 @@ def _coerce_gauss(x) -> GaussRat:
     raise TypeError(f"cannot coerce {type(x).__name__} to GaussRat")
 
 
-_GR0 = GaussRat(0)
-_GR1 = GaussRat(1)
-
-
 def format_gauss(c: GaussRat) -> str:
     """Canonical text for a Gaussian rational: '3', '-1/2', 'i', '1/2-3/4i'."""
     re_, im = c.re, c.im
@@ -172,10 +178,71 @@ def parse_gauss(text: str) -> GaussRat:
 
 
 # ---------------------------------------------------------------------------
+# Gaussian rational coefficients as integer triples.
+#
+# (a, b, d) stands for (a + b*i)/d.  Canonical: d > 0 and gcd(a, b, d) == 1,
+# so equal values are equal tuples.  A coefficient stored in a polynomial is
+# never zero.
+
+
+_C1 = (1, 0, 1)
+_CM1 = (-1, 0, 1)
+
+
+def _cnorm(a: int, b: int, d: int) -> tuple:
+    """Canonical triple of (a + b*i)/d for d != 0; zero becomes (0, 0, 1)."""
+    if d < 0:
+        a, b, d = -a, -b, -d
+    g = gcd(a, b, d)
+    if g == 1:
+        return (a, b, d)
+    return (a // g, b // g, d // g)
+
+
+def _cmul(x: tuple, y: tuple) -> tuple:
+    a1, b1, d1 = x
+    a2, b2, d2 = y
+    d = d1 * d2
+    if d == 1:
+        return (a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, 1)
+    return _cnorm(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d)
+
+
+def _cadd(x: tuple, y: tuple) -> tuple:
+    """Canonical sum; (0, 0, 1) when it vanishes."""
+    a1, b1, d1 = x
+    a2, b2, d2 = y
+    if d1 == d2:
+        if d1 == 1:
+            return (a1 + a2, b1 + b2, 1)
+        return _cnorm(a1 + a2, b1 + b2, d1)
+    return _cnorm(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
+
+
+def _cinv(x: tuple) -> tuple:
+    a, b, d = x
+    return _cnorm(a * d, -b * d, a * a + b * b)
+
+
+def _from_gauss(c) -> tuple:
+    """Triple of a GaussRat, Fraction or int."""
+    c = _coerce_gauss(c)
+    re_, im = c.re, c.im
+    d = lcm(re_.denominator, im.denominator)
+    return (re_.numerator * (d // re_.denominator), im.numerator * (d // im.denominator), d)
+
+
+def _to_gauss(c: tuple) -> GaussRat:
+    a, b, d = c
+    return GaussRat(Fraction(a, d), Fraction(b, d))
+
+
+# ---------------------------------------------------------------------------
 # Sparse polynomials in s over the Gaussian rationals.
 #
-# Represented as {exponent: GaussRat} with no zero values.  These helpers are
-# internal; only Scalar is part of the public surface.
+# Represented as {exponent: triple} with no zero values.  These helpers are
+# internal; only Scalar is part of the public surface.  No helper mutates
+# its arguments, so polynomials may be shared between scalars.
 
 
 def _padd(p: dict, q: dict) -> dict:
@@ -185,8 +252,8 @@ def _padd(p: dict, q: dict) -> dict:
         if v is None:
             out[e] = c
         else:
-            v = v + c
-            if v:
+            v = _cadd(v, c)
+            if v[0] or v[1]:
                 out[e] = v
             else:
                 del out[e]
@@ -194,29 +261,37 @@ def _padd(p: dict, q: dict) -> dict:
 
 
 def _pneg(p: dict) -> dict:
-    return {e: -c for e, c in p.items()}
+    return {e: (-a, -b, d) for e, (a, b, d) in p.items()}
 
-def _pscale(p: dict, c: GaussRat) -> dict:
-    if not c:
-        return {}
-    return {e: v * c for e, v in p.items()}
+
+def _pscale(p: dict, c: tuple) -> dict:
+    return {e: _cmul(v, c) for e, v in p.items()}
 
 
 def _pmul(p: dict, q: dict) -> dict:
+    if len(p) == 1 and len(q) == 1:
+        # monomial times monomial, the common case: nothing to accumulate
+        ((e1, c1),) = p.items()
+        ((e2, c2),) = q.items()
+        return {e1 + e2: _cmul(c1, c2)}
+    # accumulate unnormalised triples; normalise once per output term
     out: dict = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
+    for e1, (a1, b1, d1) in p.items():
+        for e2, (a2, b2, d2) in q.items():
             e = e1 + e2
+            a = a1 * a2 - b1 * b2
+            b = a1 * b2 + b1 * a2
+            d = d1 * d2
             v = out.get(e)
-            if v is None:
-                out[e] = c1 * c2
-            else:
-                v = v + c1 * c2
-                if v:
-                    out[e] = v
+            if v is not None:
+                a0, b0, d0 = v
+                if d0 == d:
+                    a += a0
+                    b += b0
                 else:
-                    del out[e]
-    return out
+                    a, b, d = a * d0 + a0 * d, b * d0 + b0 * d, d * d0
+            out[e] = (a, b, d)
+    return {e: c if c[2] == 1 else _cnorm(*c) for e, c in out.items() if c[0] or c[1]}
 
 
 def _pdeg(p: dict) -> int:
@@ -227,19 +302,21 @@ def _pdivmod(p: dict, q: dict):
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
     qd = _pdeg(q)
-    qlead = q[qd]
+    qinv = _cinv(q[qd])
     quot: dict = {}
     rem = dict(p)
     while rem:
         rd = max(rem)
         if rd < qd:
             break
-        c = rem[rd] / qlead
+        c = _cmul(rem[rd], qinv)
         quot[rd - qd] = c
         for e, v in q.items():
             k = rd - qd + e
-            w = rem.get(k, _GR0) - c * v
-            if w:
+            a, b, d = _cmul(c, v)
+            w = rem.get(k)
+            w = (-a, -b, d) if w is None else _cadd(w, (-a, -b, d))
+            if w[0] or w[1]:
                 rem[k] = w
             else:
                 rem.pop(k, None)
@@ -250,9 +327,9 @@ def _pmonic(p: dict) -> dict:
     if not p:
         return p
     lead = p[max(p)]
-    if lead == _GR1:
+    if lead == _C1:
         return p
-    return {e: c / lead for e, c in p.items()}
+    return _pscale(p, _cinv(lead))
 
 
 def _pgcd(p: dict, q: dict) -> dict:
@@ -293,17 +370,36 @@ def _pcross(n: dict, d: dict):
 
 
 def _pconj(p: dict) -> dict:
-    return {e: c.conjugate() for e, c in p.items()}
+    return {e: (a, -b, d) for e, (a, b, d) in p.items()}
 
 
-def _peval(p: dict, s0: Fraction) -> GaussRat:
-    acc = _GR0
-    for e, c in p.items():
-        acc = acc + c * (s0**e)
-    return acc
+def _peval(p: dict, u: int, v: int) -> tuple:
+    """p(u/v) as a triple, not normalised (v > 0)."""
+    top = _pdeg(p)
+    if top < 0:
+        return (0, 0, 1)
+    # sum of c_e * u**e * v**(top - e), over the common denominator v**top
+    re_, im, den = 0, 0, 1
+    for e, (a, b, d) in p.items():
+        w = u**e * v ** (top - e)
+        if d == den:
+            re_ += a * w
+            im += b * w
+        else:
+            re_, im, den = re_ * d + a * w * den, im * d + b * w * den, den * d
+    return (re_, im, den * v**top)
 
 
-_P_ONE = {0: _GR1}
+def _monic_den(num: dict, den: dict):
+    """Scale a pair by the inverse of the denominator's leading coefficient."""
+    lead = den[max(den)]
+    if lead == _C1:
+        return num, den
+    inv = _cinv(lead)
+    return _pscale(num, inv), _pscale(den, inv)
+
+
+_P_ONE = {0: _C1}
 
 
 # ---------------------------------------------------------------------------
@@ -314,24 +410,24 @@ class Scalar:
     """An element of Q(i)(s) in canonical reduced form.
 
     Construct via the module helpers (from_int, s_pow, q_pow, parsing) or by
-    arithmetic on existing scalars; the raw constructor expects already-clean
-    {exp: GaussRat} dicts and canonicalizes them.
+    arithmetic on existing scalars; the raw constructor takes {exp: GaussRat}
+    dicts (int and Fraction values are accepted too) and canonicalizes them.
     """
 
     __slots__ = ("_num", "_den", "_h")
 
-    def __init__(self, num: dict, den: dict | None = None, _reduced=False):
-        if den is None:
-            den = _P_ONE
+    def __init__(self, num: dict, den: dict | None = None):
+        num = _poly_from_gauss(num)
+        den = _P_ONE if den is None else _poly_from_gauss(den)
         if not den:
             raise ZeroDivisionError("zero denominator in Scalar")
-        if not num:
-            num, den = {}, _P_ONE
-        elif not _reduced:
+        if num:
             num, den = _reduce(num, den)
-        object.__setattr__(self, "_num", num)
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_h", None)
+        else:
+            den = _P_ONE
+        _set_num(self, num)
+        _set_den(self, den)
+        _set_h(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
@@ -361,14 +457,14 @@ class Scalar:
             return self
         d1, d2 = self._den, other._den
         if d1 == d2:
-            return Scalar(_padd(self._num, other._num), d1)
+            return _make(_padd(self._num, other._num), d1)
         num = _padd(_pmul(self._num, d2), _pmul(other._num, d1))
-        return Scalar(num, _pmul(d1, d2))
+        return _make(num, _pmul(d1, d2))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(_pneg(self._num), self._den, _reduced=True)
+        return _new(_pneg(self._num), self._den)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -393,12 +489,8 @@ class Scalar:
         if d1 != _P_ONE:
             n2, d1 = _pcross(n2, d1)
         num = _pmul(n1, n2)
-        den = _pmul(d1, d2)
-        lead = den[max(den)]
-        if lead != _GR1:
-            num = _pscale(num, _GR1 / lead)
-            den = _pscale(den, _GR1 / lead)
-        return Scalar(num, den, _reduced=True)
+        den = d2 if d1 == _P_ONE else d1 if d2 == _P_ONE else _pmul(d1, d2)
+        return _new(*_monic_den(num, den))
 
     __rmul__ = __mul__
 
@@ -406,11 +498,7 @@ class Scalar:
         if not self._num:
             raise ZeroDivisionError("inverse of zero scalar")
         num, den = self._den, self._num
-        lead = den[max(den)]
-        if lead != _GR1:
-            num = _pscale(num, _GR1 / lead)
-            den = _pscale(den, _GR1 / lead)
-        return Scalar(num, den, _reduced=True)
+        return _new(*_monic_den(num, den))
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -439,15 +527,17 @@ class Scalar:
 
     def conjugate(self) -> "Scalar":
         """Complex conjugation: i -> -i, s fixed."""
-        return Scalar(_pconj(self._num), _pconj(self._den))
+        # an automorphism keeps the pair coprime and the denominator monic
+        return _new(_pconj(self._num), _pconj(self._den))
 
     def eval_at(self, s0) -> GaussRat:
         """Exact evaluation at a rational point s = s0 (so q = s0**2)."""
         s0 = Fraction(s0)
-        den = _peval(self._den, s0)
-        if not den:
+        u, v = s0.numerator, s0.denominator
+        den = _peval(self._den, u, v)
+        if not (den[0] or den[1]):
             raise ZeroDivisionError(f"pole at s = {s0}")
-        return _peval(self._num, s0) / den
+        return _to_gauss(_cmul(_peval(self._num, u, v), _cinv(den)))
 
     # -- equality / hashing
 
@@ -460,13 +550,13 @@ class Scalar:
     def __hash__(self):
         h = self._h
         if h is None:
-            h = hash(
-                (
-                    tuple(sorted(self._num.items())),
-                    tuple(sorted(self._den.items())),
-                )
-            )
-            object.__setattr__(self, "_h", h)
+            num, den = self._num, self._den
+            if den == _P_ONE and num.keys() <= {0}:
+                # a constant hashes like the equal int, Fraction or GaussRat
+                h = hash(_to_gauss(num.get(0, (0, 0, 1))))
+            else:
+                h = hash((frozenset(num.items()), frozenset(den.items())))
+            _set_h(self, h)
         return h
 
     # -- text form
@@ -483,14 +573,16 @@ class Scalar:
             ntxt, dtxt = text.split("]/[")
             num = _pparse(ntxt + "]")
             den = _pparse("[" + dtxt)
+            if not den:
+                raise ZeroDivisionError("zero denominator in Scalar")
         elif text.startswith("["):
             num = _pparse(text)
-            den = dict(_P_ONE)
+            den = _P_ONE
         else:
-            c = parse_gauss(text)
-            num = {0: c} if c else {}
-            den = dict(_P_ONE)
-        return Scalar(num, den)
+            c = _from_gauss(parse_gauss(text))
+            num = {0: c} if c[0] or c[1] else {}
+            den = _P_ONE
+        return _make(num, den)
 
     def pretty(self) -> str:
         """Human-oriented rendering with s-powers, e.g. '(1 - s^4)/(s^2)'."""
@@ -503,6 +595,36 @@ class Scalar:
         return f"Scalar[{self.pretty()}]"
 
 
+_set_num = Scalar._num.__set__
+_set_den = Scalar._den.__set__
+_set_h = Scalar._h.__set__
+
+
+def _new(num: dict, den: dict) -> Scalar:
+    """A Scalar from a pair already in canonical reduced form."""
+    x = object.__new__(Scalar)
+    _set_num(x, num)
+    _set_den(x, den)
+    _set_h(x, None)
+    return x
+
+
+def _make(num: dict, den: dict) -> Scalar:
+    """A Scalar from any pair with a non-zero denominator."""
+    if not num:
+        return ZERO
+    return _new(*_reduce(num, den))
+
+
+def _poly_from_gauss(p: dict) -> dict:
+    out = {}
+    for e, c in p.items():
+        c = _from_gauss(c)
+        if c[0] or c[1]:
+            out[e] = c
+    return out
+
+
 def _reduce(num: dict, den: dict):
     # monomial denominator (the common case for Laurent-type scalars):
     # the gcd is itself a monomial, no Euclid needed
@@ -512,9 +634,9 @@ def _reduce(num: dict, den: dict):
         if shift:
             num = {e - shift: x for e, x in num.items()}
             d -= shift
-        if c != _GR1:
-            num = _pscale(num, _GR1 / c)
-        return num, ({0: _GR1} if d == 0 else {d: _GR1})
+        if c != _C1:
+            num = _pscale(num, _cinv(c))
+        return num, (_P_ONE if d == 0 else {d: _C1})
     # monomial numerator: symmetric shortcut
     if len(num) == 1:
         ((a, c),) = num.items()
@@ -522,12 +644,7 @@ def _reduce(num: dict, den: dict):
         if shift:
             num = {a - shift: c}
             den = {e - shift: x for e, x in den.items()}
-        lead = den[max(den)]
-        if lead != _GR1:
-            inv = _GR1 / lead
-            num = _pscale(num, inv)
-            den = _pscale(den, inv)
-        return num, den
+        return _monic_den(num, den)
     # strip common monomial factor cheaply first
     shift = min(min(num), min(den))
     if shift > 0:
@@ -538,34 +655,24 @@ def _reduce(num: dict, den: dict):
         if _pdeg(g) > 0:
             num = _pdivmod(num, g)[0]
             den = _pdivmod(den, g)[0]
-    lead = den[max(den)]
-    if lead != _GR1:
-        inv = _GR1 / lead
-        num = _pscale(num, inv)
-        den = _pscale(den, inv)
-    return num, den
+    return _monic_den(num, den)
 
 
 def _coerce(x):
     if isinstance(x, Scalar):
         return x
     if isinstance(x, int):
-        if x == 0:
-            return ZERO
-        if x == 1:
-            return ONE
-        return Scalar({0: GaussRat(x)}, _P_ONE, _reduced=True)
-    if isinstance(x, Fraction):
-        return Scalar({0: GaussRat(x)}, _P_ONE, _reduced=True) if x else ZERO
-    if isinstance(x, GaussRat):
-        return Scalar({0: x}, _P_ONE, _reduced=True) if x else ZERO
+        return _new({0: (x, 0, 1)}, _P_ONE) if x else ZERO
+    if isinstance(x, (Fraction, GaussRat)):
+        c = _from_gauss(x)
+        return _new({0: c}, _P_ONE) if c[0] or c[1] else ZERO
     return NotImplemented
 
 
 def _pformat(p: dict) -> str:
     if not p:
         return "[]"
-    items = ",".join(f"{e}:{format_gauss(c)}" for e, c in sorted(p.items()))
+    items = ",".join(f"{e}:{format_gauss(_to_gauss(c))}" for e, c in sorted(p.items()))
     return f"[{items}]"
 
 
@@ -584,10 +691,10 @@ def _pparse(text: str) -> dict:
         e = int(etxt)
         if e < 0:
             raise ValueError(f"negative exponent in {text!r}")
-        c = parse_gauss(ctxt)
-        if c:
-            out[e] = out.get(e, _GR0) + c
-    return {e: c for e, c in out.items() if c}
+        c = _from_gauss(parse_gauss(ctxt))
+        if c[0] or c[1]:
+            out[e] = _cadd(out[e], c) if e in out else c
+    return {e: c for e, c in out.items() if c[0] or c[1]}
 
 
 def _ppretty(p: dict) -> str:
@@ -596,15 +703,15 @@ def _ppretty(p: dict) -> str:
     parts = []
     for e, c in sorted(p.items()):
         if e == 0:
-            term = format_gauss(c)
+            term = format_gauss(_to_gauss(c))
         else:
             sterm = "s" if e == 1 else f"s^{e}"
-            if c == _GR1:
+            if c == _C1:
                 term = sterm
-            elif c == GaussRat(-1):
+            elif c == _CM1:
                 term = f"-{sterm}"
             else:
-                cs = format_gauss(c)
+                cs = format_gauss(_to_gauss(c))
                 if "+" in cs[1:] or "-" in cs[1:]:
                     cs = f"({cs})"
                 term = f"{cs}*{sterm}"
@@ -618,11 +725,11 @@ def _ppretty(p: dict) -> str:
 # ---------------------------------------------------------------------------
 # Constants and q-combinatorics
 
-ZERO = Scalar({}, _P_ONE, _reduced=True)
-ONE = Scalar({0: _GR1}, _P_ONE, _reduced=True)
-I = Scalar({0: GaussRat(0, 1)}, _P_ONE, _reduced=True)
-S = Scalar({1: _GR1}, _P_ONE, _reduced=True)
-Q = Scalar({2: _GR1}, _P_ONE, _reduced=True)
+ZERO = _new({}, _P_ONE)
+ONE = _new(_P_ONE, _P_ONE)
+I = _new({0: (0, 1, 1)}, _P_ONE)
+S = _new({1: _C1}, _P_ONE)
+Q = _new({2: _C1}, _P_ONE)
 
 
 def from_int(n: int) -> Scalar:
@@ -636,8 +743,8 @@ def from_fraction(fr) -> Scalar:
 def s_pow(k: int) -> Scalar:
     """s**k for any integer k (negative powers land in the denominator)."""
     if k >= 0:
-        return Scalar({k: _GR1}, _P_ONE, _reduced=True)
-    return Scalar({0: _GR1}, {-k: _GR1}, _reduced=True)
+        return _new({k: _C1}, _P_ONE)
+    return _new(_P_ONE, {-k: _C1})
 
 
 def q_pow(k: int) -> Scalar:
@@ -647,9 +754,9 @@ def q_pow(k: int) -> Scalar:
 
 def q_bracket(j: int) -> Scalar:
     """(1 - q**(2j)) / (1 - q**2), the basic q-square integer."""
-    num = _padd({4 * j: GaussRat(-1)}, _P_ONE)
-    den = _padd({4: GaussRat(-1)}, _P_ONE)
-    return Scalar(num, den)
+    num = _padd({4 * j: _CM1}, _P_ONE)
+    den = _padd({4: _CM1}, _P_ONE)
+    return _make(num, den)
 
 
 def q_factorial(k: int) -> Scalar:

@@ -334,6 +334,44 @@ class TestExport:
         assert "out of range" in err
 
 
+class TestNegativeBounds:
+    # argparse rejects these (its own exit status 2); main() maps every
+    # argparse error to the documented usage exit code 1
+    CASES = [
+        ("dims", "--algebra", "cmat:2x2", "--max-degree", "-3"),
+        ("gram", "--mn", "1x1", "--max-degree", "-1"),
+        ("rep-check", "--mn", "1x1", "--max-degree", "-2"),
+        ("rep-check", "--mn", "1x1", "--cutoff", "-4"),
+        ("export", "--mn", "1x1", "--what", "corner", "--cutoff", "-1"),
+        ("rmatrix-check", "--dim", "-3"),
+        ("integral", "--algebra", "funu:1x1", "--positivity", "-2"),
+    ]
+
+    @pytest.mark.parametrize("argv", CASES, ids=lambda a: " ".join(a))
+    def test_negative_bound_is_usage_error(self, capsys, argv):
+        from qmatball.cli import build_parser
+
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(list(argv))
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "usage:" in err and "must be non-negative" in err
+
+    def test_non_integer_bound_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "dims", "--algebra", "cmat:1x1", "--max-degree", "two")
+        assert code == 1
+        assert out == ""
+        assert "invalid int value: 'two'" in err
+
+    def test_zero_bound_is_accepted(self, capsys):
+        code, out, _ = run(capsys, "dims", "--algebra", "cmat:1x1", "--max-degree", "0")
+        assert code == 0
+        assert json.loads(out)["rows"] == [{"degree": 0, "dimension": 1}]
+
+
 class TestTopLevel:
     def test_unknown_verb_exits_one(self, capsys):
         assert main(["definitely-not-a-verb"]) == 1

@@ -189,3 +189,28 @@ def test_eval_is_ring_map(a, b):
 @given(scalars())
 def test_string_round_trip(a):
     assert Scalar.from_string(a.to_string()) == a
+
+
+# ---------------------------------------------------------------------------
+# hash/eq contract
+
+
+@pytest.mark.parametrize(
+    "x, v",
+    [
+        (ZERO, 0),
+        (ONE, 1),
+        (from_int(-3), -3),
+        (from_int(7), 7),
+        (from_fraction("-3/4"), Fraction(-3, 4)),
+        (from_fraction("5"), Fraction(5)),
+        (I, GaussRat(0, 1)),
+        (from_fraction("7/2"), GaussRat(Fraction(7, 2))),
+        (from_int(2) + I * from_fraction("1/3"), GaussRat(2, Fraction(1, 3))),
+    ],
+)
+def test_constant_hashes_like_equal_number(x, v):
+    assert x == v
+    assert hash(x) == hash(v)
+    assert {x: "x"}.get(v) == "x"
+    assert {v: "v"}.get(x) == "v"
