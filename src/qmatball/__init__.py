@@ -18,6 +18,10 @@ The package is organized in layers:
   representations and the cyclic-module comparison,
 * :mod:`qmatball.integral`  -- the invariant positive integral,
 * :mod:`qmatball.cli`       -- the ``qmb`` command-line front end.
+
+Results are memoized (rewriting per presentation, tables and Gram blocks per
+size).  :func:`cache_sizes` reports how much is held and
+:func:`clear_caches` drops all of it, so long-lived use can bound memory.
 """
 
 from .field import (
@@ -60,6 +64,47 @@ from .fockrep import (
     rep_projector,
 )
 from .integral import integral_nu, invariance_defect, modular_exponent
+from . import algebras as _algebras, fockrep as _fockrep, integral as _integral
+from . import uqaction as _uqaction
+
+_LRU_CACHES = (
+    _algebras._build_presentation,
+    _fockrep.fock_norm2,
+    _fockrep.fock_weight,
+    _fockrep._norm2_ratio,
+    _fockrep.fock_basis,
+    _fockrep._machine,
+    _fockrep.corner_inverse,
+    _fockrep.rep_coordinate,
+    _fockrep.rep_coordinate_star,
+    _fockrep.gram_matrix,
+    _fockrep.projector_pairing_matrix,
+    _integral.modular_weights,
+    _integral._sandwich_pairing,
+    _uqaction._z_table,
+    _uqaction._f0_table,
+    _uqaction._symbol_table,
+)
+
+
+def cache_sizes() -> dict:
+    """Entries held by each memo: one per cached function (by qualified
+    name) and ``"presentation_memos"`` for every live presentation."""
+    out = {
+        f"{fn.__module__}.{fn.__qualname__}": fn.cache_info().currsize
+        for fn in _LRU_CACHES
+    }
+    out["presentation_memos"] = sum(p.memo_size() for p in Presentation._live)
+    return out
+
+
+def clear_caches() -> None:
+    """Drop every memoized result.  Interned generator symbols are kept:
+    symbol equality is by identity, so they must outlive any cleared cache."""
+    for fn in _LRU_CACHES:
+        fn.cache_clear()
+    for pres in list(Presentation._live):
+        pres.clear_memo()
 
 __version__ = "0.1.0"
 
@@ -114,5 +159,7 @@ __all__ = [
     "integral_nu",
     "invariance_defect",
     "modular_exponent",
+    "cache_sizes",
+    "clear_caches",
     "__version__",
 ]

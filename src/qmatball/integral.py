@@ -28,7 +28,7 @@ from functools import lru_cache
 
 from .algebras import AlgebraPreset, make_preset, star
 from .field import ONE, Scalar, ZERO, s_pow
-from .fockrep import hilbert_basis
+from .fockrep import _right_normal_forms, hilbert_basis
 from .linalg import mat_invert
 from .uqaction import UqElement, act, antipode, counit
 from .words import NCPoly, sym
@@ -93,12 +93,9 @@ def _require_projector_algebra(preset: AlgebraPreset):
 
 def _validated_normal_form(f: NCPoly, preset: AlgebraPreset) -> NCPoly:
     _require_projector_algebra(preset)
-    g = preset.normal_form(f)
+    g = preset.normal_form(f)  # rejects symbols outside the alphabet
     for word in g.terms:
-        kinds = [s.kind for s in word]
-        if "dz" in kinds or "dzs" in kinds:
-            raise ValueError("the integral is defined on function-algebra elements")
-        if "f0" not in kinds:
+        if "f0" not in [s.kind for s in word]:
             raise ValueError("term without the projector letter is not integrable")
     return g
 
@@ -107,11 +104,11 @@ def integral_nu_trace(f: NCPoly, preset: AlgebraPreset) -> Scalar:
     """The invariant integral of f, computed from its defining trace form.
 
     Every term of f must carry the projector letter (such elements act with
-    finite rank); terms with differential letters or no projector raise
-    ValueError.  The value is the weighted trace of left multiplication on
-    the cyclic module: for each graded basis monomial, the coefficient of
-    that monomial in f times (monomial times projector), weighted by the
-    modular factor of the monomial.
+    finite rank); terms with letters outside the algebra or no projector
+    raise ValueError.  The value is the weighted trace of left
+    multiplication on the cyclic module: for each graded basis monomial, the
+    coefficient of that monomial in f times (monomial times projector),
+    weighted by the modular factor of the monomial.
     """
     g = _validated_normal_form(f, preset)
     if not g:
@@ -136,10 +133,10 @@ def _sandwich_pairing(m: int, n: int, zspart: tuple, zpart: tuple) -> Scalar:
     This is the only matrix element a sandwich reaches on the diagonal of the
     cyclic module, so it carries the whole trace of left multiplication.
     """
-    funu = make_preset("FunU", m, n)
-    f0p = NCPoly.from_word((sym("f0"),))
-    prod = f0p * NCPoly.from_word(zspart) * NCPoly.from_word(zpart) * f0p
-    return funu.normal_form(prod).coeff((sym("f0"),))
+    pres = make_preset("FunU", m, n).presentation
+    f0 = (sym("f0"),)
+    left = pres.normal_form(NCPoly.from_word(f0 + zspart))
+    return _right_normal_forms(pres, left, [zpart + f0])[0].coeff(f0)
 
 
 def integral_nu(f: NCPoly, preset: AlgebraPreset) -> Scalar:

@@ -2,14 +2,28 @@
 
 Matrices are lists of lists.  Entries only need +, -, *, / and truthiness
 (empty == zero), which both Scalar and GaussRat provide.  Sizes here are tiny
-(at most a few hundred rows), so plain Gauss-Jordan is the right tool.
+(at most a few hundred rows), so plain Gaussian elimination with exact field
+operations is the right tool.  Every row update skips zero entries of the
+pivot row, because exact products and differences are the cost here.
+
+:func:`mat_leading_pivots` is the one-pass Sylvester kernel: elimination
+without row swaps, whose t-th pivot is the ratio D_t / D_{t-1} of
+consecutive leading principal minors.
 """
 
 from __future__ import annotations
 
 from .field import ONE, ZERO
 
-__all__ = ["mat_det", "mat_mul", "mat_identity", "mat_invert", "mat_rank", "mat_rref"]
+__all__ = [
+    "mat_det",
+    "mat_mul",
+    "mat_identity",
+    "mat_invert",
+    "mat_leading_pivots",
+    "mat_rank",
+    "mat_rref",
+]
 
 
 def mat_mul(A, B):
@@ -37,6 +51,11 @@ def mat_identity(n, one=ONE, zero=ZERO):
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
+def _eliminate(row, f, pivot_row):
+    """row - f * pivot_row, skipping the zero entries of pivot_row."""
+    return [a - f * b if b else a for a, b in zip(row, pivot_row)]
+
+
 def mat_invert(A, one=ONE, zero=ZERO):
     """Gauss-Jordan inverse; raises ValueError when A is singular."""
     n = len(A)
@@ -51,16 +70,15 @@ def mat_invert(A, one=ONE, zero=ZERO):
             raise ValueError("matrix is singular")
         M[col], M[piv] = M[piv], M[col]
         inv = one / M[col][col]
-        M[col] = [x * inv for x in M[col]]
+        M[col] = [x * inv if x else x for x in M[col]]
         for r in range(n):
             if r != col and M[r][col]:
-                f = M[r][col]
-                M[r] = [a - f * b for a, b in zip(M[r], M[col])]
+                M[r] = _eliminate(M[r], M[r][col], M[col])
     return [row[n:] for row in M]
 
 
 def mat_det(A, one=ONE):
-    """Determinant by fraction-free-ish Gaussian elimination (exact field ops)."""
+    """Determinant by Gaussian elimination with row swaps (exact field ops)."""
     n = len(A)
     if n == 0:
         return one
@@ -81,9 +99,29 @@ def mat_det(A, one=ONE):
         inv = one / M[col][col]
         for r in range(col + 1, n):
             if M[r][col]:
-                f = M[r][col] * inv
-                M[r] = [a - f * b for a, b in zip(M[r], M[col])]
+                M[r] = _eliminate(M[r], M[r][col] * inv, M[col])
     return det
+
+
+def mat_leading_pivots(A):
+    """Yield the pivots of Gaussian elimination on A without row swaps.
+
+    Pivot t is D_t / D_{t-1}, where D_t is the t-th leading principal minor
+    (D_0 = 1), so D_t is the product of the first t pivots.  A zero pivot
+    means D_t = 0; elimination without swaps cannot go on, so it is the last
+    value yielded.  Lazy, so a caller that stops early skips the rest.
+    """
+    M = [list(row) for row in A]
+    n = len(M)
+    for t in range(n):
+        piv = M[t][t]
+        yield piv
+        if not piv:
+            return
+        tail = M[t][t + 1 :]
+        for row in M[t + 1 :]:
+            if row[t]:
+                row[t + 1 :] = _eliminate(row[t + 1 :], row[t] / piv, tail)
 
 
 def mat_rref(A):
@@ -103,11 +141,10 @@ def mat_rref(A):
             continue
         M[r], M[piv] = M[piv], M[r]
         lead = M[r][col]
-        M[r] = [x / lead for x in M[r]]
+        M[r] = [x / lead if x else x for x in M[r]]
         for rr in range(nrows):
             if rr != r and M[rr][col]:
-                f = M[rr][col]
-                M[rr] = [a - f * b for a, b in zip(M[rr], M[r])]
+                M[rr] = _eliminate(M[rr], M[rr][col], M[r])
         pivots.append(col)
         r += 1
         if r == nrows:

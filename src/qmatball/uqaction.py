@@ -469,11 +469,5 @@ def act(xi: UqElement, f: NCPoly, preset: AlgebraPreset) -> NCPoly:
                 raise ValueError(
                     f"letter index {j} outside 1..{N - 1} for this preset"
                 )
-    for w in f.terms:
-        for g in w:
-            if g.kind not in preset.presentation.kinds:
-                raise ValueError(
-                    f"symbol kind {g.kind!r} not part of preset {preset.name}"
-                )
-    reduced = preset.normal_form(f)
+    reduced = preset.normal_form(f)  # rejects symbols outside the alphabet
     return preset.normal_form(_act_free(xi, reduced, m, n))

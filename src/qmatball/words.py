@@ -17,13 +17,15 @@ are validated at construction time: every replacement word must be strictly
 smaller than its pattern in the degree-lexicographic word order, which makes
 the rewriting terminate no matter how rules are interleaved.  Confluence is
 not assumed; it is checked empirically by the test suite (two independent
-scan strategies must agree on normal forms).
+scan strategies must agree on normal forms).  Rewriting a word that holds a
+symbol outside the presentation's alphabet raises ValueError.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import weakref
 from typing import Iterable, Mapping
 
 from .field import ONE, Scalar, ZERO
@@ -321,7 +323,12 @@ class Presentation:
     * ``kind_rank`` orders the kinds; together with (row, col) it induces the
       symbol order used both for the termination check and for enumerating
       the PBW-style basis of normal words.
+
+    Rewriting is memoized per word; :meth:`clear_memo` (or
+    ``qmatball.clear_caches()`` for every live presentation) forgets it.
     """
+
+    _live: "weakref.WeakSet[Presentation]" = weakref.WeakSet()
 
     def __init__(
         self,
@@ -343,6 +350,8 @@ class Presentation:
         self._plens = tuple(sorted({len(p) for p in self.rules}, reverse=True))
         self._memo = {"leftmost": {}, "rightmost": {}}
         self._weights: dict = {}
+        self._letters = frozenset(self.alphabet())
+        Presentation._live.add(self)
         bad = self.termination_violations()
         if bad:
             pat, w = bad[0]
@@ -369,6 +378,15 @@ class Presentation:
         for kind in sorted(self.kinds, key=self.kind_rank.__getitem__):
             out.extend(self.symbols(kind))
         return out
+
+    def _check_word(self, word: tuple) -> None:
+        """Raise ValueError unless every symbol of word is in the alphabet."""
+        for g in word:
+            if g not in self._letters:
+                raise ValueError(
+                    f"generator {g.token()} is not in the alphabet of "
+                    f"{self.name} {self.m}x{self.n}"
+                )
 
     def symbol_key(self, g: GeneratorSymbol):
         return (self.kind_rank[g.kind], g.row, g.col)
@@ -410,6 +428,7 @@ class Presentation:
         got = memo.get(word)
         if got is not None:
             return got
+        self._check_word(word)
         stack = [word]
         while stack:
             w = stack[-1]
@@ -449,13 +468,32 @@ class Presentation:
         return memo[word]
 
     def normal_form(self, poly: NCPoly, strategy: str = "leftmost") -> NCPoly:
-        out = NCPoly.zero()
+        acc: dict = {}
         for w, c in poly.terms.items():
-            out = out + self.reduce_word(w, strategy).scale(c)
-        return out
+            for w2, c2 in self.reduce_word(w, strategy).terms.items():
+                p = c2 * c
+                v = acc.get(w2)
+                if v is None:
+                    acc[w2] = p
+                else:
+                    v = v + p
+                    if v:
+                        acc[w2] = v
+                    else:
+                        del acc[w2]
+        return NCPoly(acc, _clean=True)
 
     def multiply(self, f: NCPoly, g: NCPoly, strategy: str = "leftmost") -> NCPoly:
         return self.normal_form(f * g, strategy)
+
+    def clear_memo(self) -> None:
+        """Forget every memoized reduction and generator weight."""
+        for memo in self._memo.values():
+            memo.clear()
+        self._weights.clear()
+
+    def memo_size(self) -> int:
+        return sum(map(len, self._memo.values())) + len(self._weights)
 
     def is_normal(self, word: tuple) -> bool:
         return self._find_redex(word, "leftmost") is None

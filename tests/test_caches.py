@@ -1,0 +1,58 @@
+"""clear_caches() drops every memo and changes no result."""
+
+import importlib
+import pkgutil
+from fractions import Fraction
+
+import qmatball
+from qmatball.algebras import make_preset
+from qmatball.fockrep import gram_matrix, projector_pairing_rank, rep_coordinate
+from qmatball.integral import integral_nu
+from qmatball.uqaction import E, act
+from qmatball.words import NCPoly, parse_symbol, sym, word_from_tokens
+
+
+def _package_lru_caches():
+    """Every functools cache defined anywhere in the package."""
+    found = {}
+    for info in pkgutil.iter_modules(qmatball.__path__):
+        mod = importlib.import_module(f"qmatball.{info.name}")
+        for obj in vars(mod).values():
+            if hasattr(obj, "cache_info") and obj.__module__ == mod.__name__:
+                found[f"{obj.__module__}.{obj.__qualname__}"] = obj
+    return found
+
+
+def _results():
+    funu = make_preset("FunU", 1, 2)
+    f = NCPoly.from_word(word_from_tokens(["z[2,1]", "f0", "zs[2,1]"]))
+    return (
+        [[c.to_string() for c in row] for row in gram_matrix(1, 2, 2)],
+        projector_pairing_rank(1, 2, 2, Fraction(1, 2)),
+        integral_nu(f, funu).to_string(),
+        act(E(1), f, funu).to_json(),
+        len(rep_coordinate(1, 2, 1, 1, 4).entries),
+    )
+
+
+def test_every_lru_cache_is_reported():
+    assert set(_package_lru_caches()) <= set(qmatball.cache_sizes())
+
+
+def test_clear_empties_every_cache_and_keeps_results():
+    funu = make_preset("FunU", 1, 2)
+    before = _results()
+    assert any(qmatball.cache_sizes().values())
+    assert funu.presentation.memo_size() > 0
+    f0 = sym("f0")
+
+    qmatball.clear_caches()
+
+    assert set(qmatball.cache_sizes().values()) == {0}
+    assert all(fn.cache_info().currsize == 0 for fn in _package_lru_caches().values())
+    assert funu.presentation.memo_size() == 0
+    assert parse_symbol("f0") is f0  # interned symbols survive
+    assert _results() == before
+    # a preset held across the clear still rewrites correctly
+    g = funu.normal_form(NCPoly.from_word((f0, sym("z", 1, 1))))
+    assert g.is_zero

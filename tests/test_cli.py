@@ -372,6 +372,27 @@ class TestNegativeBounds:
         assert json.loads(out)["rows"] == [{"degree": 0, "dimension": 1}]
 
 
+class TestAlphabet:
+    """Generators outside the preset's alphabet are input errors (exit 1)."""
+
+    @pytest.mark.parametrize(
+        "argv,word",
+        [
+            (("nf", "--algebra", "pol:1x1"), ["zs[1,1]", "z[2,1]"]),
+            (("act", "E1", "--algebra", "pol:1x1"), ["z[2,2]"]),
+            (("integral", "--algebra", "funu:1x1"), ["z[3,3]", "f0", "zs[3,3]"]),
+            (("invariance", "--algebra", "funu:1x1"), ["z[1,2]", "f0", "zs[1,1]"]),
+            (("nf", "--algebra", "cmat:2x2"), ["zs[1,1]"]),
+        ],
+    )
+    def test_rejected_with_exit_one(self, capsys, argv, word):
+        raw = json.dumps({"terms": [{"coeff": "1", "word": word}]})
+        code, out, err = run(capsys, *argv, "--input", raw)
+        assert code == 1
+        assert out == ""
+        assert "not in the alphabet" in err
+
+
 class TestTopLevel:
     def test_unknown_verb_exits_one(self, capsys):
         assert main(["definitely-not-a-verb"]) == 1

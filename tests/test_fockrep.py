@@ -10,7 +10,8 @@ from fractions import Fraction
 
 import pytest
 
-from qmatball.field import ONE, Scalar, q_pow
+from qmatball.algebras import make_preset, star
+from qmatball.field import GaussRat, ONE, Scalar, q_pow
 from qmatball.fockrep import (
     CutoffError,
     TruncatedOperator,
@@ -31,6 +32,7 @@ from qmatball.fockrep import (
     operator_json,
     pairing_block_fock,
     pairing_block_theta,
+    projector_pairing_matrix,
     projector_pairing_rank,
     rep_coordinate,
     rep_coordinate_star,
@@ -47,6 +49,8 @@ from qmatball.fockrep import (
     vacuum_modulus_ok,
     vacuum_modulus_value,
 )
+from qmatball.fockrep import _leading_minors_positive
+from qmatball.linalg import mat_det
 from qmatball.qminors import qdet
 from qmatball.words import NCPoly, sym
 
@@ -275,6 +279,87 @@ class TestCyclicModuleSide:
         for l in range(4):
             d = len(hilbert_basis(*mn, l))
             assert projector_pairing_rank(*mn, l, Fraction(1, 2)) == d
+
+
+def _gram_by_whole_words(m, n, k):
+    """Oracle: every Gram entry from the normal form of its whole word."""
+    funu = make_preset("FunU", m, n)
+    basis = hilbert_basis(m, n, k)
+    f0 = NCPoly.from_word((sym("f0"),))
+    return [
+        [
+            funu.normal_form(f0 * star(NCPoly.from_word(br), funu) * NCPoly.from_word(bp) * f0)
+            .coeff((sym("f0"),))
+            for br in basis
+        ]
+        for bp in basis
+    ]
+
+
+def _pairing_by_whole_words(m, n, l):
+    pol = make_preset("Pol", m, n)
+    basis = hilbert_basis(m, n, l)
+    return [
+        [
+            pol.normal_form(star(NCPoly.from_word(br), pol) * NCPoly.from_word(bp)).coeff(())
+            for bp in basis
+        ]
+        for br in basis
+    ]
+
+
+def _minors_positive_by_determinants(G):
+    """Oracle: one determinant per leading principal minor."""
+    for t in range(1, len(G) + 1):
+        d = mat_det([row[:t] for row in G[:t]], one=GaussRat(1))
+        if d.im != 0 or d.re <= 0:
+            return False
+    return True
+
+
+class TestPrefixSharedBlocks:
+    @pytest.mark.parametrize("mn", [(1, 2), (2, 2)])
+    @pytest.mark.parametrize("k", range(4))
+    def test_gram_equals_whole_word_normal_forms(self, mn, k):
+        assert gram_matrix(*mn, k) == _gram_by_whole_words(*mn, k)
+
+    @pytest.mark.parametrize("mn", [(1, 2), (2, 2)])
+    @pytest.mark.parametrize("l", range(4))
+    def test_pairing_equals_whole_word_normal_forms(self, mn, l):
+        assert projector_pairing_matrix(*mn, l) == _pairing_by_whole_words(*mn, l)
+
+
+def _gauss_matrix(rows):
+    return [[GaussRat(*c) if isinstance(c, tuple) else GaussRat(c) for c in row] for row in rows]
+
+
+class TestSylvesterRule:
+    @pytest.mark.parametrize(
+        "rows,expect",
+        [
+            ([[2, 1], [1, 2]], True),
+            ([[0, 1], [1, 2]], False),  # D_1 = 0
+            ([[1, 1], [1, 1]], False),  # D_2 = 0
+            ([[1, 2], [2, 1]], False),  # D_2 < 0
+            ([[-1, 0], [0, -1]], False),  # D_1 < 0, D_2 > 0
+            ([[1, (0, 1)], [(0, 1), 1]], True),  # not Hermitian, yet D_2 = 2
+            ([[(0, 1), 0], [0, 1]], False),  # D_1 = i, not real
+            ([[1, (1, 1)], [(1, 1), 1]], False),  # D_2 = 1 - 2i, not real
+            ([[1, 0, 0], [0, 2, 0], [0, 0, 0]], False),  # last minor zero
+            ([[4, 2, (0, 1)], [2, 3, 1], [(0, -1), 1, 2]], True),
+        ],
+    )
+    def test_pivot_rule_matches_determinant_rule(self, rows, expect):
+        G = _gauss_matrix(rows)
+        assert _minors_positive_by_determinants(G) is expect
+        assert _leading_minors_positive(G) is expect
+
+    @pytest.mark.parametrize("mn", [(1, 2), (2, 1), (2, 2)])
+    def test_gram_blocks_agree_with_determinant_rule(self, mn):
+        for k in range(4):
+            for s0 in (Fraction(1, 2), Fraction(3, 2), Fraction(-1, 3)):
+                G = [[c.eval_at(s0) for c in row] for row in gram_matrix(*mn, k)]
+                assert _leading_minors_positive(G) is _minors_positive_by_determinants(G)
 
 
 class TestExport:

@@ -131,6 +131,14 @@ class TestIntegralValues:
         with pytest.raises(ValueError):
             integral_nu(poly("dz[1,1]", "f0"), du)
 
+    def test_rejects_letters_outside_the_alphabet(self):
+        funu = make_preset("FunU", 1, 1)
+        for f in (poly("z[3,3]", "f0", "zs[3,3]"), poly("z[1,2]", "f0")):
+            with pytest.raises(ValueError, match="not in the alphabet"):
+                integral_nu(f, funu)
+            with pytest.raises(ValueError, match="not in the alphabet"):
+                integral_nu_trace(f, funu)
+
     def test_rejects_projector_less_algebra(self):
         pol = make_preset("Pol", 1, 1)
         with pytest.raises(ValueError):

@@ -204,6 +204,12 @@ class TestGeneratorAction:
         with pytest.raises(ValueError):
             act(E(1), NCPoly.from_word((sym("dz", 1, 1),)), self.pol)
 
+    def test_rejects_indices_outside_the_alphabet(self):
+        pol11 = make_preset("Pol", 1, 1)
+        for g in (sym("z", 2, 2), sym("zs", 1, 2)):
+            with pytest.raises(ValueError, match="not in the alphabet"):
+                act(E(1), zpoly(1, 1) * NCPoly.from_word((g,)), pol11)
+
 
 class TestModuleLaws:
     def setup_method(self):

@@ -133,3 +133,30 @@ def test_qplane_reduction_confluence_and_degree(w):
     assert len(left) == 1
     ((nw, _),) = left.items()
     assert list(nw) == sorted(w, key=pres.symbol_key)
+
+
+def test_words_outside_the_alphabet_are_rejected():
+    pres = q_plane()
+    x, y = sym("z", 1, 1), sym("z", 1, 2)
+    outside = sym("z", 3, 1)
+    for word in ((outside,), (y, outside, x), (sym("zs", 1, 1),)):
+        with pytest.raises(ValueError, match="not in the alphabet"):
+            pres.normal_form(NCPoly.from_word(word))
+        with pytest.raises(ValueError, match="not in the alphabet"):
+            pres.reduce_word(word, "rightmost")
+    # nothing half-reduced was memoized, and valid words still reduce
+    assert pres.memo_size() == 0
+    assert pres.normal_form(NCPoly.from_word((y, x))) == NCPoly.from_word((x, y), q_pow(-1))
+
+
+def test_normal_form_is_the_sum_of_reduced_terms_in_order():
+    pres = q_plane()
+    x, y = sym("z", 1, 1), sym("z", 1, 2)
+    # (y x) and -q^{-1} (x y) cancel; the other terms survive
+    f = NCPoly({(y, x): ONE, (x, y): -q_pow(-1), (y, y, x): ONE, (x,): q_pow(3)})
+    expected = NCPoly.zero()
+    for w, c in f.terms.items():
+        expected = expected + pres.reduce_word(w).scale(c)
+    got = pres.normal_form(f)
+    assert got == expected
+    assert list(got.terms) == list(expected.terms) == [(x, y, y), (x,)]
