@@ -26,7 +26,7 @@ from .braiding import (
     rules_cross_conj,
     rules_wedge,
 )
-from .field import ONE, ZERO, q_pow
+from .field import ONE, ZERO, add_terms, q_pow
 from .words import KIND_RANK, NCPoly, Presentation, sym
 
 __all__ = [
@@ -212,13 +212,11 @@ def star(f: NCPoly, preset: AlgebraPreset) -> NCPoly:
     """The antilinear anti-automorphism, reduced to normal form."""
     if not preset.has_star:
         raise ValueError(f"preset {preset.name} does not support the involution")
-    acc: dict = {}
-    for w, c in f.terms.items():
-        w2 = tuple(sym(_STAR_KIND[g.kind], g.row, g.col) for g in reversed(w))
-        cc = c.conjugate()
-        prev = acc.get(w2)
-        acc[w2] = cc if prev is None else prev + cc
-    return preset.presentation.normal_form(NCPoly(acc))
+    pairs = (
+        (tuple(sym(_STAR_KIND[g.kind], g.row, g.col) for g in reversed(w)), c.conjugate())
+        for w, c in f.terms.items()
+    )
+    return preset.presentation.normal_form(NCPoly(add_terms({}, pairs), _clean=True))
 
 
 def differential(f: NCPoly) -> NCPoly:
@@ -228,7 +226,11 @@ def differential(f: NCPoly) -> NCPoly:
     replaced in place by its differential, with the sign (-1)^(number of
     differential symbols to its left).  Differentials themselves map to zero.
     """
-    acc: dict = {}
+    return NCPoly(add_terms({}, _leibniz_terms(f)), _clean=True)
+
+
+def _leibniz_terms(f: NCPoly):
+    """(word, coeff) pairs of the graded Leibniz expansion of differential(f)."""
     for w, c in f.terms.items():
         parity = ONE
         for i, g in enumerate(w):
@@ -237,15 +239,7 @@ def differential(f: NCPoly) -> NCPoly:
                 if g.kind in ("dz", "dzs"):
                     parity = -parity
                 continue
-            w2 = w[:i] + (sym(kd, g.row, g.col),) + w[i + 1 :]
-            cc = parity * c
-            prev = acc.get(w2)
-            total = cc if prev is None else prev + cc
-            if total:
-                acc[w2] = total
-            elif prev is not None:
-                del acc[w2]
-    return NCPoly(acc)
+            yield w[:i] + (sym(kd, g.row, g.col),) + w[i + 1 :], parity * c
 
 
 def in_projection_slice(f: NCPoly, preset: AlgebraPreset) -> bool:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 
-from .field import ONE, Scalar, ZERO, q_pow
+from .field import ONE, Scalar, ZERO, add_terms, q_pow
 from .linalg import mat_identity, mat_invert, mat_mul, mat_rref
 from .words import NCPoly, sym
 
@@ -221,19 +221,15 @@ def rules_cross_conj(m: int, n: int, left_kind: str, right_kind: str) -> dict:
     for (b, be) in _full_indices(m, n):
         for (a, al) in _full_indices(m, n):
             pat = (sym(left_kind, b, be), sym(right_kind, a, al))
-            acc: dict = {}
-            for (bp, ap_) in itertools.product(range(1, n + 1), repeat=2):
-                cu = uu[((bp, ap_), (b, a))]
-                if not cu:
-                    continue
-                for (bep, alp) in itertools.product(range(1, m + 1), repeat=2):
-                    cv = vv[((bep, alp), (be, al))]
-                    if not cv:
-                        continue
-                    w = (sym(out_left, ap_, alp), sym(out_right, bp, bep))
-                    c = sign * q2 * cu * cv
-                    acc[w] = acc.get(w, ZERO) + c
-            repl = NCPoly(acc)
+            terms = (
+                (
+                    (sym(out_left, ap_, alp), sym(out_right, bp, bep)),
+                    sign * q2 * uu[((bp, ap_), (b, a))] * vv[((bep, alp), (be, al))],
+                )
+                for (bp, ap_) in itertools.product(range(1, n + 1), repeat=2)
+                for (bep, alp) in itertools.product(range(1, m + 1), repeat=2)
+            )
+            repl = NCPoly(add_terms({}, terms), _clean=True)
             if (left_kind, right_kind) == ("zs", "z") and a == b and al == be:
                 repl = repl + NCPoly.from_word((), ONE - q_pow(2))
             rules[pat] = repl
@@ -328,14 +324,10 @@ def rules_wedge(m: int, n: int, kind: str = "dz") -> dict:
     eqs = []
     for (b, be, a, al) in idx:
         r = pos[(b, be, a, al)]
-        row = {}
-        lead = ((b, be), (a, al))
-        row[lead] = row.get(lead, ZERO) + ONE
-        for (bp, bep, ap_, alp) in idx:
-            v = M[r][pos[(bp, bep, ap_, alp)]]
-            if v:
-                w = ((ap_, alp), (bp, bep))
-                row[w] = row.get(w, ZERO) + v
+        row = add_terms({((b, be), (a, al)): ONE}, (
+            (((ap_, alp), (bp, bep)), M[r][pos[(bp, bep, ap_, alp)]])
+            for (bp, bep, ap_, alp) in idx
+        ))
         eqs.append(row)
     if kind == "dzs":
         eqs = [

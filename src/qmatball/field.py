@@ -616,6 +616,29 @@ def _make(num: dict, den: dict) -> Scalar:
     return _new(*_reduce(num, den))
 
 
+def add_terms(acc: dict, pairs) -> dict:
+    """Add each ``(key, coeff)`` of ``pairs`` into the sparse map ``acc``.
+
+    The one accumulate step of every ``{key: Scalar}`` map in the package.
+    A zero coefficient never creates a key; a new key goes to the end; a key
+    whose sum cancels is deleted, so if it comes back it goes to the end
+    again.  ``pairs`` is read once; ``acc`` is updated in place and returned.
+    """
+    get = acc.get
+    for key, c in pairs:
+        v = get(key)
+        if v is None:
+            if c:
+                acc[key] = c
+        else:
+            v = v + c
+            if v:
+                acc[key] = v
+            else:
+                del acc[key]
+    return acc
+
+
 def _poly_from_gauss(p: dict) -> dict:
     out = {}
     for e, c in p.items():

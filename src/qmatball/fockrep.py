@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebras import make_preset, star
-from .field import ONE, Scalar, ZERO, q_pow
+from .field import ONE, Scalar, ZERO, add_terms, q_pow
 from .linalg import mat_leading_pivots, mat_rank
 from .qminors import (
     col_sign,
@@ -250,25 +250,15 @@ class TruncatedOperator:
 
     def apply(self, vec: dict) -> dict:
         """Image of a vector given as {multi-index: Scalar}."""
-        out: dict = {}
-        cols = self._column_index()
-        for kin, c in vec.items():
+        for kin in vec:
             if _deg(kin) > self.cert:
                 raise CutoffError(
                     f"vector component at degree {_deg(kin)} beyond certificate {self.cert}"
                 )
-            for kout, a in cols.get(kin, ()):
-                v = out.get(kout)
-                p = a * c
-                if v is None:
-                    out[kout] = p
-                else:
-                    v = v + p
-                    if v:
-                        out[kout] = v
-                    else:
-                        del out[kout]
-        return out
+        cols = self._column_index()
+        return add_terms({}, (
+            (kout, a * c) for kin, c in vec.items() for kout, a in cols.get(kin, ())
+        ))
 
     # -- arithmetic
 
@@ -279,20 +269,12 @@ class TruncatedOperator:
     def __add__(self, other):
         self._check_legs(other)
         cert = min(self.cert, other.cert)
-        acc: dict = {}
-        for src in (self.entries, other.entries):
-            for key, c in src.items():
-                if _deg(key[1]) > cert:
-                    continue
-                v = acc.get(key)
-                if v is None:
-                    acc[key] = c
-                else:
-                    v = v + c
-                    if v:
-                        acc[key] = v
-                    else:
-                        del acc[key]
+        acc = add_terms({}, (
+            (key, c)
+            for src in (self.entries, other.entries)
+            for key, c in src.items()
+            if _deg(key[1]) <= cert
+        ))
         return TruncatedOperator(
             self.legs, cert, acc, max(self.up, other.up), max(self.down, other.down)
         )
@@ -326,26 +308,12 @@ class TruncatedOperator:
         if cert < 0:
             raise CutoffError("composition exhausts the certified slice")
         cols = self._column_index()
-        acc: dict = {}
-        for (mid, kin), c2 in other.entries.items():
-            if _deg(kin) > cert:
-                continue
-            hits = cols.get(mid)
-            if hits is None:
-                continue
-            for kout, c1 in hits:
-                key = (kout, kin)
-                v = acc.get(key)
-                p = c1 * c2
-                if v is None:
-                    if p:
-                        acc[key] = p
-                else:
-                    v = v + p
-                    if v:
-                        acc[key] = v
-                    else:
-                        del acc[key]
+        acc = add_terms({}, (
+            ((kout, kin), c1 * c2)
+            for (mid, kin), c2 in other.entries.items()
+            if _deg(kin) <= cert
+            for kout, c1 in cols.get(mid, ())
+        ))
         return TruncatedOperator(
             self.legs, cert, acc, self.up + other.up, self.down + other.down
         )

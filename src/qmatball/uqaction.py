@@ -25,7 +25,7 @@ import functools
 import re
 
 from .algebras import AlgebraPreset, differential
-from .field import ONE, Scalar, ZERO, q_pow, s_pow
+from .field import ONE, Scalar, ZERO, add_terms, q_pow, s_pow
 from .words import NCPoly, sym
 
 __all__ = [
@@ -99,11 +99,7 @@ class UqElement:
     # -- ring structure
 
     def __add__(self, other: "UqElement") -> "UqElement":
-        acc = dict(self.terms)
-        for w, c in other.terms.items():
-            v = acc.get(w)
-            acc[w] = c if v is None else v + c
-        return UqElement(acc)
+        return UqElement(add_terms(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other: "UqElement") -> "UqElement":
         return self + other.scale(-ONE)
@@ -112,14 +108,12 @@ class UqElement:
         return self.scale(-ONE)
 
     def __mul__(self, other: "UqElement") -> "UqElement":
-        acc: dict = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                c = c1 * c2
-                v = acc.get(w)
-                acc[w] = c if v is None else v + c
-        return UqElement(acc)
+        products = (
+            (w1 + w2, c1 * c2)
+            for w1, c1 in self.terms.items()
+            for w2, c2 in other.terms.items()
+        )
+        return UqElement(add_terms({}, products))
 
     def scale(self, c) -> "UqElement":
         c = c if isinstance(c, Scalar) else ONE * c
@@ -148,13 +142,11 @@ class UqElement:
 
     @classmethod
     def from_dict(cls, data: dict) -> "UqElement":
-        acc: dict = {}
-        for t in data["terms"]:
-            w = tuple(parse_letter(tok) for tok in t["word"])
-            c = Scalar.from_string(t["coeff"])
-            v = acc.get(w)
-            acc[w] = c if v is None else v + c
-        return cls(acc)
+        pairs = (
+            (tuple(parse_letter(tok) for tok in t["word"]), Scalar.from_string(t["coeff"]))
+            for t in data["terms"]
+        )
+        return cls(add_terms({}, pairs))
 
     def __repr__(self):
         if not self.terms:
@@ -200,35 +192,21 @@ def _word_coproduct(word: tuple) -> dict:
     """2-leg coproduct of a word (multiplicativity of the coproduct)."""
     acc = {((), ()): ONE}
     for letter in word:
-        nxt: dict = {}
-        for (l_acc, r_acc), c in acc.items():
-            for (l_new, r_new), c2 in _letter_coproduct(letter):
-                key = (l_acc + l_new, r_acc + r_new)
-                v = nxt.get(key)
-                p = c * c2
-                nxt[key] = p if v is None else v + p
-        acc = nxt
+        acc = add_terms({}, (
+            ((l_acc + l_new, r_acc + r_new), c * c2)
+            for (l_acc, r_acc), c in acc.items()
+            for (l_new, r_new), c2 in _letter_coproduct(letter)
+        ))
     return acc
 
 
 def expand_leg(tensor: dict, leg: int) -> dict:
     """Apply the coproduct to one leg of a tensor {words-tuple: Scalar}."""
-    acc: dict = {}
-    for words, c in tensor.items():
-        for (lw, rw), c2 in _word_coproduct(words[leg]).items():
-            key = words[:leg] + (lw, rw) + words[leg + 1 :]
-            p = c * c2
-            v = acc.get(key)
-            if v is None:
-                acc[key] = p
-            else:
-                v = v + p
-                if v:
-                    acc[key] = v
-                else:
-                    del acc[key]
-        # (no other legs touched)
-    return acc
+    return add_terms({}, (
+        (words[:leg] + (lw, rw) + words[leg + 1 :], c * c2)
+        for words, c in tensor.items()
+        for (lw, rw), c2 in _word_coproduct(words[leg]).items()
+    ))
 
 
 def coproduct(xi: UqElement, legs: int = 2) -> dict:
@@ -253,18 +231,20 @@ def _letter_antipode(letter: tuple) -> tuple:
     return ((("K", j),), ONE)
 
 
+def _reversed_image(w: tuple, coeff: Scalar, letter_image) -> tuple:
+    """(word, coeff) of coeff * w under an anti-multiplicative letter map."""
+    word: tuple = ()
+    for letter in reversed(w):
+        lw, lc = letter_image(letter)
+        word = word + lw
+        coeff = coeff * lc
+    return word, coeff
+
+
 def antipode(xi: UqElement) -> UqElement:
-    acc: dict = {}
-    for w, c in xi.terms.items():
-        word: tuple = ()
-        coeff = c
-        for letter in reversed(w):
-            lw, lc = _letter_antipode(letter)
-            word = word + lw
-            coeff = coeff * lc
-        v = acc.get(word)
-        acc[word] = coeff if v is None else v + coeff
-    return UqElement(acc)
+    return UqElement(add_terms({}, (
+        _reversed_image(w, c, _letter_antipode) for w, c in xi.terms.items()
+    )))
 
 
 def counit(xi: UqElement) -> Scalar:
@@ -291,17 +271,9 @@ def star_sunm(xi: UqElement, n: int) -> UqElement:
             return ((("E", j), ("Kinv", j)), sgn)
         return ((letter,), ONE)
 
-    acc: dict = {}
-    for w, c in xi.terms.items():
-        word: tuple = ()
-        coeff = c.conjugate()
-        for letter in reversed(w):
-            lw, lc = letter_star(letter)
-            word = word + lw
-            coeff = coeff * lc
-        v = acc.get(word)
-        acc[word] = coeff if v is None else v + coeff
-    return UqElement(acc)
+    return UqElement(add_terms({}, (
+        _reversed_image(w, c.conjugate(), letter_star) for w, c in xi.terms.items()
+    )))
 
 
 # ---------------------------------------------------------------------------
@@ -311,13 +283,11 @@ def star_sunm(xi: UqElement, n: int) -> UqElement:
 def _star_words(f: NCPoly) -> NCPoly:
     """Symbol-level involution (word reversal, kind swap, conjugation)."""
     swap = {"z": "zs", "zs": "z", "dz": "dzs", "dzs": "dz", "f0": "f0"}
-    acc: dict = {}
-    for w, c in f.terms.items():
-        w2 = tuple(sym(swap[g.kind], g.row, g.col) for g in reversed(w))
-        cc = c.conjugate()
-        v = acc.get(w2)
-        acc[w2] = cc if v is None else v + cc
-    return NCPoly(acc)
+    pairs = (
+        (tuple(sym(swap[g.kind], g.row, g.col) for g in reversed(w)), c.conjugate())
+        for w, c in f.terms.items()
+    )
+    return NCPoly(add_terms({}, pairs), _clean=True)
 
 
 @functools.lru_cache(maxsize=None)
@@ -411,28 +381,14 @@ def _symbol_table(letter: tuple, g_kind: str, a: int, al: int, m: int, n: int) -
     raise ValueError(f"no action table for symbol kind {g_kind!r}")
 
 
-def _act_letter_poly(letter: tuple, f: NCPoly, m: int, n: int) -> NCPoly:
-    """One letter acting on a polynomial via the twisted Leibniz rule (raw)."""
+def _letter_terms(letter: tuple, terms: dict, m: int, n: int):
+    """(word, coeff) pairs of one letter acting on {word: Scalar} terms by the
+    twisted Leibniz rule."""
     kind, j = letter
-    acc: dict = {}
-
-    def add(word, coeff):
-        if not coeff:
-            return
-        v = acc.get(word)
-        if v is None:
-            acc[word] = coeff
-        else:
-            v = v + coeff
-            if v:
-                acc[word] = v
-            else:
-                del acc[word]
-
-    for w, c in f.terms.items():
+    for w, c in terms.items():
         if kind in ("K", "Kinv"):
             mu = sum(_symbol_weight_component(g, j, m, n) for g in w)
-            add(w, c * q_pow(mu if kind == "K" else -mu))
+            yield w, c * q_pow(mu if kind == "K" else -mu)
             continue
         for i, g in enumerate(w):
             tbl = _symbol_table(letter, g.kind, g.row, g.col, m, n)
@@ -444,19 +400,18 @@ def _act_letter_poly(letter: tuple, f: NCPoly, m: int, n: int) -> NCPoly:
                 mu = -sum(_symbol_weight_component(x, j, m, n) for x in w[i + 1 :])
             factor = c * q_pow(mu)
             for tw, tc in tbl.terms.items():
-                add(w[:i] + tw + w[i + 1 :], factor * tc)
-    return NCPoly(acc)
+                yield w[:i] + tw + w[i + 1 :], factor * tc
 
 
 def _act_free(xi: UqElement, f: NCPoly, m: int, n: int) -> NCPoly:
     """xi acting on f without any rewriting (free words)."""
-    out = NCPoly.zero()
+    acc: dict = {}
     for w, c in xi.terms.items():
-        cur = f
+        cur = f.terms
         for letter in reversed(w):
-            cur = _act_letter_poly(letter, cur, m, n)
-        out = out + cur.scale(c)
-    return out
+            cur = add_terms({}, _letter_terms(letter, cur, m, n))
+        add_terms(acc, ((fw, fc * c) for fw, fc in cur.items()))
+    return NCPoly(acc, _clean=True)
 
 
 def act(xi: UqElement, f: NCPoly, preset: AlgebraPreset) -> NCPoly:

@@ -28,7 +28,7 @@ import json
 import weakref
 from typing import Iterable, Mapping
 
-from .field import ONE, Scalar, ZERO
+from .field import ONE, Scalar, ZERO, add_terms
 
 __all__ = [
     "GeneratorSymbol",
@@ -55,7 +55,7 @@ _H0_DEGREE = {"z": 1, "dz": 1, "f0": 0, "dzs": -1, "zs": -1, "t": 0}
 class GeneratorSymbol:
     """One interned generator; equality and hashing are by identity."""
 
-    __slots__ = ("kind", "row", "col", "_hash")
+    __slots__ = ("kind", "row", "col")
 
     _pool: dict = {}
 
@@ -75,18 +75,11 @@ class GeneratorSymbol:
         object.__setattr__(obj, "kind", kind)
         object.__setattr__(obj, "row", row)
         object.__setattr__(obj, "col", col)
-        object.__setattr__(obj, "_hash", hash(key))
         cls._pool[key] = obj
         return obj
 
     def __setattr__(self, name, value):
         raise AttributeError("GeneratorSymbol is immutable")
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return self is other
 
     def token(self) -> str:
         if self.kind == "f0":
@@ -196,18 +189,7 @@ class NCPoly:
             return other
         if not other.terms:
             return self
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            v = out.get(w)
-            if v is None:
-                out[w] = c
-            else:
-                v = v + c
-                if v:
-                    out[w] = v
-                else:
-                    del out[w]
-        return NCPoly(out, _clean=True)
+        return NCPoly(add_terms(dict(self.terms), other.terms.items()), _clean=True)
 
     def __neg__(self):
         return NCPoly({w: -c for w, c in self.terms.items()}, _clean=True)
@@ -229,22 +211,12 @@ class NCPoly:
             return self.scale(other)
         if not isinstance(other, NCPoly):
             return NotImplemented
-        out: dict = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                v = out.get(w)
-                p = c1 * c2
-                if v is None:
-                    if p:
-                        out[w] = p
-                else:
-                    v = v + p
-                    if v:
-                        out[w] = v
-                    else:
-                        del out[w]
-        return NCPoly(out, _clean=True)
+        products = (
+            (w1 + w2, c1 * c2)
+            for w1, c1 in self.terms.items()
+            for w2, c2 in other.terms.items()
+        )
+        return NCPoly(add_terms({}, products), _clean=True)
 
     def __rmul__(self, other):
         if isinstance(other, (Scalar, int)):
@@ -290,17 +262,11 @@ class NCPoly:
 
     @classmethod
     def from_dict(cls, data: dict) -> "NCPoly":
-        out: dict = {}
-        for item in data["terms"]:
-            w = word_from_tokens(item["word"])
-            c = Scalar.from_string(item["coeff"])
-            if w in out:
-                c = out[w] + c
-            if c:
-                out[w] = c
-            else:
-                out.pop(w, None)
-        return cls(out, _clean=True)
+        pairs = (
+            (word_from_tokens(item["word"]), Scalar.from_string(item["coeff"]))
+            for item in data["terms"]
+        )
+        return cls(add_terms({}, pairs), _clean=True)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
@@ -450,38 +416,22 @@ class Presentation:
             if missing:
                 stack.extend(missing)
                 continue
-            acc: dict = {}
-            for rw, c in repl.terms.items():
-                for w2, c2 in memo[pre + rw + suf].terms.items():
-                    v = acc.get(w2)
-                    p = c * c2
-                    if v is None:
-                        acc[w2] = p
-                    else:
-                        v = v + p
-                        if v:
-                            acc[w2] = v
-                        else:
-                            del acc[w2]
-            memo[w] = NCPoly(acc, _clean=True)
+            terms = (
+                (w2, c * c2)
+                for rw, c in repl.terms.items()
+                for w2, c2 in memo[pre + rw + suf].terms.items()
+            )
+            memo[w] = NCPoly(add_terms({}, terms), _clean=True)
             stack.pop()
         return memo[word]
 
     def normal_form(self, poly: NCPoly, strategy: str = "leftmost") -> NCPoly:
-        acc: dict = {}
-        for w, c in poly.terms.items():
-            for w2, c2 in self.reduce_word(w, strategy).terms.items():
-                p = c2 * c
-                v = acc.get(w2)
-                if v is None:
-                    acc[w2] = p
-                else:
-                    v = v + p
-                    if v:
-                        acc[w2] = v
-                    else:
-                        del acc[w2]
-        return NCPoly(acc, _clean=True)
+        terms = (
+            (w2, c2 * c)
+            for w, c in poly.terms.items()
+            for w2, c2 in self.reduce_word(w, strategy).terms.items()
+        )
+        return NCPoly(add_terms({}, terms), _clean=True)
 
     def multiply(self, f: NCPoly, g: NCPoly, strategy: str = "leftmost") -> NCPoly:
         return self.normal_form(f * g, strategy)

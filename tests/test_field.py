@@ -13,6 +13,7 @@ from qmatball.field import (
     S,
     ZERO,
     Scalar,
+    add_terms,
     format_gauss,
     from_fraction,
     from_int,
@@ -214,3 +215,30 @@ def test_constant_hashes_like_equal_number(x, v):
     assert hash(x) == hash(v)
     assert {x: "x"}.get(v) == "x"
     assert {v: "v"}.get(x) == "v"
+
+
+# the sparse-accumulate kernel
+
+
+def test_add_terms_kernel():
+    a, b = from_int(2), s_pow(1)
+    acc: dict = {}
+    assert add_terms(acc, [("x", a), ("x", -a)]) is acc
+    assert acc == {}
+    # a zero coefficient never creates a key
+    assert add_terms({}, [("x", ZERO), ("y", ZERO)]) == {}
+    # a cancelled key that comes back goes to the end
+    acc = {"x": a, "w": ONE}
+    add_terms(acc, [("y", b), ("x", -a), ("z", ONE), ("x", b), ("y", ZERO)])
+    assert list(acc.items()) == [("w", ONE), ("y", b), ("z", ONE), ("x", b)]
+
+    class Once:
+        reads = 0
+
+        def __iter__(self):
+            self.reads += 1
+            return iter([("x", a), ("y", b), ("x", b)])
+
+    pairs = Once()
+    assert add_terms({}, pairs) == {"x": a + b, "y": b}
+    assert pairs.reads == 1

@@ -111,6 +111,17 @@ class TestIntegralValues:
         gram2 = (ONE - q_pow(2)) * (ONE - q_pow(4))
         assert integral_nu(f, funu) == q_pow(-4) * gram2
 
+    @pytest.mark.parametrize("d", range(7))
+    def test_radial_moment_product_formula(self, d):
+        # nu(z^d f0 zs^d) = q^(-2d) * prod_{j<=d} (1 - q^(2j)) on the 1x1 ball
+        funu = make_preset("FunU", 1, 1)
+        z, zs = sym("z", 1, 1), sym("zs", 1, 1)
+        f = NCPoly.from_word((z,) * d + (sym("f0"),) + (zs,) * d)
+        closed = q_pow(-2 * d)
+        for j in range(1, d + 1):
+            closed = closed * (ONE - q_pow(2 * j))
+        assert integral_nu(f, funu) == closed
+
     def test_linearity(self):
         funu = make_preset("FunU", 1, 1)
         f = funu.multiply(funu.multiply(poly("z[1,1]"), poly("f0")), poly("zs[1,1]"))

@@ -32,6 +32,19 @@ def test_symbols_intern_and_parse():
         sym("z", 0, 1)
 
 
+def test_symbols_hash_and_compare_by_identity():
+    g = sym("zs", 2, 1)
+    assert parse_symbol("zs[2,1]") is g
+    assert word_from_tokens(["zs[2,1]"])[0] is g
+    # object's own identity semantics, with no Python-level override
+    assert type(g).__hash__ is object.__hash__
+    assert type(g).__eq__ is object.__eq__
+    keys = {(g, sym("z", 1, 1)): 1}
+    keys[word_from_tokens(["zs[2,1]", "z[1,1]"])] = 2
+    keys[(parse_symbol("zs[2,1]"), parse_symbol("z[1,1]"))] = 3
+    assert keys == {(g, sym("z", 1, 1)): 3}
+
+
 def test_qplane_normal_form():
     pres = q_plane()
     x, y = sym("z", 1, 1), sym("z", 1, 2)
