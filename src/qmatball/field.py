@@ -10,7 +10,10 @@ Inside a :class:`Scalar`, numerator and denominator are sparse polynomials
 ``{exponent: (a, b, d)}`` whose coefficients are integer triples meaning
 (a + b*i)/d, kept canonical: ``d > 0``, ``gcd(a, b, d) == 1`` and no zero
 entries.  The common coefficient is a Gaussian integer (``d == 1``), which
-costs a few int operations and no gcd.  :class:`GaussRat` is the type of
+costs a few int operations and no gcd.  The common scalar is a Laurent
+polynomial, whose canonical denominator is a bare power s^e: a product or
+sum of two of them works on the numerators alone, and its only
+cancellation is a power of s.  :class:`GaussRat` is the type of
 input, output and evaluation: the raw constructor accepts ``{exp: GaussRat}``
 dicts, ``eval_at`` returns a ``GaussRat``, and the text forms convert only at
 the boundary.
@@ -269,11 +272,14 @@ def _pscale(p: dict, c: tuple) -> dict:
 
 
 def _pmul(p: dict, q: dict) -> dict:
-    if len(p) == 1 and len(q) == 1:
-        # monomial times monomial, the common case: nothing to accumulate
+    if len(p) > len(q):
+        p, q = q, p
+    if len(p) == 1:
+        # a monomial factor, the common case: nothing to accumulate
         ((e1, c1),) = p.items()
-        ((e2, c2),) = q.items()
-        return {e1 + e2: _cmul(c1, c2)}
+        if c1 == _C1:
+            return {e1 + e: c for e, c in q.items()}
+        return {e1 + e: _cmul(c1, c) for e, c in q.items()}
     # accumulate unnormalised triples; normalise once per output term
     out: dict = {}
     for e1, (a1, b1, d1) in p.items():
@@ -343,9 +349,9 @@ def _pgcd(p: dict, q: dict) -> dict:
 def _pcross(n: dict, d: dict):
     """Cancel the common factor of a numerator/denominator pair.
 
-    Monomial sides only need an exponent shift, which covers almost all
-    arithmetic on Laurent-type scalars; only genuinely dense pairs pay for
-    a Euclidean gcd.
+    Monomial sides only need an exponent shift, which covers a Laurent
+    operand met by a dense one; only genuinely dense pairs pay for a
+    Euclidean gcd.
     """
     if len(d) == 1:
         ((e, c),) = d.items()
@@ -438,28 +444,34 @@ class Scalar:
     def is_zero(self) -> bool:
         return not self._num
 
-    @property
-    def is_one(self) -> bool:
-        return self._num == _P_ONE and self._den == _P_ONE
-
     def __bool__(self):
         return bool(self._num)
 
     # -- ring ops
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not self._num:
+        if other.__class__ is not Scalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        n1, d1 = self._num, self._den
+        n2, d2 = other._num, other._den
+        if not n1:
             return other
-        if not other._num:
+        if not n2:
             return self
-        d1, d2 = self._den, other._den
+        if len(d1) == 1 and len(d2) == 1:
+            # Laurent operands: canonical monomial denominators are s^e, so
+            # bring both numerators over the larger power and add
+            (e1,), (e2,) = d1, d2
+            if e1 < e2:
+                n1 = {k + e2 - e1: c for k, c in n1.items()}
+            elif e2 < e1:
+                n2 = {k + e1 - e2: c for k, c in n2.items()}
+            return _laurent(_padd(n1, n2), max(e1, e2))
         if d1 == d2:
-            return _make(_padd(self._num, other._num), d1)
-        num = _padd(_pmul(self._num, d2), _pmul(other._num, d1))
-        return _make(num, _pmul(d1, d2))
+            return _make(_padd(n1, n2), d1)
+        return _make(_padd(_pmul(n1, d2), _pmul(n2, d1)), _pmul(d1, d2))
 
     __radd__ = __add__
 
@@ -476,14 +488,24 @@ class Scalar:
         return _coerce(other) - self
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not self._num or not other._num:
-            return ZERO
-        # cross-reduce first to keep intermediate degrees down
+        if other.__class__ is not Scalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         n1, d1 = self._num, self._den
         n2, d2 = other._num, other._den
+        if not n1 or not n2:
+            return ZERO
+        if len(d1) == 1 and len(d2) == 1:
+            # Laurent operands: a shift is the only cancellation, and a
+            # factor equal to one hands back the other (scalars are immutable)
+            if n2 == _P_ONE and d2 == _P_ONE:
+                return self
+            if n1 == _P_ONE and d1 == _P_ONE:
+                return other
+            (e1,), (e2,) = d1, d2
+            return _laurent(_pmul(n1, n2), e1 + e2)
+        # cross-reduce first to keep intermediate degrees down
         if d2 != _P_ONE:
             n1, d2 = _pcross(n1, d2)
         if d1 != _P_ONE:
@@ -607,6 +629,22 @@ def _new(num: dict, den: dict) -> Scalar:
     _set_den(x, den)
     _set_h(x, None)
     return x
+
+
+def _laurent(num: dict, e: int) -> Scalar:
+    """The Scalar num / s^e, cancelling the common power of s."""
+    if not num:
+        return ZERO
+    if e:
+        low = min(num)
+        if low:
+            if low > e:
+                low = e
+            num = {k - low: c for k, c in num.items()}
+            e -= low
+        if e:
+            return _new(num, {e: _C1})
+    return _new(num, _P_ONE)
 
 
 def _make(num: dict, den: dict) -> Scalar:

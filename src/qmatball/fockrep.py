@@ -33,6 +33,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -169,10 +170,6 @@ def _fixed_degree(legs: int, d: int) -> list:
     return out
 
 
-def _deg(k: tuple) -> int:
-    return sum(k)
-
-
 # ---------------------------------------------------------------------------
 # truncated operators
 
@@ -185,7 +182,8 @@ class TruncatedOperator:
     bound the degree shift of any matrix entry, including entries beyond the
     stored slice; they are propagated structurally (sums under composition).
     The observed shifts within the slice (never larger) refine certificate
-    arithmetic for compositions.
+    arithmetic for compositions.  No column beyond ``cert`` is stored, so an
+    operation that keeps the certificate keeps every entry unfiltered.
     """
 
     __slots__ = ("legs", "cert", "entries", "up", "down", "_obs_up", "_obs_down", "_cols")
@@ -201,7 +199,12 @@ class TruncatedOperator:
         obs_up = 0
         obs_down = 0
         for kout, kin in entries:
-            sft = _deg(kout) - _deg(kin)
+            din = sum(kin)
+            if din > cert:
+                raise ValueError(
+                    f"stored column at degree {din} beyond certificate {cert}"
+                )
+            sft = sum(kout) - din
             if sft > obs_up:
                 obs_up = sft
             elif -sft > obs_down:
@@ -242,18 +245,18 @@ class TruncatedOperator:
         return cols
 
     def column(self, kin) -> dict:
-        if _deg(kin) > self.cert:
+        if sum(kin) > self.cert:
             raise CutoffError(
-                f"column at degree {_deg(kin)} beyond certificate {self.cert}"
+                f"column at degree {sum(kin)} beyond certificate {self.cert}"
             )
         return dict(self._column_index().get(kin, ()))
 
     def apply(self, vec: dict) -> dict:
         """Image of a vector given as {multi-index: Scalar}."""
         for kin in vec:
-            if _deg(kin) > self.cert:
+            if sum(kin) > self.cert:
                 raise CutoffError(
-                    f"vector component at degree {_deg(kin)} beyond certificate {self.cert}"
+                    f"vector component at degree {sum(kin)} beyond certificate {self.cert}"
                 )
         cols = self._column_index()
         return add_terms({}, (
@@ -269,18 +272,15 @@ class TruncatedOperator:
     def __add__(self, other):
         self._check_legs(other)
         cert = min(self.cert, other.cert)
-        acc = add_terms({}, (
-            (key, c)
-            for src in (self.entries, other.entries)
-            for key, c in src.items()
-            if _deg(key[1]) <= cert
-        ))
+        acc = dict(self._entries_through(cert))
+        add_terms(acc, other._entries_through(cert).items())
         return TruncatedOperator(
             self.legs, cert, acc, max(self.up, other.up), max(self.down, other.down)
         )
 
     def __neg__(self):
-        return self.scale(-ONE)
+        entries = {key: -c for key, c in self.entries.items()}
+        return TruncatedOperator(self.legs, self.cert, entries, self.up, self.down)
 
     def __sub__(self, other):
         return self + (-other)
@@ -296,10 +296,16 @@ class TruncatedOperator:
         complete, so shrinking the certificate is always sound)."""
         if cert >= self.cert:
             return self
-        entries = {
-            key: c for key, c in self.entries.items() if _deg(key[1]) <= cert
-        }
-        return TruncatedOperator(self.legs, cert, entries, self.up, self.down)
+        return TruncatedOperator(
+            self.legs, cert, self._entries_through(cert), self.up, self.down
+        )
+
+    def _entries_through(self, cert: int) -> dict:
+        """The stored entries whose input degree is at most ``cert`` (the
+        entries themselves, unfiltered, when that keeps every column)."""
+        if cert >= self.cert:
+            return self.entries
+        return {key: c for key, c in self.entries.items() if sum(key[1]) <= cert}
 
     def compose(self, other):
         """Operator product self . other (other is applied first)."""
@@ -310,8 +316,7 @@ class TruncatedOperator:
         cols = self._column_index()
         acc = add_terms({}, (
             ((kout, kin), c1 * c2)
-            for (mid, kin), c2 in other.entries.items()
-            if _deg(kin) <= cert
+            for (mid, kin), c2 in other._entries_through(cert).items()
             for kout, c1 in cols.get(mid, ())
         ))
         return TruncatedOperator(
@@ -325,7 +330,7 @@ class TruncatedOperator:
             raise CutoffError("adjoint exhausts the certified slice")
         entries = {}
         for (kout, kin), c in self.entries.items():
-            if _deg(kout) > cert:
+            if sum(kout) > cert:
                 continue
             entries[(kin, kout)] = c.conjugate() * _weight_ratio(kout, kin)
         return TruncatedOperator(self.legs, cert, entries, self.down, self.up)
@@ -340,12 +345,8 @@ class TruncatedOperator:
             cert = min(cert, through)
         if cert < 0:
             raise CutoffError("no common certified slice to compare on")
-        for key in self.entries.keys() | other.entries.keys():
-            if _deg(key[1]) > cert:
-                continue
-            if self.entries.get(key, ZERO) != other.entries.get(key, ZERO):
-                return False
-        return True
+        # no stored entry is zero, so equal slices are equal dicts
+        return self._entries_through(cert) == other._entries_through(cert)
 
     def is_diagonal_with(self, eig) -> bool:
         """True when the slice is exactly diagonal with the given eigenvalues."""
@@ -374,13 +375,6 @@ class TruncatedOperator:
         if len(entries) != len(self.entries):
             raise ValueError("operator is not diagonal on its certified slice")
         return TruncatedOperator(self.legs, self.cert, entries, 0, 0)
-
-    def matrix_block(self, basis_out, basis_in):
-        """Dense Scalar block over explicit out/in bases."""
-        return [
-            [self.entries.get((ko, ki), ZERO) for ki in basis_in]
-            for ko in basis_out
-        ]
 
     def __repr__(self):
         return (
@@ -541,23 +535,57 @@ def rep_tpoly(f: NCPoly, m: int, n: int, cutoff: int, through=None) -> Truncated
     With ``through`` set, every factor is pre-restricted so the result is
     certified (exactly) on inputs of degree <= through, which is much
     cheaper than the full slice for long words.
+
+    Words are grouped on their last letter, recursively: the image of
+    sum_a (f / a) a is sum_a image(f / a) . A_a, so words that share a
+    prefix share its compositions.  Each letter is restricted once, a word's
+    coefficient rides on its first letter, and every product associates
+    left to right; a composition's certificate depends only on its left
+    factor's certificate and its right factor's observed shift, and a sum
+    takes the smallest certificate and the largest shift bounds.  So the
+    certificate, shift bounds and entries are those of multiplying out and
+    summing word by word.  (A word need not start from the restricted
+    identity: no letter raises the degree by more than one, so with one
+    degree of budget per letter that factor never cuts below ``through``.)
     """
     table, ident, zero, inner = _machine(m, n, cutoff)
     budget = None
     if through is not None:
         budget = through + max((len(w) for w in f.terms), default=0)
-    acc = None
-    for word, c in f.terms.items():
-        piece = ident if budget is None else ident.restrict(budget)
-        for g in word:
+    letters: dict = {}
+
+    def letter(g):
+        op = letters.get(g)
+        if op is None:
             if g.kind != "t":
                 raise ValueError(f"expected a t-letter, got {g.token()}")
             op = table[(g.row, g.col)]
             if budget is not None:
                 op = op.restrict(budget)
-            piece = op if piece is ident else piece.compose(op)
-        piece = piece.scale(c)
-        acc = piece if acc is None else acc + piece
+            letters[g] = op
+        return op
+
+    def image(terms: dict):
+        """Image of sum c_w w over non-empty words w."""
+        groups: dict = {}
+        for w, c in terms.items():
+            groups.setdefault(w[-1], {})[w[:-1]] = c
+        acc = None
+        for g, heads in groups.items():
+            c = heads.pop((), None)
+            piece = image(heads).compose(letter(g)) if heads else None
+            if c is not None:
+                lone = letter(g).scale(c)
+                piece = lone if piece is None else piece + lone
+            acc = piece if acc is None else acc + piece
+        return acc
+
+    terms = dict(f.terms)
+    c = terms.pop((), None)
+    acc = image(terms) if terms else None
+    if c is not None:
+        lone = (ident if budget is None else ident.restrict(budget)).scale(c)
+        acc = lone if acc is None else acc + lone
     if acc is None:
         return TruncatedOperator.zero(m * n, inner)
     return acc if through is None else acc.restrict(through)
@@ -570,7 +598,7 @@ def rep_minor(m: int, n: int, label: tuple, cutoff: int) -> TruncatedOperator:
 def corner_diagonal(m: int, n: int, cutoff: int) -> TruncatedOperator:
     """Image of the corner minor, verified diagonal with eigenvalue q^-(total)."""
     op = rep_minor(m, n, corner_minor_label(m, n), cutoff)
-    if not op.is_diagonal_with(lambda k: q_pow(-_deg(k))):
+    if not op.is_diagonal_with(lambda k: q_pow(-sum(k))):
         raise ArithmeticError("corner minor failed its diagonal law")
     return op
 
@@ -617,9 +645,13 @@ def rep_pol_word(word: tuple, m: int, n: int, cutoff: int) -> TruncatedOperator:
 
 
 def rep_pol_poly(f: NCPoly, m: int, n: int, cutoff: int) -> TruncatedOperator:
+    return _pol_poly_image(f, m, n, cutoff, lambda w: rep_pol_word(w, m, n, cutoff))
+
+
+def _pol_poly_image(f: NCPoly, m: int, n: int, cutoff: int, word_image):
     acc = None
     for word, c in f.terms.items():
-        piece = rep_pol_word(word, m, n, cutoff).scale(c)
+        piece = word_image(word).scale(c)
         acc = piece if acc is None else acc + piece
     if acc is None:
         _, _, zero, _ = _machine(m, n, cutoff)
@@ -661,7 +693,7 @@ def diagonal_laws_ok(m: int, n: int, cutoff: int | None = None) -> bool:
         cutoff = default_cutoff(m, n)
     corner_diagonal(m, n, cutoff)  # raises when violated
     vol = rep_tpoly(volume_element(m, n), m, n, cutoff)
-    return vol.is_diagonal_with(lambda k: q_pow(-2 * _deg(k)))
+    return vol.is_diagonal_with(lambda k: q_pow(-2 * sum(k)))
 
 
 def vacuum_modulus_value(m: int, n: int, cutoff: int | None = None) -> Scalar:
@@ -755,10 +787,24 @@ def rules_as_operators_failures(m: int, n: int, cutoff: int | None = None) -> li
     if cutoff is None:
         cutoff = default_cutoff(m, n)
     pol = make_preset("Pol", m, n)
+    rules = pol.presentation.rules
+    # each distinct word is built once, and dropped after its last use
+    uses = Counter(w for pat, repl in rules.items() for w in (pat, *repl.terms))
+    images: dict = {}
+
+    def word_image(w):
+        op = images.pop(w, None)
+        if op is None:
+            op = rep_pol_word(w, m, n, cutoff)
+        uses[w] -= 1
+        if uses[w]:
+            images[w] = op
+        return op
+
     bad = []
-    for pat, repl in pol.presentation.rules.items():
-        lhs = rep_pol_word(pat, m, n, cutoff)
-        rhs = rep_pol_poly(repl, m, n, cutoff)
+    for pat, repl in rules.items():
+        lhs = word_image(pat)
+        rhs = _pol_poly_image(repl, m, n, cutoff, word_image)
         if not lhs.agrees_with(rhs):
             bad.append((pat, min(lhs.cert, rhs.cert)))
     return bad

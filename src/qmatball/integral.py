@@ -87,7 +87,7 @@ def modular_factor(word: tuple, preset: AlgebraPreset) -> Scalar:
 
 
 def _require_projector_algebra(preset: AlgebraPreset):
-    if not any(g.kind == "f0" for g in preset.presentation.alphabet()):
+    if "f0" not in preset.presentation.kinds:
         raise ValueError("the integral lives on the projector-bearing algebra")
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 
-from .field import ONE, Scalar, q_pow
+from .field import ONE, Scalar, add_terms, q_pow
 from .words import NCPoly, sym
 
 __all__ = [
@@ -150,15 +150,15 @@ def star_indefinite(i: int, j: int, m: int, n: int) -> NCPoly:
 
 
 def _star_poly(f: NCPoly, letter_image) -> NCPoly:
-    out = NCPoly.zero()
+    out: dict = {}
     for word, c in f.terms.items():
         piece = NCPoly.from_word((), c.conjugate())
         for g in reversed(word):
             if g.kind != "t":
                 raise ValueError(f"expected a t-letter, got {g.token()}")
             piece = piece * letter_image(g.row, g.col)
-        out = out + piece
-    return out
+        add_terms(out, piece.terms.items())
+    return NCPoly(out, _clean=True)
 
 
 def star_compact_poly(f: NCPoly, N: int) -> NCPoly:

@@ -223,9 +223,6 @@ class NCPoly:
             return self.scale(other)
         return NotImplemented
 
-    def map_coeffs(self, fn) -> "NCPoly":
-        return NCPoly({w: fn(c) for w, c in self.terms.items()})
-
     def __eq__(self, other):
         if not isinstance(other, NCPoly):
             return NotImplemented
@@ -522,12 +519,6 @@ class Presentation:
 
     def h0_degree(self, word: tuple) -> int:
         return sum(g.h0_degree for g in word)
-
-    def kind_counts(self, word: tuple) -> dict:
-        out = {k: 0 for k in self.kinds}
-        for g in word:
-            out[g.kind] += 1
-        return out
 
     def __repr__(self):
         return (

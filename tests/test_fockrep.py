@@ -51,7 +51,14 @@ from qmatball.fockrep import (
 )
 from qmatball.fockrep import _leading_minors_positive
 from qmatball.linalg import mat_det
-from qmatball.qminors import qdet
+from qmatball.qminors import (
+    qdet,
+    qminor,
+    star_compact,
+    star_compact_poly,
+    t_gen,
+    volume_element,
+)
 from qmatball.words import NCPoly, sym
 
 
@@ -116,6 +123,104 @@ class TestOperatorCalculus:
         z = rep_coordinate(1, 1, 1, 1, 12)
         assert (z + z).agrees_with(z.scale(ONE + ONE))
         assert (z - z).agrees_with(TruncatedOperator.zero(1, z.cert))
+
+    def test_negation_is_scaling_by_minus_one(self):
+        z = rep_coordinate(1, 2, 2, 1, 6)
+        neg, ref = -z, z.scale(-ONE)
+        assert neg.entries == ref.entries
+        assert (neg.cert, neg.up, neg.down) == (ref.cert, ref.up, ref.down)
+
+    def test_column_beyond_certificate_rejected(self):
+        with pytest.raises(ValueError, match="beyond certificate"):
+            TruncatedOperator(1, 1, {((2,), (2,)): ONE}, 0, 0)
+        with pytest.raises(ValueError, match="beyond certificate"):
+            TruncatedOperator(2, 2, {((0, 0), (0, 0)): ONE, ((0, 0), (1, 2)): ONE}, 0, 1)
+        # the last column inside the certificate is fine
+        assert TruncatedOperator(1, 2, {((1,), (2,)): ONE}, 0, 1).cert == 2
+
+
+def _tpoly_word_by_word(f, m, n, cutoff, through=None):
+    """Reference image of a t-polynomial: every word multiplied out left to
+    right from the (restricted) identity, scaled and summed one by one."""
+    legs = m * n
+    ident = TruncatedOperator.identity(legs, cutoff + legs)
+    budget = None
+    if through is not None:
+        budget = through + max((len(w) for w in f.terms), default=0)
+    acc = None
+    for word, c in f.terms.items():
+        piece = ident if budget is None else ident.restrict(budget)
+        for g in word:
+            op = rep_letter(m, n, g.row, g.col, cutoff)
+            if budget is not None:
+                op = op.restrict(budget)
+            piece = op if piece is ident else piece.compose(op)
+        piece = piece.scale(c)
+        acc = piece if acc is None else acc + piece
+    return acc if through is None else acc.restrict(through)
+
+
+def _same_operator(a, b) -> bool:
+    return (
+        (a.legs, a.cert, a.up, a.down, a._obs_up, a._obs_down)
+        == (b.legs, b.cert, b.up, b.down, b._obs_up, b._obs_down)
+        and a.entries == b.entries
+    )
+
+
+def _tpolys(m, n):
+    N = m + n
+    mixed = qminor((1, 2), (2, 3)) + t_gen(1, 1) * t_gen(2, 2).scale(q_pow(1)) + NCPoly.one()
+    return {
+        "qminor": qminor((1, 2), (1, N)),
+        "qdet": qdet(N),
+        "star_compact": star_compact(1, N, N) + star_compact(2, 1, N),
+        "volume": volume_element(m, n),
+        "star_product": star_compact_poly(qminor((1,), (N,)) * qminor((2,), (1,)), N),
+        "mixed": mixed,
+    }
+
+
+class TestGroupedWordImages:
+    """rep_tpoly shares prefixes between words; the plain loop is the reference."""
+
+    # at these cutoffs the reference's restricted identity is a real factor
+    # (budget below cutoff + legs) for small `through` and the identity
+    # itself for large `through`, so both sides of that branch are covered
+    @pytest.mark.parametrize("mn, cutoff", [((1, 2), 4), ((2, 2), 3)])
+    @pytest.mark.parametrize("through", [None, 0, 1, 3])
+    @pytest.mark.parametrize(
+        "which", ["qminor", "qdet", "star_compact", "volume", "star_product", "mixed"]
+    )
+    def test_matches_word_by_word(self, mn, cutoff, through, which):
+        f = _tpolys(*mn)[which]
+        got = rep_tpoly(f, *mn, cutoff, through=through)
+        assert _same_operator(got, _tpoly_word_by_word(f, *mn, cutoff, through))
+
+    def test_matches_word_by_word_at_default_cutoff(self):
+        for through in (None, 2):
+            f = qdet(3)
+            assert _same_operator(
+                rep_tpoly(f, 1, 2, 12, through=through), _tpoly_word_by_word(f, 1, 2, 12, through)
+            )
+
+    @pytest.mark.parametrize("mn, cutoff", [((1, 1), 4), ((1, 2), 4), ((2, 1), 4), ((2, 2), 3), ((2, 3), 1)])
+    def test_letters_raise_degree_by_at_most_one(self, mn, cutoff):
+        # why a word's product may skip the restricted identity it starts
+        # from in the plain loop: that factor never binds below `through`
+        N = sum(mn)
+        for i in range(1, N + 1):
+            for j in range(1, N + 1):
+                assert rep_letter(*mn, i, j, cutoff)._obs_up <= 1
+
+    def test_empty_and_constant_polynomials(self):
+        zero = rep_tpoly(NCPoly.zero(), 1, 2, 4)
+        assert zero.entries == {} and zero.cert == 4 + 2
+        for through in (None, 1):
+            c = NCPoly.one().scale(q_pow(2))
+            assert _same_operator(
+                rep_tpoly(c, 1, 2, 4, through=through), _tpoly_word_by_word(c, 1, 2, 4, through)
+            )
 
 
 class TestStaircase:
