@@ -66,8 +66,10 @@ from .fockrep import (
 from .integral import integral_nu, invariance_defect, modular_exponent
 from . import algebras as _algebras, fockrep as _fockrep, integral as _integral
 from . import uqaction as _uqaction
+from .words import generator_weight as _generator_weight
 
 _LRU_CACHES = (
+    _generator_weight,
     _algebras._build_presentation,
     _fockrep.fock_norm2,
     _fockrep.fock_weight,

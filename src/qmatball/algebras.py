@@ -37,6 +37,7 @@ __all__ = [
     "make_preset",
     "parse_preset",
     "star",
+    "star_words",
     "differential",
     "in_projection_slice",
 ]
@@ -208,15 +209,21 @@ def parse_preset(text: str) -> AlgebraPreset:
     return make_preset(name, m, n)
 
 
-def star(f: NCPoly, preset: AlgebraPreset) -> NCPoly:
-    """The antilinear anti-automorphism, reduced to normal form."""
-    if not preset.has_star:
-        raise ValueError(f"preset {preset.name} does not support the involution")
+def star_words(f: NCPoly) -> NCPoly:
+    """The involution on symbols, without rewriting: each word reversed with
+    every kind swapped for its conjugate, each coefficient conjugated."""
     pairs = (
         (tuple(sym(_STAR_KIND[g.kind], g.row, g.col) for g in reversed(w)), c.conjugate())
         for w, c in f.terms.items()
     )
-    return preset.presentation.normal_form(NCPoly(add_terms({}, pairs), _clean=True))
+    return NCPoly(add_terms({}, pairs), _clean=True)
+
+
+def star(f: NCPoly, preset: AlgebraPreset) -> NCPoly:
+    """The antilinear anti-automorphism, reduced to normal form."""
+    if not preset.has_star:
+        raise ValueError(f"preset {preset.name} does not support the involution")
+    return preset.presentation.normal_form(star_words(f))
 
 
 def differential(f: NCPoly) -> NCPoly:

@@ -79,7 +79,9 @@ class GaussRat:
         return hash((self.re, self.im))
 
     def __add__(self, other):
-        other = _coerce_gauss(other)
+        other = _as_gauss(other)
+        if other is None:
+            return NotImplemented
         return GaussRat(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
@@ -88,14 +90,18 @@ class GaussRat:
         return GaussRat(-self.re, -self.im)
 
     def __sub__(self, other):
-        other = _coerce_gauss(other)
+        other = _as_gauss(other)
+        if other is None:
+            return NotImplemented
         return GaussRat(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
-        return _coerce_gauss(other) - self
+        return (-self).__add__(other)
 
     def __mul__(self, other):
-        other = _coerce_gauss(other)
+        other = _as_gauss(other)
+        if other is None:
+            return NotImplemented
         return GaussRat(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -104,7 +110,9 @@ class GaussRat:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _coerce_gauss(other)
+        other = _as_gauss(other)
+        if other is None:
+            return NotImplemented
         n2 = other.re * other.re + other.im * other.im
         if n2 == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
@@ -114,7 +122,10 @@ class GaussRat:
         )
 
     def __rtruediv__(self, other):
-        return _coerce_gauss(other) / self
+        other = _as_gauss(other)
+        if other is None:
+            return NotImplemented
+        return other / self
 
     def conjugate(self):
         return GaussRat(self.re, -self.im)
@@ -126,12 +137,21 @@ class GaussRat:
         return format_gauss(self)
 
 
-def _coerce_gauss(x) -> GaussRat:
+def _as_gauss(x):
+    """x as a GaussRat, or None for a type GaussRat does not know: its
+    operators then return NotImplemented, so the other operand's method runs."""
     if isinstance(x, GaussRat):
         return x
     if isinstance(x, (int, Fraction)):
         return GaussRat(x)
-    raise TypeError(f"cannot coerce {type(x).__name__} to GaussRat")
+    return None
+
+
+def _coerce_gauss(x) -> GaussRat:
+    g = _as_gauss(x)
+    if g is None:
+        raise TypeError(f"cannot coerce {type(x).__name__} to GaussRat")
+    return g
 
 
 def format_gauss(c: GaussRat) -> str:
@@ -349,25 +369,15 @@ def _pgcd(p: dict, q: dict) -> dict:
 def _pcross(n: dict, d: dict):
     """Cancel the common factor of a numerator/denominator pair.
 
-    Monomial sides only need an exponent shift, which covers a Laurent
-    operand met by a dense one; only genuinely dense pairs pay for a
-    Euclidean gcd.
+    The common power of s goes first, by an exponent shift.  That is the
+    whole gcd when either side is a monomial (which covers a Laurent operand
+    met by a dense one), so only two dense sides pay for a Euclidean gcd.
     """
-    if len(d) == 1:
-        ((e, c),) = d.items()
-        sft = min(e, min(n))
-        if sft:
-            n = {k - sft: x for k, x in n.items()}
-            d = {e - sft: c}
-        return n, d
-    if len(n) == 1:
-        ((e, c),) = n.items()
-        sft = min(e, min(d))
-        if sft:
-            n = {e - sft: c}
-            d = {k - sft: x for k, x in d.items()}
-        return n, d
-    if _pdeg(n) > 0 and _pdeg(d) > 0:
+    sft = min(min(n), min(d))
+    if sft:
+        n = {k - sft: x for k, x in n.items()}
+        d = {k - sft: x for k, x in d.items()}
+    if len(n) > 1 and len(d) > 1:
         g = _pgcd(n, d)
         if _pdeg(g) > 0:
             n = _pdivmod(n, g)[0]
@@ -485,7 +495,7 @@ class Scalar:
         return self + (-other)
 
     def __rsub__(self, other):
-        return _coerce(other) - self
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         if other.__class__ is not Scalar:
@@ -529,7 +539,10 @@ class Scalar:
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        return _coerce(other) * self.inverse()
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other * self.inverse()
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
@@ -687,36 +700,8 @@ def _poly_from_gauss(p: dict) -> dict:
 
 
 def _reduce(num: dict, den: dict):
-    # monomial denominator (the common case for Laurent-type scalars):
-    # the gcd is itself a monomial, no Euclid needed
-    if len(den) == 1:
-        ((d, c),) = den.items()
-        shift = min(d, min(num))
-        if shift:
-            num = {e - shift: x for e, x in num.items()}
-            d -= shift
-        if c != _C1:
-            num = _pscale(num, _cinv(c))
-        return num, (_P_ONE if d == 0 else {d: _C1})
-    # monomial numerator: symmetric shortcut
-    if len(num) == 1:
-        ((a, c),) = num.items()
-        shift = min(a, min(den))
-        if shift:
-            num = {a - shift: c}
-            den = {e - shift: x for e, x in den.items()}
-        return _monic_den(num, den)
-    # strip common monomial factor cheaply first
-    shift = min(min(num), min(den))
-    if shift > 0:
-        num = {e - shift: c for e, c in num.items()}
-        den = {e - shift: c for e, c in den.items()}
-    if _pdeg(den) > 0 and _pdeg(num) > 0:
-        g = _pgcd(num, den)
-        if _pdeg(g) > 0:
-            num = _pdivmod(num, g)[0]
-            den = _pdivmod(den, g)[0]
-    return _monic_den(num, den)
+    """Canonical form of a pair: coprime, with a monic denominator."""
+    return _monic_den(*_pcross(num, den))
 
 
 def _coerce(x):

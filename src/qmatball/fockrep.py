@@ -39,12 +39,13 @@ from functools import lru_cache
 
 from .algebras import make_preset, star
 from .field import ONE, Scalar, ZERO, add_terms, q_pow
-from .linalg import mat_leading_pivots, mat_rank
+from .linalg import mat_leading_pivots, mat_mul, mat_rank
 from .qminors import (
     col_sign,
     col_signs,
     coordinate_numerator_label,
     corner_minor_label,
+    neg_q_pow,
     opposite_corner_label,
     qdet,
     qminor,
@@ -759,11 +760,9 @@ def minor_conjugation_ok(m, n, k, cutoff=None, through=None) -> bool:
     N = m + n
     top = qminor(range(1, k + 1), range(N - k + 1, N + 1))
     lhs = rep_tpoly(star_compact_poly(top, N), m, n, cutoff, through=through)
-    e = k * (N - k)
-    coeff = q_pow(e) if e % 2 == 0 else -q_pow(e)
     rhs = rep_tpoly(
         qminor(range(k + 1, N + 1), range(1, N - k + 1)), m, n, cutoff, through=through
-    ).scale(coeff)
+    ).scale(neg_q_pow(k * (N - k)))
     return lhs.agrees_with(rhs, through=through)
 
 
@@ -773,9 +772,7 @@ def corner_adjoint_relation_ok(m: int, n: int, cutoff: int | None = None) -> boo
         cutoff = default_cutoff(m, n)
     up = rep_minor(m, n, corner_minor_label(m, n), cutoff)
     lo = rep_minor(m, n, opposite_corner_label(m, n), cutoff)
-    e = m * n
-    coeff = q_pow(e) if e % 2 == 0 else -q_pow(e)
-    return up.agrees_with(lo.adjoint().scale(coeff))
+    return up.agrees_with(lo.adjoint().scale(neg_q_pow(m * n)))
 
 
 def rules_as_operators_failures(m: int, n: int, cutoff: int | None = None) -> list:
@@ -924,20 +921,25 @@ def _vector_gram(vecs):
     d = len(vecs)
     G = [[ZERO] * d for _ in range(d)]
     for p in range(d):
-        vp = vecs[p]
         for r in range(p, d):
-            vr = vecs[r]
-            small, big = (vp, vr) if len(vp) <= len(vr) else (vr, vp)
-            acc = ZERO
-            for idx, c in small.items():
-                o = big.get(idx)
-                if o is not None:
-                    a, b = (c, o) if small is vp else (o, c)
-                    acc = acc + a * b.conjugate() * fock_weight(idx)
+            acc = _fock_inner(vecs[p], vecs[r])
             G[p][r] = acc
             if p != r:
                 G[r][p] = acc.conjugate()
     return G
+
+
+def _fock_inner(u: dict, v: dict) -> Scalar:
+    """Sum of u_k * conj(v_k) * |e_k|^2 over the ladder basis vectors e_k,
+    walking the smaller of the two vectors."""
+    small, big = (u, v) if len(u) <= len(v) else (v, u)
+    acc = ZERO
+    for idx, c in small.items():
+        o = big.get(idx)
+        if o is not None:
+            a, b = (c, o) if small is u else (o, c)
+            acc = acc + a * b.conjugate() * fock_weight(idx)
+    return acc
 
 
 @lru_cache(maxsize=None)
@@ -966,22 +968,10 @@ def projector_pairing_rank(m: int, n: int, l: int, s0: Fraction) -> int:
 
 
 def pairing_block_theta(f: NCPoly, m: int, n: int, k_in: int, k_out: int):
-    """Matrix of pairings of (f times in-basis vectors) against out-basis vectors."""
+    """Matrix of pairings of (f times in-basis vectors) against out-basis
+    vectors: the transposed coefficient block times the Gram matrix."""
     T = theta_block(f, m, n, k_in, k_out)
-    G = gram_matrix(m, n, k_out)
-    rows = len(G)
-    d_in = len(T[0]) if T else 0
-    d_out = rows
-    out = [[ZERO] * d_out for _ in range(d_in)]
-    for p in range(d_in):
-        for r in range(d_out):
-            acc = ZERO
-            for w in range(rows):
-                c = T[w][p]
-                if c:
-                    acc = acc + c * G[w][r]
-            out[p][r] = acc
-    return out
+    return mat_mul([list(col) for col in zip(*T)], gram_matrix(m, n, k_out))
 
 
 def pairing_block_fock(op, m: int, n: int, k_in: int, k_out: int, cutoff=None):
@@ -990,19 +980,7 @@ def pairing_block_fock(op, m: int, n: int, k_in: int, k_out: int, cutoff=None):
         cutoff = default_cutoff(m, n)
     vin = [apply_coordinate_word(w, m, n, cutoff) for w in hilbert_basis(m, n, k_in)]
     vout = [apply_coordinate_word(w, m, n, cutoff) for w in hilbert_basis(m, n, k_out)]
-    out = []
-    for vp in vin:
-        img = op.apply(vp)
-        row = []
-        for vr in vout:
-            acc = ZERO
-            for idx, c in img.items():
-                o = vr.get(idx)
-                if o is not None:
-                    acc = acc + c * o.conjugate() * fock_weight(idx)
-            row.append(acc)
-        out.append(row)
-    return out
+    return [[_fock_inner(img, vr) for vr in vout] for img in map(op.apply, vin)]
 
 
 def equivalence_report(m: int, n: int, through: int, cutoff: int | None = None) -> dict:

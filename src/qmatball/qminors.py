@@ -30,6 +30,7 @@ __all__ = [
     "TPoly",
     "t_gen",
     "inversions",
+    "neg_q_pow",
     "qminor",
     "qdet",
     "row_sign",
@@ -59,6 +60,11 @@ def t_gen(i: int, j: int) -> NCPoly:
     return NCPoly.from_word((sym("t", i, j),))
 
 
+def neg_q_pow(e: int) -> Scalar:
+    """(-q)**e for any integer e."""
+    return q_pow(e) if e % 2 == 0 else -q_pow(e)
+
+
 def inversions(s) -> int:
     """Number of inverted pairs of a permutation given in one-line form."""
     s = tuple(s)
@@ -84,8 +90,7 @@ def qminor(rows, cols) -> NCPoly:
     k = len(rows)
     terms: dict = {}
     for s in itertools.permutations(range(k)):
-        ell = inversions(s)
-        coeff = q_pow(ell) if ell % 2 == 0 else -q_pow(ell)
+        coeff = neg_q_pow(inversions(s))
         word = tuple(sym("t", rows[r], cols[s[r]]) for r in range(k))
         terms[word] = coeff
     return NCPoly(terms, _clean=True)
@@ -133,9 +138,7 @@ def star_compact(i: int, j: int, N: int) -> NCPoly:
     """
     rows = tuple(r for r in range(1, N + 1) if r != i)
     cols = tuple(c for c in range(1, N + 1) if c != j)
-    e = j - i
-    coeff = q_pow(e) if e % 2 == 0 else -q_pow(e)
-    return qminor(rows, cols).scale(coeff)
+    return qminor(rows, cols).scale(neg_q_pow(j - i))
 
 
 def star_indefinite(i: int, j: int, m: int, n: int) -> NCPoly:
@@ -196,9 +199,7 @@ def volume_element(m: int, n: int) -> NCPoly:
     """
     up = qminor(*corner_minor_label(m, n))
     lo = qminor(*opposite_corner_label(m, n))
-    e = m * n
-    coeff = q_pow(e) if e % 2 == 0 else -q_pow(e)
-    return (up * lo).scale(coeff)
+    return (up * lo).scale(neg_q_pow(m * n))
 
 
 def coordinate_column_set(a: int, al: int, m: int, n: int) -> tuple:

@@ -1,9 +1,11 @@
 """The quantized enveloping algebra as free words, and its covariant action.
 
-Elements are Scalar-linear combinations of free words in the letters
-E_j, F_j, K_j, K_j^{-1} (j = 1..N-1); no normalization against the defining
-relations is attempted — correctness of everything built on top is tested
-semantically through the action.
+Elements are :class:`~qmatball.words.NCPoly` polynomials whose letters are
+``(kind, j)`` pairs for E_j, F_j, K_j, K_j^{-1} (j = 1..N-1); no
+normalization against the defining relations is attempted — correctness of
+everything built on top is tested semantically through the action.  This
+module keeps only what is specific to U_q: the letters and their text, the
+Hopf structure and the action tables.
 
 The action on an algebra preset is determined by:
 
@@ -12,11 +14,13 @@ The action on an algebra preset is determined by:
   * the projection generator's own table,
   * the differential symbols via commuting the action with d,
   * the conjugated symbols via the involution-compatibility identity
-    act(xi, f*) = (act(star(antipode(xi)), f))*,
+    act(xi, f*) = (act(star(antipode(xi)), f))*, with the symbol
+    involution :func:`~qmatball.algebras.star_words`,
 
 and extended to words by the twisted Leibniz rule encoded in the coproduct:
 the E-letters scale the prefix by its K-eigenvalue, the F-letters scale the
-suffix by its K^{-1}-eigenvalue.
+suffix by its K^{-1}-eigenvalue.  K_j scales a monomial by q**mu_j, where mu
+is its torus weight summed from :func:`~qmatball.words.generator_weight`.
 """
 
 from __future__ import annotations
@@ -24,9 +28,9 @@ from __future__ import annotations
 import functools
 import re
 
-from .algebras import AlgebraPreset, differential
+from .algebras import AlgebraPreset, differential, star_words
 from .field import ONE, Scalar, ZERO, add_terms, q_pow, s_pow
-from .words import NCPoly, sym
+from .words import NCPoly, generator_weight, sym
 
 __all__ = [
     "UqElement",
@@ -63,30 +67,14 @@ def parse_letter(token: str) -> tuple:
     return (kind, int(m.group(2)))
 
 
-class UqElement:
-    """Scalar-linear combination of free words in the four letter families."""
+class UqElement(NCPoly):
+    """Scalar-linear combination of free words in the four letter families.
 
-    __slots__ = ("terms",)
+    The ring structure is :class:`~qmatball.words.NCPoly`'s, over words of
+    ``(kind, j)`` letters; only construction and text differ.
+    """
 
-    def __init__(self, terms: dict | None = None):
-        clean = {}
-        for w, c in (terms or {}).items():
-            if c:
-                clean[tuple(w)] = c
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UqElement is immutable")
-
-    # -- constructors
-
-    @classmethod
-    def zero(cls) -> "UqElement":
-        return cls({})
-
-    @classmethod
-    def one(cls) -> "UqElement":
-        return cls({(): ONE})
+    __slots__ = ()
 
     @classmethod
     def letter(cls, kind: str, j: int) -> "UqElement":
@@ -94,39 +82,7 @@ class UqElement:
             raise ValueError(f"unknown letter kind {kind!r}")
         if j < 1:
             raise ValueError("letter index must be >= 1")
-        return cls({((kind, j),): ONE})
-
-    # -- ring structure
-
-    def __add__(self, other: "UqElement") -> "UqElement":
-        return UqElement(add_terms(dict(self.terms), other.terms.items()))
-
-    def __sub__(self, other: "UqElement") -> "UqElement":
-        return self + other.scale(-ONE)
-
-    def __neg__(self) -> "UqElement":
-        return self.scale(-ONE)
-
-    def __mul__(self, other: "UqElement") -> "UqElement":
-        products = (
-            (w1 + w2, c1 * c2)
-            for w1, c1 in self.terms.items()
-            for w2, c2 in other.terms.items()
-        )
-        return UqElement(add_terms({}, products))
-
-    def scale(self, c) -> "UqElement":
-        c = c if isinstance(c, Scalar) else ONE * c
-        return UqElement({w: v * c for w, v in self.terms.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, UqElement) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __bool__(self):
-        return bool(self.terms)
+        return cls({((kind, j),): ONE}, _clean=True)
 
     # -- serialization
 
@@ -146,7 +102,7 @@ class UqElement:
             (tuple(parse_letter(tok) for tok in t["word"]), Scalar.from_string(t["coeff"]))
             for t in data["terms"]
         )
-        return cls(add_terms({}, pairs))
+        return cls(add_terms({}, pairs), _clean=True)
 
     def __repr__(self):
         if not self.terms:
@@ -244,7 +200,7 @@ def _reversed_image(w: tuple, coeff: Scalar, letter_image) -> tuple:
 def antipode(xi: UqElement) -> UqElement:
     return UqElement(add_terms({}, (
         _reversed_image(w, c, _letter_antipode) for w, c in xi.terms.items()
-    )))
+    )), _clean=True)
 
 
 def counit(xi: UqElement) -> Scalar:
@@ -273,21 +229,11 @@ def star_sunm(xi: UqElement, n: int) -> UqElement:
 
     return UqElement(add_terms({}, (
         _reversed_image(w, c.conjugate(), letter_star) for w, c in xi.terms.items()
-    )))
+    )), _clean=True)
 
 
 # ---------------------------------------------------------------------------
 # the action
-
-
-def _star_words(f: NCPoly) -> NCPoly:
-    """Symbol-level involution (word reversal, kind swap, conjugation)."""
-    swap = {"z": "zs", "zs": "z", "dz": "dzs", "dzs": "dz", "f0": "f0"}
-    pairs = (
-        (tuple(sym(swap[g.kind], g.row, g.col) for g in reversed(w)), c.conjugate())
-        for w, c in f.terms.items()
-    )
-    return NCPoly(add_terms({}, pairs), _clean=True)
 
 
 @functools.lru_cache(maxsize=None)
@@ -297,7 +243,7 @@ def _z_table(letter: tuple, a: int, al: int, m: int, n: int) -> NCPoly:
     N = m + n
     g = sym("z", a, al)
     if kind in ("K", "Kinv"):
-        mu = _symbol_weight_component(g, j, m, n)
+        mu = generator_weight(g, m, n)[j - 1]
         return NCPoly.from_word((g,), q_pow(mu if kind == "K" else -mu))
     if kind == "E":
         if j < n:
@@ -327,22 +273,6 @@ def _z_table(letter: tuple, a: int, al: int, m: int, n: int) -> NCPoly:
     if a == n and al == m:
         return NCPoly.from_word((), s_pow(1))
     return NCPoly.zero()
-
-
-def _symbol_weight_component(g, j: int, m: int, n: int) -> int:
-    if g.kind == "f0":
-        return 0
-    a, al = g.row, g.col
-    if j < n:
-        mu = (1 if a == j else 0) - (1 if a == j + 1 else 0)
-    elif j == n:
-        mu = (1 if a == n else 0) + (1 if al == m else 0)
-    else:
-        i = j - n
-        mu = (1 if al == m - i else 0) - (1 if al == m - i + 1 else 0)
-    if g.kind in ("zs", "dzs"):
-        mu = -mu
-    return mu
 
 
 @functools.lru_cache(maxsize=None)
@@ -375,7 +305,7 @@ def _symbol_table(letter: tuple, g_kind: str, a: int, al: int, m: int, n: int) -
         eta = star_sunm(antipode(xi), n)
         base = NCPoly.from_word((sym("z", a, al),), ONE)
         moved = _act_free(eta, base, m, n)
-        return _star_words(moved)
+        return star_words(moved)
     if g_kind == "dzs":
         return differential(_symbol_table(letter, "zs", a, al, m, n))
     raise ValueError(f"no action table for symbol kind {g_kind!r}")
@@ -387,7 +317,7 @@ def _letter_terms(letter: tuple, terms: dict, m: int, n: int):
     kind, j = letter
     for w, c in terms.items():
         if kind in ("K", "Kinv"):
-            mu = sum(_symbol_weight_component(g, j, m, n) for g in w)
+            mu = sum(generator_weight(g, m, n)[j - 1] for g in w)
             yield w, c * q_pow(mu if kind == "K" else -mu)
             continue
         for i, g in enumerate(w):
@@ -395,9 +325,9 @@ def _letter_terms(letter: tuple, terms: dict, m: int, n: int):
             if not tbl:
                 continue
             if kind == "E":
-                mu = sum(_symbol_weight_component(x, j, m, n) for x in w[:i])
+                mu = sum(generator_weight(x, m, n)[j - 1] for x in w[:i])
             else:
-                mu = -sum(_symbol_weight_component(x, j, m, n) for x in w[i + 1 :])
+                mu = -sum(generator_weight(x, m, n)[j - 1] for x in w[i + 1 :])
             factor = c * q_pow(mu)
             for tw, tc in tbl.terms.items():
                 yield w[:i] + tw + w[i + 1 :], factor * tc

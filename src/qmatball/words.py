@@ -23,6 +23,7 @@ symbol outside the presentation's alphabet raises ValueError.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import weakref
@@ -40,6 +41,7 @@ __all__ = [
     "Presentation",
     "KIND_RANK",
     "deglex_key",
+    "generator_weight",
 ]
 
 
@@ -124,6 +126,26 @@ def deglex_key(word: tuple, rank: Mapping[str, int] = KIND_RANK):
     return (len(word), tuple((rank[g.kind], g.row, g.col) for g in word))
 
 
+@functools.lru_cache(maxsize=None)
+def generator_weight(g: GeneratorSymbol, m: int, n: int) -> tuple:
+    """Torus weight (mu_1, ..., mu_{N-1}) of a generator at size m x n.
+
+    K_j scales a monomial by q**mu_j of its summed weight; the conjugated
+    kinds carry the negated weight and f0 weight zero.
+    """
+    mu = [0] * (m + n - 1)
+    if g.kind != "f0":
+        a, al = g.row, g.col
+        for j in range(1, n):
+            mu[j - 1] = (1 if a == j else 0) - (1 if a == j + 1 else 0)
+        mu[n - 1] = (1 if a == n else 0) + (1 if al == m else 0)
+        for i in range(1, m):
+            mu[n + i - 1] = (1 if al == m - i else 0) - (1 if al == m - i + 1 else 0)
+        if g.kind in ("zs", "dzs"):
+            mu = [-x for x in mu]
+    return tuple(mu)
+
+
 # ---------------------------------------------------------------------------
 # polynomials
 
@@ -180,22 +202,23 @@ class NCPoly:
     def items(self):
         return self.terms.items()
 
-    # arithmetic
+    # arithmetic: results have the receiver's class, and the operand must
+    # have that same class (an NCPoly and a subclass instance never mix)
 
     def __add__(self, other):
-        if not isinstance(other, NCPoly):
+        if other.__class__ is not self.__class__:
             return NotImplemented
         if not self.terms:
             return other
         if not other.terms:
             return self
-        return NCPoly(add_terms(dict(self.terms), other.terms.items()), _clean=True)
+        return self.__class__(add_terms(dict(self.terms), other.terms.items()), _clean=True)
 
     def __neg__(self):
-        return NCPoly({w: -c for w, c in self.terms.items()}, _clean=True)
+        return self.__class__({w: -c for w, c in self.terms.items()}, _clean=True)
 
     def __sub__(self, other):
-        if not isinstance(other, NCPoly):
+        if other.__class__ is not self.__class__:
             return NotImplemented
         return self + (-other)
 
@@ -203,20 +226,20 @@ class NCPoly:
         if isinstance(c, int):
             c = ONE * c
         if not c:
-            return NCPoly.zero()
-        return NCPoly({w: v * c for w, v in self.terms.items()}, _clean=True)
+            return self.zero()
+        return self.__class__({w: v * c for w, v in self.terms.items()}, _clean=True)
 
     def __mul__(self, other):
         if isinstance(other, (Scalar, int)):
             return self.scale(other)
-        if not isinstance(other, NCPoly):
+        if other.__class__ is not self.__class__:
             return NotImplemented
         products = (
             (w1 + w2, c1 * c2)
             for w1, c1 in self.terms.items()
             for w2, c2 in other.terms.items()
         )
-        return NCPoly(add_terms({}, products), _clean=True)
+        return self.__class__(add_terms({}, products), _clean=True)
 
     def __rmul__(self, other):
         if isinstance(other, (Scalar, int)):
@@ -224,7 +247,7 @@ class NCPoly:
         return NotImplemented
 
     def __eq__(self, other):
-        if not isinstance(other, NCPoly):
+        if other.__class__ is not self.__class__:
             return NotImplemented
         return self.terms == other.terms
 
@@ -312,7 +335,6 @@ class Presentation:
         self.rules = dict(rules)
         self._plens = tuple(sorted({len(p) for p in self.rules}, reverse=True))
         self._memo = {"leftmost": {}, "rightmost": {}}
-        self._weights: dict = {}
         self._letters = frozenset(self.alphabet())
         Presentation._live.add(self)
         bad = self.termination_violations()
@@ -434,13 +456,12 @@ class Presentation:
         return self.normal_form(f * g, strategy)
 
     def clear_memo(self) -> None:
-        """Forget every memoized reduction and generator weight."""
+        """Forget every memoized reduction."""
         for memo in self._memo.values():
             memo.clear()
-        self._weights.clear()
 
     def memo_size(self) -> int:
-        return sum(map(len, self._memo.values())) + len(self._weights)
+        return sum(map(len, self._memo.values()))
 
     def is_normal(self, word: tuple) -> bool:
         return self._find_redex(word, "leftmost") is None
@@ -489,25 +510,7 @@ class Presentation:
 
     def weight(self, g: GeneratorSymbol) -> tuple:
         """Weight of a generator for the rank N-1 torus, N = m + n."""
-        cached = self._weights.get(g)
-        if cached is not None:
-            return cached
-        m, n = self.m, self.n
-        N = m + n
-        mu = [0] * (N - 1)
-        if g.kind != "f0":
-            a, al = g.row, g.col
-            for j in range(1, n):
-                mu[j - 1] = (1 if a == j else 0) - (1 if a == j + 1 else 0)
-            mu[n - 1] = (1 if a == n else 0) + (1 if al == m else 0)
-            for i in range(1, m):
-                j = n + i
-                mu[j - 1] = (1 if al == m - i else 0) - (1 if al == m - i + 1 else 0)
-            if g.kind in ("zs", "dzs"):
-                mu = [-x for x in mu]
-        out = tuple(mu)
-        self._weights[g] = out
-        return out
+        return generator_weight(g, self.m, self.n)
 
     def word_weight(self, word: tuple) -> tuple:
         N = self.m + self.n

@@ -15,8 +15,9 @@ from qmatball.algebras import (
     parse_preset,
     projection_rules,
     star,
+    star_words,
 )
-from qmatball.field import ONE, q_pow
+from qmatball.field import I, ONE, q_pow
 from qmatball.words import NCPoly, sym
 
 
@@ -183,6 +184,20 @@ class TestStar:
         pol = make_preset("Pol", 2, 2)
         f = NCPoly.from_word((sym("z", 1, 2),))
         assert star(f, pol) == NCPoly.from_word((sym("zs", 1, 2),))
+
+    def test_symbol_involution_does_not_rewrite(self):
+        # each word reversed, kinds swapped, coefficients conjugated
+        word = (sym("z", 1, 2), sym("zs", 2, 1), sym("dz", 1, 1), sym("f0"))
+        f = NCPoly.from_word(word, I + q_pow(1)) + NCPoly.from_word((), I)
+        starred = (sym("f0"), sym("dzs", 1, 1), sym("z", 2, 1), sym("zs", 1, 2))
+        assert star_words(f) == NCPoly.from_word(starred, q_pow(1) - I) + NCPoly.from_word(
+            (), -I
+        )
+        assert star_words(star_words(f)) == f
+        pol = make_preset("Pol", 2, 2)
+        g = NCPoly.from_word((sym("z", 1, 1), sym("z", 2, 2)), I)
+        assert star(g, pol) == pol.normal_form(star_words(g))
+        assert star(g, pol) != star_words(g)
 
     def test_rejects_preset_without_involution(self):
         with pytest.raises(ValueError):

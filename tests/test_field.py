@@ -242,3 +242,50 @@ def test_add_terms_kernel():
     pairs = Once()
     assert add_terms({}, pairs) == {"x": a + b, "y": b}
     assert pairs.reads == 1
+
+
+# mixed and foreign operands
+
+
+_FOREIGN = {
+    "1.5 - ONE": lambda: 1.5 - ONE,
+    "ONE - 1.5": lambda: ONE - 1.5,
+    "1.5 / ONE": lambda: 1.5 / ONE,
+    "'a' / ONE": lambda: "a" / ONE,
+    "'a' - ONE": lambda: "a" - ONE,
+    "ONE + 'a'": lambda: ONE + "a",
+    "GaussRat(1) + 1.5": lambda: GaussRat(1) + 1.5,
+    "GaussRat(1) - 'a'": lambda: GaussRat(1) - "a",
+    "'a' / GaussRat(1)": lambda: "a" / GaussRat(1),
+}
+
+
+@pytest.mark.parametrize("expr", list(_FOREIGN.values()), ids=list(_FOREIGN))
+def test_foreign_operand_raises_type_error(expr):
+    with pytest.raises(TypeError, match="unsupported operand") as info:
+        expr()
+    assert "NotImplementedType" not in str(info.value)
+
+
+def test_gauss_rat_meets_scalar_from_either_side():
+    g = GaussRat(Fraction(1, 2), 3)
+    x = S + I
+    gs = from_fraction("1/2") + I * 3
+    cases = [
+        (g + x, x + g, gs + x),
+        (g - x, -(x - g), gs - x),
+        (g * x, x * g, gs * x),
+        (g / x, (x / g).inverse(), gs / x),
+    ]
+    for left, right, expected in cases:
+        assert isinstance(left, Scalar)
+        assert left == right == expected
+    assert GaussRat(1) + ONE == from_int(2)
+    assert GaussRat(1) - ONE == ZERO
+    assert GaussRat(3) * ONE == from_int(3)
+    assert GaussRat(1) / S == s_pow(-1)
+
+
+def test_constructor_rejects_foreign_coefficients():
+    with pytest.raises(TypeError, match="cannot coerce float"):
+        Scalar({0: 1.5})

@@ -11,13 +11,14 @@ from fractions import Fraction
 import pytest
 
 from qmatball.algebras import make_preset, star
-from qmatball.field import GaussRat, ONE, Scalar, q_pow
+from qmatball.field import GaussRat, I, ONE, Scalar, q_pow
 from qmatball.fockrep import (
     CutoffError,
     TruncatedOperator,
     apply_coordinate_word,
     corner_adjoint_relation_ok,
     corner_diagonal,
+    default_cutoff,
     det_is_identity_ok,
     diagonal_laws_ok,
     equivalence_report,
@@ -372,6 +373,16 @@ class TestCyclicModuleSide:
         for k in range(3):
             assert pairing_block_theta(zpoly, 1, 1, k, k + 1) == pairing_block_fock(
                 op, 1, 1, k, k + 1
+            )
+
+    def test_pairing_blocks_agree_for_a_complex_multiple(self):
+        # the ladder-side pairing is linear in the operator image, conjugate
+        # linear in the basis vector it is paired against
+        zpoly = NCPoly.from_word((sym("z", 2, 1),), I + q_pow(1))
+        op = rep_coordinate(1, 2, 2, 1, default_cutoff(1, 2)).scale(I + q_pow(1))
+        for k in range(2):
+            assert pairing_block_theta(zpoly, 1, 2, k, k + 1) == pairing_block_fock(
+                op, 1, 2, k, k + 1
             )
 
     @pytest.mark.parametrize("mn,through", [((1, 1), 4), ((1, 2), 3), ((2, 1), 3), ((2, 2), 3)])

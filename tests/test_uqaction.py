@@ -1,10 +1,13 @@
 """Hopf structure and the covariant action: frozen values and semantic laws."""
 
+import hashlib
+import json
 import random
 
 import pytest
 
-from qmatball.algebras import differential, make_preset, star
+from qmatball.algebras import differential, make_preset, parse_preset, star
+from qmatball.cli import main
 from qmatball.field import ONE, ZERO, q_pow, s_pow
 from qmatball.uqaction import (
     E,
@@ -52,6 +55,31 @@ class TestElementBasics:
     def test_serialization_round_trip(self):
         x = E(1) * K(2) + Kinv(3).scale(q_pow(2) - ONE)
         assert UqElement.from_dict(x.to_dict()) == x
+
+    def test_arithmetic_stays_in_the_class(self):
+        x = E(1) * F(2)
+        assert isinstance(x, NCPoly)
+        results = [
+            x + K(1), x - K(1), -x, x * K(1), x.scale(q_pow(1)), x.scale(0),
+            x * 2, 2 * x, UqElement.zero() + x, x + UqElement.zero(),
+            UqElement.zero(), UqElement.one(), antipode(x), star_sunm(x, 1),
+        ]
+        assert all(type(y) is UqElement for y in results)
+        assert x.scale(0) == UqElement.zero()
+
+    def test_never_mixes_with_plain_polynomials(self):
+        for a, b in [(NCPoly.one(), UqElement.one()), (UqElement.one(), NCPoly.one()),
+                     (NCPoly.zero(), UqElement.zero())]:
+            with pytest.raises(TypeError):
+                a + b
+            with pytest.raises(TypeError):
+                a - b
+            with pytest.raises(TypeError):
+                a * b
+        assert NCPoly.zero() != UqElement.zero()
+        assert NCPoly.one() != UqElement.one()
+        assert UqElement.zero() == UqElement.zero()
+        assert hash(E(1) * K(2)) == hash(E(1) * K(2))
 
     def test_letter_validation(self):
         with pytest.raises(ValueError):
@@ -346,3 +374,25 @@ class TestModuleLaws:
         funu = make_preset("FunU", 2, 2)
         assert funu.presentation.weight(sym("f0")) == (0, 0, 0)
         assert P.h0_degree((sym("z", 1, 1), sym("z", 1, 2), sym("zs", 1, 1))) == 1
+
+
+# sha256 of the concatenated stdout of `qmb act` for every letter on every
+# generator of pol:2x2, omega:1x2 and funu:2x2, recorded before the action
+# tables were rebuilt on the shared weight table and symbol involution.
+_ACT_SWEEP_SHA256 = "bb2d697ed0398e9f83a5eb577a9e7aab8fd60f44ecffeb92229adcc0d49ae223"
+
+
+def test_act_tables_golden(capsys):
+    out = []
+    for label in ("pol:2x2", "omega:1x2", "funu:2x2"):
+        preset = parse_preset(label)
+        for j in range(1, preset.m + preset.n):
+            for kind in ("E", "F", "K", "Kinv"):
+                token = letter_token((kind, j))
+                for g in preset.presentation.alphabet():
+                    raw = json.dumps({"terms": [{"coeff": "1", "word": [g.token()]}]})
+                    assert main(["act", token, "--algebra", label, "--input", raw]) == 0
+                    out.append(capsys.readouterr().out)
+    text = "".join(out)
+    assert text.count('"letter"') == 12 * 8 + 8 * 8 + 12 * 9
+    assert hashlib.sha256(text.encode()).hexdigest() == _ACT_SWEEP_SHA256
