@@ -38,7 +38,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebras import make_preset, star
-from .field import ONE, Scalar, ZERO, add_terms, q_pow
+from .field import ONE, GaussRat, Scalar, ZERO, add_terms, q_pow
 from .linalg import mat_leading_pivots, mat_mul, mat_rank
 from .qminors import (
     col_sign,
@@ -55,7 +55,7 @@ from .qminors import (
     star_compact_poly,
     volume_element,
 )
-from .words import NCPoly, sym
+from .words import NCPoly, sym, word_tokens
 
 __all__ = [
     "CutoffError",
@@ -185,11 +185,13 @@ class TruncatedOperator:
     The observed shifts within the slice (never larger) refine certificate
     arithmetic for compositions.  No column beyond ``cert`` is stored, so an
     operation that keeps the certificate keeps every entry unfiltered.
+    ``_obs`` passes the observed (up, down) shifts in, skipping the scan of
+    the entries, when they have the keys of an operator already built.
     """
 
     __slots__ = ("legs", "cert", "entries", "up", "down", "_obs_up", "_obs_down", "_cols")
 
-    def __init__(self, legs, cert, entries, up, down):
+    def __init__(self, legs, cert, entries, up, down, _obs=None):
         if cert < 0:
             raise CutoffError("operator slice is empty (certificate below zero)")
         self.legs = legs
@@ -197,21 +199,22 @@ class TruncatedOperator:
         self.entries = entries
         self.up = up
         self.down = down
-        obs_up = 0
-        obs_down = 0
-        for kout, kin in entries:
-            din = sum(kin)
-            if din > cert:
-                raise ValueError(
-                    f"stored column at degree {din} beyond certificate {cert}"
-                )
-            sft = sum(kout) - din
-            if sft > obs_up:
-                obs_up = sft
-            elif -sft > obs_down:
-                obs_down = -sft
-        self._obs_up = obs_up
-        self._obs_down = obs_down
+        if _obs is None:
+            obs_up = 0
+            obs_down = 0
+            for kout, kin in entries:
+                din = sum(kin)
+                if din > cert:
+                    raise ValueError(
+                        f"stored column at degree {din} beyond certificate {cert}"
+                    )
+                sft = sum(kout) - din
+                if sft > obs_up:
+                    obs_up = sft
+                elif -sft > obs_down:
+                    obs_down = -sft
+            _obs = (obs_up, obs_down)
+        self._obs_up, self._obs_down = _obs
         self._cols = None
 
     # -- constructors
@@ -280,8 +283,7 @@ class TruncatedOperator:
         )
 
     def __neg__(self):
-        entries = {key: -c for key, c in self.entries.items()}
-        return TruncatedOperator(self.legs, self.cert, entries, self.up, self.down)
+        return self._with_values({key: -c for key, c in self.entries.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -289,8 +291,14 @@ class TruncatedOperator:
     def scale(self, c: Scalar):
         if not c:
             return TruncatedOperator.zero(self.legs, self.cert)
-        entries = {key: v * c for key, v in self.entries.items()}
-        return TruncatedOperator(self.legs, self.cert, entries, self.up, self.down)
+        return self._with_values({key: v * c for key, v in self.entries.items()})
+
+    def _with_values(self, entries):
+        """This operator's slice with new nonzero values on the same keys."""
+        return TruncatedOperator(
+            self.legs, self.cert, entries, self.up, self.down,
+            (self._obs_up, self._obs_down),
+        )
 
     def restrict(self, cert: int):
         """The same operator certified on a smaller slice (columns are kept
@@ -549,21 +557,26 @@ def rep_tpoly(f: NCPoly, m: int, n: int, cutoff: int, through=None) -> Truncated
     identity: no letter raises the degree by more than one, so with one
     degree of budget per letter that factor never cuts below ``through``.)
     """
+    return _tpoly_image(f, m, n, cutoff, through, {})
+
+
+def _tpoly_image(f: NCPoly, m: int, n: int, cutoff: int, through, letters: dict):
+    """:func:`rep_tpoly`, keeping each restricted letter image in ``letters``
+    under (letter, budget), so calls that share the dict restrict it once."""
     table, ident, zero, inner = _machine(m, n, cutoff)
     budget = None
     if through is not None:
         budget = through + max((len(w) for w in f.terms), default=0)
-    letters: dict = {}
 
     def letter(g):
-        op = letters.get(g)
+        op = letters.get((g, budget))
         if op is None:
             if g.kind != "t":
                 raise ValueError(f"expected a t-letter, got {g.token()}")
             op = table[(g.row, g.col)]
             if budget is not None:
                 op = op.restrict(budget)
-            letters[g] = op
+            letters[(g, budget)] = op
         return op
 
     def image(terms: dict):
@@ -729,11 +742,12 @@ def type_identity_ok(m: int, n: int, through: int, cutoff: int | None = None) ->
     if cutoff is None:
         cutoff = default_cutoff(m, n)
     N = m + n
+    letters: dict = {}  # the N^2 involutes share their restricted letters
     for i in range(1, N + 1):
         for j in range(1, N + 1):
             base = rep_letter(m, n, i, j, cutoff)
             lhs = base.restrict(min(base.cert, through + base.down)).adjoint()
-            img = rep_tpoly(star_compact(i, j, N), m, n, cutoff, through=through)
+            img = _tpoly_image(star_compact(i, j, N), m, n, cutoff, through, letters)
             if row_sign(i, m) * col_sign(j, n) == -1:
                 img = -img
             if not lhs.agrees_with(img, through=through):
@@ -840,7 +854,7 @@ def theta_block(f: NCPoly, m: int, n: int, k_in: int, k_out: int):
     return block
 
 
-def _right_normal_forms(pres, left: NCPoly, words) -> list:
+def _right_normal_forms(pres, left: NCPoly, words, drop_lead=None) -> list:
     """NF(left w) for each word w, built one letter at a time.
 
     For a confluent presentation NF(NF(a) b) = NF(a b) (Bergman's diamond
@@ -848,7 +862,9 @@ def _right_normal_forms(pres, left: NCPoly, words) -> list:
     the tests compare the blocks built here with whole-word normal forms.
     Each prefix of each word is normalized once, from the normal form of
     the prefix one letter shorter, and words sharing a prefix share that
-    work.
+    work.  With ``drop_lead`` set, every prefix normal form loses its words
+    that start with a letter of that kind; the constant terms of the results
+    are kept whenever ``pres.leading_kind_violations(drop_lead)`` is empty.
     """
     done = {(): left}
     out = []
@@ -859,10 +875,41 @@ def _right_normal_forms(pres, left: NCPoly, words) -> list:
             if nxt is None:
                 tail = w[i - 1 : i]
                 shifted = NCPoly({u + tail: c for u, c in cur.terms.items()}, _clean=True)
-                nxt = done[w[:i]] = pres.normal_form(shifted)
+                nxt = pres.normal_form(shifted)
+                if drop_lead is not None:
+                    kept = {u: c for u, c in nxt.terms.items() if not u or u[0].kind != drop_lead}
+                    nxt = NCPoly(kept, _clean=True)
+                done[w[:i]] = nxt
             cur = nxt
         out.append(cur)
     return out
+
+
+def _require_none(violations, what: str) -> None:
+    """Raise ArithmeticError naming the first (pattern, replacement word)
+    pair of a failed certificate."""
+    if violations:
+        pat, w = violations[0]
+        raise ArithmeticError(
+            f"rule for {word_tokens(pat)} {what} "
+            f"(replacement word {word_tokens(w)}); the pruned block would be unsound"
+        )
+
+
+def _weight_classes(pres, basis) -> list:
+    """For each basis word, the positions of the basis words of its weight.
+
+    Raises ArithmeticError unless every rule of ``pres`` is
+    weight-homogeneous: only then does a Gram-type entry between words of
+    different weights vanish, the entry being the weight-zero coefficient of
+    a normal form of weight equal to their difference.
+    """
+    _require_none(pres.weight_violations(), "is not weight-homogeneous")
+    weights = [pres.word_weight(w) for w in basis]
+    classes: dict = {}
+    for p, mu in enumerate(weights):
+        classes.setdefault(mu, []).append(p)
+    return [classes[mu] for mu in weights]
 
 
 @lru_cache(maxsize=None)
@@ -871,19 +918,22 @@ def gram_matrix(m: int, n: int, k: int):
 
     Entry (p, r) is the pairing of the p-th and r-th basis vectors: the
     projector coefficient of f0 (conjugate of r) (p) f0.  Row r is built
-    from NF(f0 (conjugate of r)), which f0 z = 0 keeps small.
+    from NF(f0 (conjugate of r)), which f0 z = 0 keeps small.  Only pairs of
+    equal weight are rewritten; every other entry is zero.
     """
     funu = make_preset("FunU", m, n)
     pres = funu.presentation
     basis = hilbert_basis(m, n, k)
+    same = _weight_classes(pres, basis)
     d = len(basis)
     f0w = NCPoly.from_word((sym("f0"),))
     f0key = (sym("f0"),)
     G = [[ZERO] * d for _ in range(d)]
     for r in range(d):
+        cols = [p for p in same[r] if p >= r]
         left = pres.normal_form(f0w * star(NCPoly.from_word(basis[r]), funu))
-        nfs = _right_normal_forms(pres, left, [b + f0key for b in basis[r:]])
-        for p, g in enumerate(nfs, start=r):
+        nfs = _right_normal_forms(pres, left, [basis[p] + f0key for p in cols])
+        for p, g in zip(cols, nfs):
             val = g.coeff(f0key)
             G[p][r] = val
             if p != r:
@@ -898,8 +948,15 @@ def gram_minors_positive(m: int, n: int, k: int, s0: Fraction) -> bool:
     One elimination pass: every minor is positive iff every pivot
     D_t / D_{t-1} is, and the test stops at the first pivot that is not.
     """
-    G = [[c.eval_at(s0) for c in row] for row in gram_matrix(m, n, k)]
-    return _leading_minors_positive(G)
+    return _leading_minors_positive(_eval_matrix(gram_matrix(m, n, k), s0))
+
+
+_GAUSS_ZERO = GaussRat(0)
+
+
+def _eval_matrix(M, s0) -> list:
+    """M at s = s0; only nonzero entries are evaluated, zeros share one value."""
+    return [[c.eval_at(s0) if c else _GAUSS_ZERO for c in row] for row in M]
 
 
 def _leading_minors_positive(G) -> bool:
@@ -950,21 +1007,28 @@ def projector_pairing_matrix(m: int, n: int, l: int):
     Sandwiching the projector between a degree-k monomial and a conjugated
     degree-l monomial acts on the cyclic module by (vector) times (this
     pairing); the block of all such operators between the graded slices has
-    full rank exactly when this matrix is invertible.
+    full rank exactly when this matrix is invertible.  Only pairs of equal
+    weight are rewritten, and terms starting with z are dropped on the way.
     """
     pol = make_preset("Pol", m, n)
+    pres = pol.presentation
     basis = hilbert_basis(m, n, l)
-    return [
-        [g.coeff(()) for g in _right_normal_forms(pol.presentation, sr, basis)]
-        for sr in (star(NCPoly.from_word(w), pol) for w in basis)
-    ]
+    same = _weight_classes(pres, basis)
+    # only constant terms are read, and a word starting with z has none
+    _require_none(pres.leading_kind_violations("z"), "moves z off the front")
+    M = [[ZERO] * len(basis) for _ in basis]
+    for r, row in enumerate(M):
+        sr = star(NCPoly.from_word(basis[r]), pol)
+        nfs = _right_normal_forms(pres, sr, [basis[p] for p in same[r]], drop_lead="z")
+        for p, g in zip(same[r], nfs):
+            row[p] = g.coeff(())
+    return M
 
 
 def projector_pairing_rank(m: int, n: int, l: int, s0: Fraction) -> int:
     """Rank of the constant-term pairing matrix at a sample parameter value
     (a lower bound for the generic rank)."""
-    M = [[c.eval_at(s0) for c in row] for row in projector_pairing_matrix(m, n, l)]
-    return mat_rank(M)
+    return mat_rank(_eval_matrix(projector_pairing_matrix(m, n, l), s0))
 
 
 def pairing_block_theta(f: NCPoly, m: int, n: int, k_in: int, k_out: int):

@@ -336,6 +336,7 @@ class Presentation:
         self._plens = tuple(sorted({len(p) for p in self.rules}, reverse=True))
         self._memo = {"leftmost": {}, "rightmost": {}}
         self._letters = frozenset(self.alphabet())
+        self._weight_bad = None
         Presentation._live.add(self)
         bad = self.termination_violations()
         if bad:
@@ -388,6 +389,42 @@ class Presentation:
                 if deglex_key(w, rank) >= pkey:
                     bad.append((pat, w))
         return bad
+
+    # -- certificates for pruned rewriting
+
+    def weight_violations(self) -> tuple:
+        """(pattern, replacement word) pairs whose torus weights differ.
+
+        Empty means every rule is weight-homogeneous, so rewriting keeps the
+        weight of every word: then NF(u) has only words of u's weight, and a
+        coefficient read at a weight-zero word vanishes unless u has weight
+        zero.  Computed once per presentation.
+        """
+        if self._weight_bad is None:
+            ww = self.word_weight
+            self._weight_bad = tuple(
+                (pat, w)
+                for pat, repl in self.rules.items()
+                for w in repl.terms
+                if ww(w) != ww(pat)
+            )
+        return self._weight_bad
+
+    def leading_kind_violations(self, kind: str) -> list:
+        """(pattern, replacement word) pairs where the pattern starts with a
+        letter of ``kind`` and the replacement word does not.
+
+        Empty means a word starting with such a letter keeps one in front
+        under every rewrite, so its normal form has no constant term, and
+        neither does the normal form of that word times anything.
+        """
+        return [
+            (pat, w)
+            for pat, repl in self.rules.items()
+            if pat[0].kind == kind
+            for w in repl.terms
+            if not w or w[0].kind != kind
+        ]
 
     # -- rewriting
 

@@ -80,6 +80,19 @@ class TestPresets:
         preset = make_preset(name, 1, 2)
         assert preset.presentation.termination_violations() == []
 
+    @pytest.mark.parametrize("mn", [(m, n) for m in range(1, 4) for n in range(1, 4)])
+    def test_pruning_certificates_hold(self, mn):
+        for name in PRESET_NAMES:
+            pres = make_preset(name, *mn).presentation
+            assert pres.weight_violations() == ()
+            assert pres.leading_kind_violations("z") == []
+
+    def test_differential_first_order_moves_z_off_the_front(self):
+        pres = make_preset("Lambda", 2, 2, diff_first=True).presentation
+        assert pres.weight_violations() == ()
+        bad = pres.leading_kind_violations("z")
+        assert bad and all(w[0].kind == "dz" for _, w in bad)
+
     def test_involution_flags(self):
         assert not make_preset("CMat", 1, 1).has_star
         assert not make_preset("Lambda", 1, 1).has_star

@@ -1,6 +1,7 @@
 """End-to-end tests for the qmb command-line interface."""
 
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -151,6 +152,19 @@ class TestGram:
         for i, row in enumerate(payload["entries"]):
             for j, cell in enumerate(row):
                 assert Scalar.from_string(cell) == G[i][j]
+
+    @pytest.mark.parametrize(
+        "mn,k,digest",
+        [
+            ("2x2", "5", "36a07f49f01aec5f527d38037a132b3e17639eb8c0f54da65425ba759ba437b1"),
+            ("2x3", "3", "4a16cbd1c2693e3dcd7eacc879eea362871318706bb827f0835ba205453ad336"),
+        ],
+    )
+    def test_stdout_golden(self, capsys, mn, k, digest):
+        # sha256 of stdout recorded before the Gram blocks skipped off-weight pairs
+        code, out, _ = run(capsys, "gram", "--mn", mn, "--max-degree", k)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_positivity_certificate(self, capsys):
         code, out, _ = run(

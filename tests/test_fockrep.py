@@ -6,9 +6,12 @@ checks (diagonal laws, type identity, operator-level rewrite rules, Gram
 agreement) certify the construction on explicit slices.
 """
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
+
+from qmatball import fockrep
 
 from qmatball.algebras import make_preset, star
 from qmatball.field import GaussRat, I, ONE, Scalar, q_pow
@@ -60,7 +63,7 @@ from qmatball.qminors import (
     t_gen,
     volume_element,
 )
-from qmatball.words import NCPoly, sym
+from qmatball.words import NCPoly, Presentation, sym
 
 
 class TestWeights:
@@ -443,6 +446,67 @@ class TestPrefixSharedBlocks:
     @pytest.mark.parametrize("l", range(4))
     def test_pairing_equals_whole_word_normal_forms(self, mn, l):
         assert projector_pairing_matrix(*mn, l) == _pairing_by_whole_words(*mn, l)
+
+    @pytest.mark.parametrize("mn,k", [((2, 2), 4), ((2, 3), 0), ((2, 3), 1), ((2, 3), 2)])
+    def test_gram_equals_whole_word_normal_forms_larger(self, mn, k):
+        assert gram_matrix(*mn, k) == _gram_by_whole_words(*mn, k)
+
+    # the pairing oracle at 2x2 in degree 4 takes about 10 s; the transpose
+    # test below ties that block to the Gram oracle instead
+    @pytest.mark.parametrize("l", range(3))
+    def test_pairing_equals_whole_word_normal_forms_rectangular(self, l):
+        assert projector_pairing_matrix(2, 3, l) == _pairing_by_whole_words(2, 3, l)
+
+    @pytest.mark.parametrize(
+        "mn,l",
+        [((1, 2), l) for l in range(4)]
+        + [((2, 2), l) for l in range(5)]
+        + [((2, 3), l) for l in range(4)],
+    )
+    def test_pairing_is_gram_transposed(self, mn, l):
+        # f0 X f0 = (constant term of X) f0, so both read the same pairing
+        G = gram_matrix(*mn, l)
+        assert projector_pairing_matrix(*mn, l) == [list(col) for col in zip(*G)]
+
+
+def _with_planted_rules(monkeypatch, name, extra):
+    """Let fockrep see preset ``name`` with ``extra`` rules laid over its own."""
+    real = fockrep.make_preset
+
+    def fake(pname, m, n):
+        preset = real(pname, m, n)
+        if pname != name:
+            return preset
+        pres = preset.presentation
+        rules = {**pres.rules, **extra(pres.rules)}
+        planted = Presentation("planted", m, n, pres.kinds, rules)
+        return dataclasses.replace(preset, presentation=planted)
+
+    monkeypatch.setattr(fockrep, "make_preset", fake)
+
+
+def _off_weight_term(rules):
+    z11, z21 = sym("z", 1, 1), sym("z", 2, 1)
+    return {(z21, z11): rules[(z21, z11)] + NCPoly.from_word((z11, z11))}
+
+
+class TestFailedCertificatesRaise:
+    # __wrapped__ bypasses the block caches, which other tests have filled
+    def test_gram_needs_weight_homogeneous_rules(self, monkeypatch):
+        _with_planted_rules(monkeypatch, "FunU", _off_weight_term)
+        with pytest.raises(ArithmeticError, match=r"z\[2,1\].*weight.*z\[1,1\]"):
+            fockrep.gram_matrix.__wrapped__(1, 2, 2)
+
+    def test_pairing_needs_weight_homogeneous_rules(self, monkeypatch):
+        _with_planted_rules(monkeypatch, "Pol", _off_weight_term)
+        with pytest.raises(ArithmeticError, match="weight-homogeneous"):
+            fockrep.projector_pairing_matrix.__wrapped__(1, 2, 2)
+
+    def test_pairing_needs_z_to_stay_in_front(self, monkeypatch):
+        z, zs = sym("z", 1, 1), sym("zs", 1, 1)
+        _with_planted_rules(monkeypatch, "Pol", lambda rules: {(z, zs): NCPoly.one()})
+        with pytest.raises(ArithmeticError, match=r"z\[1,1\].*zs\[1,1\].*front"):
+            fockrep.projector_pairing_matrix.__wrapped__(1, 1, 1)
 
 
 def _gauss_matrix(rows):

@@ -99,6 +99,28 @@ def test_zero_replacement_and_f0_rules():
     assert len(pres.basis_words({"dz": 1, "f0": 2})) == 0
 
 
+def test_weight_certificate_names_a_planted_rule():
+    x, y = sym("z", 1, 1), sym("z", 1, 2)
+    assert q_plane().weight_violations() == ()
+    # x x has another torus weight than the pattern y x
+    rules = {(y, x): NCPoly.from_word((x, y), q_pow(-1)) + NCPoly.from_word((x, x))}
+    pres = Presentation("qplane", m=2, n=1, kinds=("z",), rules=rules)
+    assert pres.weight_violations() == (((y, x), (x, x)),)
+
+
+def test_leading_kind_certificate_names_a_planted_rule():
+    z, zs = sym("z", 1, 1), sym("zs", 1, 1)
+    swap = NCPoly.from_word((z, zs), q_pow(2))
+    pres = Presentation("plane", m=1, n=1, kinds=("z", "zs"), rules={(zs, z): swap})
+    assert pres.leading_kind_violations("z") == []
+    # z zs -> 1 is weight-homogeneous but leaves no z in front
+    rules = {(zs, z): swap, (z, zs): NCPoly.one()}
+    pres = Presentation("plane", m=1, n=1, kinds=("z", "zs"), rules=rules)
+    assert pres.weight_violations() == ()
+    assert pres.leading_kind_violations("z") == [((z, zs), ())]
+    assert pres.leading_kind_violations("zs") == [((zs, z), (z, zs))]
+
+
 def test_weights_at_one_one():
     pres = Presentation("free", m=1, n=1, kinds=("z", "zs"), rules={})
     z, zs = sym("z", 1, 1), sym("zs", 1, 1)
