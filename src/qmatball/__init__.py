@@ -75,6 +75,7 @@ _LRU_CACHES = (
     _fockrep.fock_weight,
     _fockrep._norm2_ratio,
     _fockrep.fock_basis,
+    _fockrep._entry_product,
     _fockrep._machine,
     _fockrep.corner_inverse,
     _fockrep.rep_coordinate,

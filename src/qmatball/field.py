@@ -577,9 +577,12 @@ class Scalar:
     # -- equality / hashing
 
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other is self:
+            return True
+        if other.__class__ is not Scalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self._num == other._num and self._den == other._den
 
     def __hash__(self):

@@ -175,6 +175,20 @@ def _fixed_degree(legs: int, d: int) -> list:
 # truncated operators
 
 
+@lru_cache(maxsize=None)
+def _entry_product(a: Scalar, b: Scalar) -> Scalar:
+    """a * b through one value-keyed table for the operator layer.
+
+    Operator entries take a few thousand distinct values, so almost every
+    product of two entries repeats an earlier one (a 2 x 2 ``rep-check``
+    multiplies about 164k pairs of entries, only 8k of them distinct).
+    Scalars are immutable and hash by value, so a hit is exact, and equal
+    products come back as one shared object.  ``clear_caches()`` empties
+    the table.
+    """
+    return a * b
+
+
 class TruncatedOperator:
     """An exact operator slice on the weighted tensor basis.
 
@@ -291,7 +305,11 @@ class TruncatedOperator:
     def scale(self, c: Scalar):
         if not c:
             return TruncatedOperator.zero(self.legs, self.cert)
-        return self._with_values({key: v * c for key, v in self.entries.items()})
+        if c == ONE:
+            return self  # operators are never mutated (restrict relies on it too)
+        return self._with_values(
+            {key: _entry_product(v, c) for key, v in self.entries.items()}
+        )
 
     def _with_values(self, entries):
         """This operator's slice with new nonzero values on the same keys."""
@@ -324,7 +342,7 @@ class TruncatedOperator:
             raise CutoffError("composition exhausts the certified slice")
         cols = self._column_index()
         acc = add_terms({}, (
-            ((kout, kin), c1 * c2)
+            ((kout, kin), _entry_product(c1, c2))
             for (mid, kin), c2 in other._entries_through(cert).items()
             for kout, c1 in cols.get(mid, ())
         ))
@@ -341,7 +359,9 @@ class TruncatedOperator:
         for (kout, kin), c in self.entries.items():
             if sum(kout) > cert:
                 continue
-            entries[(kin, kout)] = c.conjugate() * _weight_ratio(kout, kin)
+            entries[(kin, kout)] = _entry_product(
+                c.conjugate(), _weight_ratio(kout, kin)
+            )
         return TruncatedOperator(self.legs, cert, entries, self.down, self.up)
 
     # -- comparisons and shape checks

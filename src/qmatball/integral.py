@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebras import AlgebraPreset, make_preset, star
-from .field import ONE, Scalar, ZERO, s_pow
+from .field import ONE, Scalar, ZERO, add_terms, s_pow
 from .fockrep import _right_normal_forms, hilbert_basis
 from .linalg import mat_invert
 from .uqaction import UqElement, act, antipode, counit
@@ -239,12 +239,10 @@ def antipode_square_twist_ok(preset: AlgebraPreset, maxdeg: int) -> bool:
                 lhs = act(ss, bpoly, preset)
                 eb = modular_exponent(b, preset)
                 acted = act(xi, bpoly, preset)
-                rhs = NCPoly.zero()
-                for w, c in acted.terms.items():
-                    ew = modular_exponent(w, preset)
-                    rhs = rhs + NCPoly.from_word(w).scale(
-                        c * s_pow(2 * (ew - eb))
-                    )
+                rhs = NCPoly(add_terms({}, (
+                    (w, c * s_pow(2 * (modular_exponent(w, preset) - eb)))
+                    for w, c in acted.terms.items()
+                )), _clean=True)
                 if lhs != rhs:
                     return False
     return True

@@ -4,7 +4,10 @@ import importlib
 import pkgutil
 from fractions import Fraction
 
+import pytest
+
 import qmatball
+from qmatball import fockrep
 from qmatball.algebras import make_preset
 from qmatball.fockrep import gram_matrix, projector_pairing_rank, rep_coordinate
 from qmatball.integral import integral_nu
@@ -56,3 +59,38 @@ def test_clear_empties_every_cache_and_keeps_results():
     # a preset held across the clear still rewrites correctly
     g = funu.normal_form(NCPoly.from_word((f0, sym("z", 1, 1))))
     assert g.is_zero
+
+
+def _operator_snapshot(m, n, cutoff):
+    """Entries (in order), certificate and shifts of every letter image and
+    every coordinate image."""
+    ops = [fockrep.rep_letter(m, n, i, j, cutoff)
+           for i in range(1, m + n + 1) for j in range(1, m + n + 1)]
+    ops += [rep_coordinate(m, n, a, al, cutoff)
+            for a in range(1, n + 1) for al in range(1, m + 1)]
+    return [
+        (list(op.entries.items()), op.cert, op.up, op.down, op._obs_up, op._obs_down)
+        for op in ops
+    ]
+
+
+def test_entry_product_table_is_reported_and_cleared():
+    name = "qmatball.fockrep._entry_product"
+    qmatball.clear_caches()
+    rep_coordinate(1, 2, 1, 1, 4)
+    assert qmatball.cache_sizes()[name] > 0
+    qmatball.clear_caches()
+    assert qmatball.cache_sizes()[name] == 0
+
+
+@pytest.mark.parametrize("m,n,cutoff", [(1, 2, 6), (2, 2, 4)])
+def test_operators_do_not_depend_on_a_warm_product_table(m, n, cutoff):
+    qmatball.clear_caches()
+    cold = _operator_snapshot(m, n, cutoff)
+    held = fockrep._entry_product.cache_info().currsize
+    # rebuild the operators, but keep the product table
+    for fn in (fockrep._machine, fockrep.corner_inverse, rep_coordinate):
+        fn.cache_clear()
+    warm = _operator_snapshot(m, n, cutoff)
+    assert fockrep._entry_product.cache_info().currsize == held  # every product hit
+    assert warm == cold

@@ -291,6 +291,19 @@ class TestRepCheck:
         assert code == 0
         assert "FAIL" not in out
 
+    @pytest.mark.parametrize(
+        "mn,k,digest",
+        [
+            ("2x2", "2", "3b33e348b920dc7c3d650d41c38846a6bf4324d0af0d839eb5f7f047f9a1d231"),
+            ("1x2", "3", "6e7f0c560354f842637529eb0b0b0d474ca3eeaf6e2dd2fbc8cf10d2b0af2433"),
+        ],
+    )
+    def test_stdout_golden(self, capsys, mn, k, digest):
+        # sha256 of stdout recorded before operator entries shared a product table
+        code, out, _ = run(capsys, "rep-check", "--mn", mn, "--max-degree", k)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestRMatrixCheck:
     def test_dimension_two(self, capsys):
@@ -334,6 +347,27 @@ class TestExport:
             )
             assert code == 0, what
             assert out.splitlines()[1] == "out_index,in_index,value"
+
+    @pytest.mark.parametrize(
+        "what,fmt,digest",
+        [
+            ("corner", "json", "ed0f87de92ea076955827cd549c11f2a4628f20d3f9964d12a17db85b172e732"),
+            ("corner", "csv", "3924801c6493cb63a297d30423fbdae9169bdbc0fd5e44c9ba0a23a27db008c0"),
+            ("volume", "json", "0030f4a782566699fe43e78c9f7f9ea450b9412ac2ed3603627187ac6e6d69d2"),
+            ("volume", "csv", "d735749417b15551b4ab084be32494df531a1548eccbeb79ab6925cc49979f40"),
+            ("coordinate:1,1", "json", "61440e1839d12e31d39bb8c361943c6333cf1e81df47c99f9cd6cd693791e57f"),
+            ("coordinate:1,1", "csv", "7b463c6a91a540b491bb373e5818457f1afe033bd085c8db1c20bb4a5d2476cd"),
+            ("coordinate-star:2,1", "json", "12666aa5bfcd297b7368ce79fd949d76843f552eb72034a001dc2a9a3c42a8b7"),
+            ("coordinate-star:2,1", "csv", "a6811066ade28b1fbf26f3204246caac89063af3bdc8decf0441d09fbb2d05cb"),
+            ("letter:1,2", "json", "7bf7f4a0a4f8889530b63f9a881be65834236114a02415a911a252171bf99f7f"),
+            ("letter:1,2", "csv", "1e15b648a17a34ec4370c97cb1fd48f5803e51f31b8996a1f52fed3fdff1cb33"),
+        ],
+    )
+    def test_stdout_golden(self, capsys, what, fmt, digest):
+        # sha256 of stdout recorded before operator entries shared a product table
+        code, out, _ = run(capsys, "export", "--mn", "2x2", "--what", what, "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_unknown_target(self, capsys):
         code, _, err = run(capsys, "export", "--mn", "1x1", "--what", "nope")

@@ -217,6 +217,29 @@ def test_constant_hashes_like_equal_number(x, v):
     assert {v: "v"}.get(x) == "v"
 
 
+def test_equality_fast_paths_keep_the_contract():
+    x = (S + I) / (ONE - Q)
+    twin = Scalar.from_string(x.to_string())  # equal, but a distinct object
+    assert twin is not x
+    assert x == x and x == twin and twin == x
+    assert hash(x) == hash(twin)
+    assert x != x.conjugate() and not x == ONE
+    # every operand kind the field accepts: equal values compare and hash alike
+    for c, v in [
+        (from_int(-3), -3),
+        (from_fraction("-3/4"), Fraction(-3, 4)),
+        (I * from_fraction("1/3"), GaussRat(0, Fraction(1, 3))),
+    ]:
+        assert c == v and v == c and not c != v
+        assert hash(c) == hash(v)
+        assert c != x and x != v
+    # a foreign operand is never equal, and Scalar hands the question back
+    assert ONE.__eq__("1") is NotImplemented
+    assert ONE.__eq__(1.0) is NotImplemented
+    assert not ONE == "1" and ONE != "1"
+    assert not x == object()
+
+
 # the sparse-accumulate kernel
 
 

@@ -115,6 +115,12 @@ class TestOperatorCalculus:
         back = z.adjoint().adjoint()
         assert z.agrees_with(back)
 
+    def test_adjoint_is_antilinear(self):
+        # every entry of the ladder images is real, so only a complex
+        # multiple tells a conjugated entry from a plain one
+        z = rep_coordinate(1, 2, 2, 1, 6)
+        assert z.scale(I).adjoint().agrees_with(z.adjoint().scale(-I))
+
     def test_restrict_keeps_columns(self):
         z = rep_coordinate(1, 1, 1, 1, 12)
         small = z.restrict(4)
@@ -133,6 +139,14 @@ class TestOperatorCalculus:
         neg, ref = -z, z.scale(-ONE)
         assert neg.entries == ref.entries
         assert (neg.cert, neg.up, neg.down) == (ref.cert, ref.up, ref.down)
+
+    def test_scaling_by_one_is_the_operator_itself(self):
+        z = rep_coordinate(1, 2, 2, 1, 6)
+        assert z.scale(ONE) is z
+        assert z.scale(1) is z
+        assert z.scale(GaussRat(1)) is z
+        two = z.scale(ONE + ONE)
+        assert two is not z and two.agrees_with(z + z)
 
     def test_column_beyond_certificate_rejected(self):
         with pytest.raises(ValueError, match="beyond certificate"):
