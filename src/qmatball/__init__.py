@@ -14,8 +14,10 @@ The package is organized in layers:
   module algebra,
 * :mod:`qmatball.qminors`   -- quantum minors, the quantum determinant, and
   the compact-form star operation on the free matrix bialgebra,
-* :mod:`qmatball.fockrep`   -- certified ladder-tensor operator
-  representations and the cyclic-module comparison,
+* :mod:`qmatball.ladder`    -- exact q-difference operators on the ladder
+  space, on which every operator law is checked at all degrees,
+* :mod:`qmatball.fockrep`   -- certified truncated ladder-tensor operators,
+  the representation laws and the cyclic-module comparison,
 * :mod:`qmatball.integral`  -- the invariant positive integral,
 * :mod:`qmatball.cli`       -- the ``qmb`` command-line front end.
 
@@ -66,6 +68,8 @@ from .fockrep import (
 from .integral import integral_nu, invariance_defect, modular_exponent
 from . import algebras as _algebras, fockrep as _fockrep, integral as _integral
 from . import uqaction as _uqaction
+from .ladder import coordinate_images as _coordinate_images
+from .ladder import letter_images as _letter_images
 from .words import generator_weight as _generator_weight
 
 _LRU_CACHES = (
@@ -82,6 +86,8 @@ _LRU_CACHES = (
     _fockrep.rep_coordinate_star,
     _fockrep.gram_matrix,
     _fockrep.projector_pairing_matrix,
+    _letter_images,
+    _coordinate_images,
     _integral.modular_weights,
     _integral._sandwich_pairing,
     _uqaction._z_table,

@@ -9,7 +9,8 @@ The ``qmb`` entry point exposes the exact engine as a small set of verbs:
 * ``integral``       -- evaluate the invariant integral (or run a positivity
   sample battery with ``--positivity``),
 * ``invariance``     -- per-letter invariance defects of the integral,
-* ``rep-check``      -- the certified operator-representation battery,
+* ``rep-check``      -- the operator-representation battery, exact at every
+  degree,
 * ``rmatrix-check``  -- Hecke/braid/invertibility checks for the braiding
   tables,
 * ``export``         -- dump a truncated operator as CSV or JSON.
@@ -325,26 +326,22 @@ def cmd_invariance(args) -> int:
 
 
 def cmd_rep_check(args) -> int:
+    # every law is an identity of exact ladder operators, so it holds at
+    # every degree and --cutoff has nothing to bound; the type-identity line
+    # keeps its "through degree" wording so the output stays unchanged
     m, n = _parse_mn(args.mn)
     through = args.max_degree
-    cutoff = args.cutoff
     results = [
-        ("corner and volume minors act diagonally", diagonal_laws_ok(m, n, cutoff)),
-        ("vacuum eigenvalue modulus law", vacuum_modulus_ok(m, n, cutoff=cutoff)),
-        (
-            f"adjoint/type identity through degree {through}",
-            type_identity_ok(m, n, through, cutoff=cutoff),
-        ),
-        (
-            "quantum determinant acts as identity",
-            det_is_identity_ok(m, n, cutoff=cutoff, through=through),
-        ),
+        ("corner and volume minors act diagonally", diagonal_laws_ok(m, n)),
+        ("vacuum eigenvalue modulus law", vacuum_modulus_ok(m, n)),
+        (f"adjoint/type identity through degree {through}", type_identity_ok(m, n)),
+        ("quantum determinant acts as identity", det_is_identity_ok(m, n)),
         (
             "all coordinate rewrite rules hold as operators",
-            rules_as_operators_failures(m, n, cutoff) == [],
+            rules_as_operators_failures(m, n) == [],
         ),
     ]
-    eq = equivalence_report(m, n, through, cutoff=cutoff)
+    eq = equivalence_report(m, n, through)
     for key in sorted(eq):
         results.append((f"cyclic-module match: {key}", eq[key]))
     return _check_lines(results)
@@ -499,7 +496,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rep-check", help="certified operator-representation battery")
     p.add_argument("--mn", required=True, help="size, e.g. 1x2")
     p.add_argument("--max-degree", type=_nonneg_int, default=3, help="degree bound for word checks")
-    p.add_argument("--cutoff", type=_nonneg_int, help="override the truncation certificate")
+    p.add_argument(
+        "--cutoff",
+        type=_nonneg_int,
+        help="accepted for older command lines; the checks hold at every degree "
+        "and do not depend on it",
+    )
     p.set_defaults(func=cmd_rep_check)
 
     p = sub.add_parser("rmatrix-check", help="Hecke/braid checks for braiding tables")

@@ -15,11 +15,16 @@ operator-valued N x N matrices.  A chain of +/- sign sequences certifies,
 leg by leg, that the result intertwines correctly with the signed
 involution of :mod:`qmatball.qminors`.
 
-Every operator is a :class:`TruncatedOperator`: an exact matrix slice
-together with a certificate (the largest input degree on which its columns
-are complete) and degree-shift bounds.  Compositions, sums and adjoints
-propagate certificates, so each verified identity is an exact statement on
-an explicitly recorded slice.
+The ``rep_*`` builders (behind ``qmb export``) return a
+:class:`TruncatedOperator`: an exact matrix slice together with a
+certificate (the largest input degree on which its columns are complete)
+and degree-shift bounds.  Compositions, sums and adjoints propagate
+certificates, so each slice is exact on its recorded degrees.
+
+The laws of the representation (diagonal corner and volume minors, the
+vacuum modulus, the type identity, the determinant, the rewrite rules as
+operators) are checked on the exact q-difference operators of
+:mod:`qmatball.ladder` instead, and so hold at every degree.
 
 On the symbolic side, the same module computes the graded left-multiplication
 blocks on the cyclic module spanned by coordinate monomials times the
@@ -33,16 +38,23 @@ from __future__ import annotations
 import csv
 import io
 import json
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
 from .algebras import make_preset, star
 from .field import ONE, GaussRat, Scalar, ZERO, add_terms, q_pow
+from .ladder import (
+    LadderOperator,
+    coordinate_image,
+    corner_image,
+    letter_images,
+    pol_image,
+    staircase_product,
+    tpoly_image,
+)
 from .linalg import mat_leading_pivots, mat_mul, mat_rank
 from .qminors import (
     col_sign,
-    col_signs,
     coordinate_numerator_label,
     corner_minor_label,
     neg_q_pow,
@@ -50,7 +62,6 @@ from .qminors import (
     qdet,
     qminor,
     row_sign,
-    row_signs,
     star_compact,
     star_compact_poly,
     volume_element,
@@ -63,8 +74,6 @@ __all__ = [
     "fock_weight",
     "fock_basis",
     "TruncatedOperator",
-    "staircase_transpositions",
-    "sign_chain",
     "rep_letter",
     "rep_tpoly",
     "rep_minor",
@@ -416,56 +425,6 @@ class TruncatedOperator:
 # the staircase tensor construction
 
 
-def staircase_transpositions(m: int, n: int) -> tuple:
-    """First entries a_k of the adjacent transpositions (a_k, a_k+1), k = 1..mn.
-
-    Their product (rightmost factor applied first) is the permutation that
-    sends 1..n to m+1..N and n+1..N to 1..m; this is verified here.
-    """
-    mn = m * n
-    out = []
-    for k in range(1, mn + 1):
-        out.append(m - (k - 1) // n + (k - 1) % n)
-    N = m + n
-    img = []
-    for x in range(1, N + 1):
-        y = x
-        for a in reversed(out):
-            if y == a:
-                y = a + 1
-            elif y == a + 1:
-                y = a
-        img.append(y)
-    expected = list(range(m + 1, N + 1)) + list(range(1, m + 1))
-    if img != expected:
-        raise ValueError(
-            f"staircase word product {img} differs from the block swap {expected}"
-        )
-    return tuple(out)
-
-
-def sign_chain(m: int, n: int) -> tuple:
-    """The mn+1 sign sequences interpolating row signs to column signs.
-
-    Start from the row signs; the k-th transposition must meet the pattern
-    (-1, +1) at its two slots and swaps it to (+1, -1).  The chain ending at
-    the column signs certifies leg by leg that the tensor product below
-    respects the signed involution.
-    """
-    cur = list(row_signs(m, n))
-    chain = [tuple(cur)]
-    for a in staircase_transpositions(m, n):
-        if cur[a - 1] != -1 or cur[a] != 1:
-            raise ValueError(
-                f"sign pattern at slot {a} is ({cur[a-1]}, {cur[a]}), expected (-1, +1)"
-            )
-        cur[a - 1], cur[a] = 1, -1
-        chain.append(tuple(cur))
-    if chain[-1] != col_signs(m, n):
-        raise ValueError("sign chain does not terminate at the column signs")
-    return tuple(chain)
-
-
 def _lift_ladder(legs: int, leg: int, gen: str, cert: int) -> TruncatedOperator:
     """One 2 x 2 ladder generator acting on a single tensor leg."""
     entries: dict = {}
@@ -501,41 +460,11 @@ def _machine(m: int, n: int, cutoff: int):
     """
     legs = m * n
     N = m + n
-    word = staircase_transpositions(m, n)
-    sign_chain(m, n)  # raises if the leg-by-leg sign bookkeeping breaks
     inner = cutoff + legs
     ident = TruncatedOperator.identity(legs, inner)
-
-    P = None
-    for r, a in enumerate(word):
-        M = {}
-        for i in (a, a + 1):
-            for j in (a, a + 1):
-                M[(i, j)] = _lift_ladder(legs, r, f"t{i - a + 1}{j - a + 1}", inner)
-        for i in range(1, N + 1):
-            if i not in (a, a + 1):
-                M[(i, i)] = ident
-        if P is None:
-            P = M
-            continue
-        nxt: dict = {}
-        for (i, j), left in P.items():
-            for jj in (
-                (a, a + 1) if j in (a, a + 1) else (j,)
-            ):
-                right = M.get((j, jj))
-                if right is None:
-                    continue
-                if left is ident:
-                    term = right
-                elif right is ident:
-                    term = left
-                else:
-                    term = left.compose(right)
-                prev = nxt.get((i, jj))
-                nxt[(i, jj)] = term if prev is None else prev + term
-        P = nxt
-
+    P = staircase_product(
+        m, n, lambda r, gen: _lift_ladder(legs, r, gen, inner), ident
+    )
     zero = TruncatedOperator.zero(legs, inner)
     table = {}
     for i in range(1, N + 1):
@@ -558,46 +487,24 @@ def rep_letter(m: int, n: int, i: int, j: int, cutoff: int) -> TruncatedOperator
     return table[(i, j)]
 
 
-def rep_tpoly(f: NCPoly, m: int, n: int, cutoff: int, through=None) -> TruncatedOperator:
+def rep_tpoly(f: NCPoly, m: int, n: int, cutoff: int) -> TruncatedOperator:
     """Multiplicative-linear extension to polynomials in the t letters.
-
-    With ``through`` set, every factor is pre-restricted so the result is
-    certified (exactly) on inputs of degree <= through, which is much
-    cheaper than the full slice for long words.
 
     Words are grouped on their last letter, recursively: the image of
     sum_a (f / a) a is sum_a image(f / a) . A_a, so words that share a
-    prefix share its compositions.  Each letter is restricted once, a word's
-    coefficient rides on its first letter, and every product associates
-    left to right; a composition's certificate depends only on its left
-    factor's certificate and its right factor's observed shift, and a sum
-    takes the smallest certificate and the largest shift bounds.  So the
-    certificate, shift bounds and entries are those of multiplying out and
-    summing word by word.  (A word need not start from the restricted
-    identity: no letter raises the degree by more than one, so with one
-    degree of budget per letter that factor never cuts below ``through``.)
+    prefix share its compositions.  A word's coefficient rides on its first
+    letter, and every product associates left to right; a composition's
+    certificate depends only on its left factor's certificate and its right
+    factor's observed shift, and a sum takes the smallest certificate and
+    the largest shift bounds.  So the certificate, shift bounds and entries
+    are those of multiplying out and summing word by word.
     """
-    return _tpoly_image(f, m, n, cutoff, through, {})
-
-
-def _tpoly_image(f: NCPoly, m: int, n: int, cutoff: int, through, letters: dict):
-    """:func:`rep_tpoly`, keeping each restricted letter image in ``letters``
-    under (letter, budget), so calls that share the dict restrict it once."""
-    table, ident, zero, inner = _machine(m, n, cutoff)
-    budget = None
-    if through is not None:
-        budget = through + max((len(w) for w in f.terms), default=0)
+    table, ident, zero, _ = _machine(m, n, cutoff)
 
     def letter(g):
-        op = letters.get((g, budget))
-        if op is None:
-            if g.kind != "t":
-                raise ValueError(f"expected a t-letter, got {g.token()}")
-            op = table[(g.row, g.col)]
-            if budget is not None:
-                op = op.restrict(budget)
-            letters[(g, budget)] = op
-        return op
+        if g.kind != "t":
+            raise ValueError(f"expected a t-letter, got {g.token()}")
+        return table[(g.row, g.col)]
 
     def image(terms: dict):
         """Image of sum c_w w over non-empty words w."""
@@ -618,11 +525,9 @@ def _tpoly_image(f: NCPoly, m: int, n: int, cutoff: int, through, letters: dict)
     c = terms.pop((), None)
     acc = image(terms) if terms else None
     if c is not None:
-        lone = (ident if budget is None else ident.restrict(budget)).scale(c)
+        lone = ident.scale(c)
         acc = lone if acc is None else acc + lone
-    if acc is None:
-        return TruncatedOperator.zero(m * n, inner)
-    return acc if through is None else acc.restrict(through)
+    return zero if acc is None else acc
 
 
 def rep_minor(m: int, n: int, label: tuple, cutoff: int) -> TruncatedOperator:
@@ -679,13 +584,9 @@ def rep_pol_word(word: tuple, m: int, n: int, cutoff: int) -> TruncatedOperator:
 
 
 def rep_pol_poly(f: NCPoly, m: int, n: int, cutoff: int) -> TruncatedOperator:
-    return _pol_poly_image(f, m, n, cutoff, lambda w: rep_pol_word(w, m, n, cutoff))
-
-
-def _pol_poly_image(f: NCPoly, m: int, n: int, cutoff: int, word_image):
     acc = None
     for word, c in f.terms.items():
-        piece = word_image(word).scale(c)
+        piece = rep_pol_word(word, m, n, cutoff).scale(c)
         acc = piece if acc is None else acc + piece
     if acc is None:
         _, _, zero, _ = _machine(m, n, cutoff)
@@ -693,52 +594,44 @@ def _pol_poly_image(f: NCPoly, m: int, n: int, cutoff: int, word_image):
     return acc
 
 
-def vacuum_eigenvalue(op: TruncatedOperator) -> Scalar:
-    """Eigenvalue on the vacuum vector; raises if the vacuum is not fixed."""
+def vacuum_eigenvalue(op) -> Scalar:
+    """Eigenvalue on the vacuum vector of a truncated or ladder operator;
+    raises if the vacuum is not fixed."""
     zero_idx = (0,) * op.legs
-    col = op.column(zero_idx)
-    extra = [k for k in col if k != zero_idx]
-    if extra:
+    img = op.apply({zero_idx: ONE})
+    if img.keys() - {zero_idx}:
         raise ValueError("vacuum vector is not an eigenvector")
-    return col.get(zero_idx, ZERO)
+    return img.get(zero_idx, ZERO)
 
 
-def apply_coordinate_word(word: tuple, m: int, n: int, cutoff: int) -> dict:
+def apply_coordinate_word(word: tuple, m: int, n: int) -> dict:
     """The vector (image of the word applied to the vacuum), word read left to right."""
     vec = {(0,) * (m * n): ONE}
     for g in reversed(word):
-        if g.kind == "z":
-            op = rep_coordinate(m, n, g.row, g.col, cutoff)
-        elif g.kind == "zs":
-            op = rep_coordinate_star(m, n, g.row, g.col, cutoff)
-        else:
-            raise ValueError(f"no operator image for letter {g.token()}")
-        vec = op.apply(vec)
+        vec = coordinate_image(g, m, n).apply(vec)
     return vec
 
 
 # ---------------------------------------------------------------------------
-# certified laws
+# laws of the representation, as identities of ladder operators
+#
+# Each law below compares exact q-difference operators (module
+# :mod:`qmatball.ladder`), so it holds at every degree of the ladder space.
 
 
-def diagonal_laws_ok(m: int, n: int, cutoff: int | None = None) -> bool:
+def diagonal_laws_ok(m: int, n: int) -> bool:
     """Corner minor diagonal q^-(total); volume element diagonal q^-2(total)."""
-    if cutoff is None:
-        cutoff = default_cutoff(m, n)
-    corner_diagonal(m, n, cutoff)  # raises when violated
-    vol = rep_tpoly(volume_element(m, n), m, n, cutoff)
-    return vol.is_diagonal_with(lambda k: q_pow(-2 * sum(k)))
+    corner_image(m, n)  # raises when violated
+    vol = tpoly_image(volume_element(m, n), m, n)
+    return vol == LadderOperator.diagonal(m * n, (2,) * (m * n))
 
 
-def vacuum_modulus_value(m: int, n: int, cutoff: int | None = None) -> Scalar:
+def vacuum_modulus_value(m: int, n: int) -> Scalar:
     """The vacuum eigenvalue of the opposite corner minor."""
-    if cutoff is None:
-        cutoff = default_cutoff(m, n)
-    op = rep_minor(m, n, opposite_corner_label(m, n), cutoff)
-    return vacuum_eigenvalue(op)
+    return vacuum_eigenvalue(tpoly_image(qminor(*opposite_corner_label(m, n)), m, n))
 
 
-def vacuum_modulus_ok(m, n, s0_list=(Fraction(1, 2), Fraction(9, 10)), cutoff=None):
+def vacuum_modulus_ok(m, n, s0_list=(Fraction(1, 2), Fraction(9, 10))):
     """|vacuum eigenvalue|^2 = q^-2mn, symbolically and at sample points.
 
     The opposite corner minor kills every excited-column companion minor on
@@ -746,7 +639,7 @@ def vacuum_modulus_ok(m, n, s0_list=(Fraction(1, 2), Fraction(9, 10)), cutoff=No
     minor has vacuum eigenvalue 1, the volume element eigenvalue 1, and the
     two minors are adjoint up to (-q)^mn.
     """
-    c = vacuum_modulus_value(m, n, cutoff)
+    c = vacuum_modulus_value(m, n)
     cc = c * c.conjugate()
     if cc != q_pow(-2 * m * n):
         return False
@@ -757,88 +650,56 @@ def vacuum_modulus_ok(m, n, s0_list=(Fraction(1, 2), Fraction(9, 10)), cutoff=No
     return True
 
 
-def type_identity_ok(m: int, n: int, through: int, cutoff: int | None = None) -> bool:
+def type_identity_ok(m: int, n: int) -> bool:
     """adjoint(image of t[i,j]) = rowsign(i) colsign(j) image of its involute."""
-    if cutoff is None:
-        cutoff = default_cutoff(m, n)
     N = m + n
-    letters: dict = {}  # the N^2 involutes share their restricted letters
+    letters = letter_images(m, n)
     for i in range(1, N + 1):
         for j in range(1, N + 1):
-            base = rep_letter(m, n, i, j, cutoff)
-            lhs = base.restrict(min(base.cert, through + base.down)).adjoint()
-            img = _tpoly_image(star_compact(i, j, N), m, n, cutoff, through, letters)
+            img = tpoly_image(star_compact(i, j, N), m, n)
             if row_sign(i, m) * col_sign(j, n) == -1:
                 img = -img
-            if not lhs.agrees_with(img, through=through):
+            if letters[(i, j)].adjoint() != img:
                 return False
     return True
 
 
-def det_is_identity_ok(m: int, n: int, cutoff: int | None = None, through=None) -> bool:
+def det_is_identity_ok(m: int, n: int) -> bool:
     """The full quantum determinant acts as the identity."""
-    if cutoff is None:
-        cutoff = default_cutoff(m, n)
-    op = rep_tpoly(qdet(m + n), m, n, cutoff, through=through)
-    return op.is_diagonal_with(lambda k: ONE)
+    return tpoly_image(qdet(m + n), m, n) == LadderOperator.identity(m * n)
 
 
-def minor_conjugation_ok(m, n, k, cutoff=None, through=None) -> bool:
+def minor_conjugation_ok(m: int, n: int, k: int) -> bool:
     """Involute of the k x k corner minor vs the complementary corner minor.
 
     The compact involution sends the top-right k-minor to (-q)^(k(N-k))
-    times the bottom-left (N-k)-minor; verified on the certified slice.
+    times the bottom-left (N-k)-minor.
     """
-    if cutoff is None:
-        cutoff = default_cutoff(m, n)
     N = m + n
     top = qminor(range(1, k + 1), range(N - k + 1, N + 1))
-    lhs = rep_tpoly(star_compact_poly(top, N), m, n, cutoff, through=through)
-    rhs = rep_tpoly(
-        qminor(range(k + 1, N + 1), range(1, N - k + 1)), m, n, cutoff, through=through
-    ).scale(neg_q_pow(k * (N - k)))
-    return lhs.agrees_with(rhs, through=through)
+    lhs = tpoly_image(star_compact_poly(top, N), m, n)
+    rhs = tpoly_image(qminor(range(k + 1, N + 1), range(1, N - k + 1)), m, n)
+    return lhs == rhs.scale(neg_q_pow(k * (N - k)))
 
 
-def corner_adjoint_relation_ok(m: int, n: int, cutoff: int | None = None) -> bool:
+def corner_adjoint_relation_ok(m: int, n: int) -> bool:
     """Corner minor = (-q)^mn adjoint(opposite corner minor) as operators."""
-    if cutoff is None:
-        cutoff = default_cutoff(m, n)
-    up = rep_minor(m, n, corner_minor_label(m, n), cutoff)
-    lo = rep_minor(m, n, opposite_corner_label(m, n), cutoff)
-    return up.agrees_with(lo.adjoint().scale(neg_q_pow(m * n)))
+    up = tpoly_image(qminor(*corner_minor_label(m, n)), m, n)
+    lo = tpoly_image(qminor(*opposite_corner_label(m, n)), m, n)
+    return up == lo.adjoint().scale(neg_q_pow(m * n))
 
 
-def rules_as_operators_failures(m: int, n: int, cutoff: int | None = None) -> list:
+def rules_as_operators_failures(m: int, n: int) -> list:
     """Every coordinate-algebra rewrite rule as an exact operator identity.
 
-    Returns the list of (pattern, certificate) pairs that fail; empty means
-    all rules hold on their certified slices.
+    Returns the patterns of the rules that fail; empty means every rule
+    holds on the whole ladder space.
     """
-    if cutoff is None:
-        cutoff = default_cutoff(m, n)
-    pol = make_preset("Pol", m, n)
-    rules = pol.presentation.rules
-    # each distinct word is built once, and dropped after its last use
-    uses = Counter(w for pat, repl in rules.items() for w in (pat, *repl.terms))
-    images: dict = {}
-
-    def word_image(w):
-        op = images.pop(w, None)
-        if op is None:
-            op = rep_pol_word(w, m, n, cutoff)
-        uses[w] -= 1
-        if uses[w]:
-            images[w] = op
-        return op
-
-    bad = []
-    for pat, repl in rules.items():
-        lhs = word_image(pat)
-        rhs = _pol_poly_image(repl, m, n, cutoff, word_image)
-        if not lhs.agrees_with(rhs):
-            bad.append((pat, min(lhs.cert, rhs.cert)))
-    return bad
+    rules = make_preset("Pol", m, n).presentation.rules
+    return [
+        pat for pat, repl in rules.items()
+        if pol_image(NCPoly.from_word(pat), m, n) != pol_image(repl, m, n)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -985,13 +846,9 @@ def _leading_minors_positive(G) -> bool:
     return all(p.im == 0 and p.re > 0 for p in mat_leading_pivots(G))
 
 
-def fock_gram_matrix(m: int, n: int, k: int, cutoff: int | None = None):
+def fock_gram_matrix(m: int, n: int, k: int):
     """Gram matrix of the vacuum orbit vectors of the degree-k monomials."""
-    if cutoff is None:
-        cutoff = default_cutoff(m, n)
-    basis = hilbert_basis(m, n, k)
-    vecs = [apply_coordinate_word(w, m, n, cutoff) for w in basis]
-    return _vector_gram(vecs)
+    return _vector_gram([apply_coordinate_word(w, m, n) for w in hilbert_basis(m, n, k)])
 
 
 def _vector_gram(vecs):
@@ -1058,16 +915,15 @@ def pairing_block_theta(f: NCPoly, m: int, n: int, k_in: int, k_out: int):
     return mat_mul([list(col) for col in zip(*T)], gram_matrix(m, n, k_out))
 
 
-def pairing_block_fock(op, m: int, n: int, k_in: int, k_out: int, cutoff=None):
-    """Same pairings computed on the ladder side for the operator image."""
-    if cutoff is None:
-        cutoff = default_cutoff(m, n)
-    vin = [apply_coordinate_word(w, m, n, cutoff) for w in hilbert_basis(m, n, k_in)]
-    vout = [apply_coordinate_word(w, m, n, cutoff) for w in hilbert_basis(m, n, k_out)]
+def pairing_block_fock(op, m: int, n: int, k_in: int, k_out: int):
+    """Same pairings computed on the ladder side for the operator image
+    (a truncated or ladder operator: anything with ``apply``)."""
+    vin = [apply_coordinate_word(w, m, n) for w in hilbert_basis(m, n, k_in)]
+    vout = [apply_coordinate_word(w, m, n) for w in hilbert_basis(m, n, k_out)]
     return [[_fock_inner(img, vr) for vr in vout] for img in map(op.apply, vin)]
 
 
-def equivalence_report(m: int, n: int, through: int, cutoff: int | None = None) -> dict:
+def equivalence_report(m: int, n: int, through: int) -> dict:
     """Unitary-equivalence certificate between the two module pictures.
 
     * gram: the symbolic Gram matrix equals the ladder-side Gram matrix in
@@ -1077,33 +933,34 @@ def equivalence_report(m: int, n: int, through: int, cutoff: int | None = None) 
       the ladder-side pairings (so the isometry intertwines the actions);
     * projector: same for the rank-one projector block.
     Together with the rewrite rules holding as operator identities, this is
-    exactly unitary equivalence on the certified slab.
+    exactly unitary equivalence on the slab of degrees <= through.
     """
-    if cutoff is None:
-        cutoff = default_cutoff(m, n)
     report = {"gram": True, "raising": True, "lowering": True, "projector": True}
     for k in range(through + 1):
-        if gram_matrix(m, n, k) != fock_gram_matrix(m, n, k, cutoff):
+        if gram_matrix(m, n, k) != fock_gram_matrix(m, n, k):
             report["gram"] = False
     pol = make_preset("Pol", m, n)
     for g in pol.presentation.symbols("z"):
         zpoly = NCPoly.from_word((g,))
-        op = rep_coordinate(m, n, g.row, g.col, cutoff)
+        op = coordinate_image(g, m, n)
         for k in range(through):
             if pairing_block_theta(zpoly, m, n, k, k + 1) != pairing_block_fock(
-                op, m, n, k, k + 1, cutoff
+                op, m, n, k, k + 1
             ):
                 report["raising"] = False
-        spoly = NCPoly.from_word((sym("zs", g.row, g.col),))
-        sop = rep_coordinate_star(m, n, g.row, g.col, cutoff)
+        gs = sym("zs", g.row, g.col)
+        spoly = NCPoly.from_word((gs,))
+        sop = coordinate_image(gs, m, n)
         for k in range(1, through + 1):
             if pairing_block_theta(spoly, m, n, k, k - 1) != pairing_block_fock(
-                sop, m, n, k, k - 1, cutoff
+                sop, m, n, k, k - 1
             ):
                 report["lowering"] = False
+    # the projector is no q-difference operator; its block lives on the
+    # vacuum alone, where the one-entry slice is the whole operator
     f0poly = NCPoly.from_word((sym("f0"),))
     if pairing_block_theta(f0poly, m, n, 0, 0) != pairing_block_fock(
-        rep_projector(m, n, cutoff), m, n, 0, 0, cutoff
+        rep_projector(m, n, 0), m, n, 0, 0
     ):
         report["projector"] = False
     return report

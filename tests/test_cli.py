@@ -291,15 +291,35 @@ class TestRepCheck:
         assert code == 0
         assert "FAIL" not in out
 
+    def test_cutoff_no_longer_bounds_the_checks(self, capsys):
+        # with truncated slices this cutoff was too small for degree 3 and
+        # exited 1; the ladder operators are exact at every degree
+        code, out, err = run(
+            capsys, "rep-check", "--mn", "1x1", "--max-degree", "3", "--cutoff", "2"
+        )
+        assert (code, err) == (0, "")
+        assert "9/9 checks passed" in out
+
+    def test_three_by_three_battery(self, capsys):
+        code, out, _ = run(capsys, "rep-check", "--mn", "3x3", "--max-degree", "1")
+        assert code == 0
+        assert out.count("PASS") == 9
+        assert "9/9 checks passed" in out
+
     @pytest.mark.parametrize(
         "mn,k,digest",
         [
             ("2x2", "2", "3b33e348b920dc7c3d650d41c38846a6bf4324d0af0d839eb5f7f047f9a1d231"),
             ("1x2", "3", "6e7f0c560354f842637529eb0b0b0d474ca3eeaf6e2dd2fbc8cf10d2b0af2433"),
+            ("1x1", "2", "3b33e348b920dc7c3d650d41c38846a6bf4324d0af0d839eb5f7f047f9a1d231"),
+            ("2x1", "2", "3b33e348b920dc7c3d650d41c38846a6bf4324d0af0d839eb5f7f047f9a1d231"),
+            ("1x3", "2", "3b33e348b920dc7c3d650d41c38846a6bf4324d0af0d839eb5f7f047f9a1d231"),
+            ("2x3", "1", "6f6309a5f508eeb4307aa02e17f4edf6047f16997a9cd069985fb177d7e797bf"),
         ],
     )
     def test_stdout_golden(self, capsys, mn, k, digest):
-        # sha256 of stdout recorded before operator entries shared a product table
+        # sha256 of stdout recorded with truncated operator slices (the first
+        # two before operator entries shared a product table)
         code, out, _ = run(capsys, "rep-check", "--mn", mn, "--max-degree", k)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -11,10 +11,10 @@ from fractions import Fraction
 
 import pytest
 
-from qmatball import fockrep
+from qmatball import fockrep, ladder
 
 from qmatball.algebras import make_preset, star
-from qmatball.field import GaussRat, I, ONE, Scalar, q_pow
+from qmatball.field import GaussRat, I, ONE, Scalar, q_pow, s_pow
 from qmatball.fockrep import (
     CutoffError,
     TruncatedOperator,
@@ -45,8 +45,6 @@ from qmatball.fockrep import (
     rep_projector,
     rep_tpoly,
     rules_as_operators_failures,
-    sign_chain,
-    staircase_transpositions,
     theta_block,
     type_identity_ok,
     vacuum_eigenvalue,
@@ -54,6 +52,7 @@ from qmatball.fockrep import (
     vacuum_modulus_value,
 )
 from qmatball.fockrep import _leading_minors_positive
+from qmatball.ladder import sign_chain, staircase_transpositions
 from qmatball.linalg import mat_det
 from qmatball.qminors import (
     qdet,
@@ -178,6 +177,11 @@ def _tpoly_word_by_word(f, m, n, cutoff, through=None):
     return acc if through is None else acc.restrict(through)
 
 
+def _sliced(op, through):
+    """The image cut to inputs of degree <= through (None keeps it whole)."""
+    return op if through is None else op.restrict(through)
+
+
 def _same_operator(a, b) -> bool:
     return (
         (a.legs, a.cert, a.up, a.down, a._obs_up, a._obs_down)
@@ -200,7 +204,12 @@ def _tpolys(m, n):
 
 
 class TestGroupedWordImages:
-    """rep_tpoly shares prefixes between words; the plain loop is the reference."""
+    """rep_tpoly shares prefixes between words; the plain loop is the reference.
+
+    With ``through`` set, the reference multiplies letters pre-restricted to
+    one degree of budget per letter, and the full image cut to the same
+    slice must equal it.
+    """
 
     # at these cutoffs the reference's restricted identity is a real factor
     # (budget below cutoff + legs) for small `through` and the identity
@@ -212,14 +221,14 @@ class TestGroupedWordImages:
     )
     def test_matches_word_by_word(self, mn, cutoff, through, which):
         f = _tpolys(*mn)[which]
-        got = rep_tpoly(f, *mn, cutoff, through=through)
+        got = _sliced(rep_tpoly(f, *mn, cutoff), through)
         assert _same_operator(got, _tpoly_word_by_word(f, *mn, cutoff, through))
 
     def test_matches_word_by_word_at_default_cutoff(self):
         for through in (None, 2):
             f = qdet(3)
             assert _same_operator(
-                rep_tpoly(f, 1, 2, 12, through=through), _tpoly_word_by_word(f, 1, 2, 12, through)
+                _sliced(rep_tpoly(f, 1, 2, 12), through), _tpoly_word_by_word(f, 1, 2, 12, through)
             )
 
     @pytest.mark.parametrize("mn, cutoff", [((1, 1), 4), ((1, 2), 4), ((2, 1), 4), ((2, 2), 3), ((2, 3), 1)])
@@ -237,7 +246,7 @@ class TestGroupedWordImages:
         for through in (None, 1):
             c = NCPoly.one().scale(q_pow(2))
             assert _same_operator(
-                rep_tpoly(c, 1, 2, 4, through=through), _tpoly_word_by_word(c, 1, 2, 4, through)
+                _sliced(rep_tpoly(c, 1, 2, 4), through), _tpoly_word_by_word(c, 1, 2, 4, through)
             )
 
 
@@ -308,49 +317,57 @@ class TestRankOneLadder:
 
     def test_word_operator_matches_vector_orbit(self):
         word = (sym("z", 1, 1), sym("z", 1, 1))
-        vec = apply_coordinate_word(word, 1, 1, self.CUT)
+        vec = apply_coordinate_word(word, 1, 1)
         assert vec == {(2,): q_pow(1) * q_pow(2)}
 
 
+# the laws hold as identities of exact ladder operators, at every degree
+LAW_SIZES = [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (2, 3), (3, 2)]
+
+
 class TestCertifiedLaws:
-    @pytest.mark.parametrize("mn", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    @pytest.mark.parametrize("mn", LAW_SIZES)
     def test_diagonal_laws(self, mn):
         assert diagonal_laws_ok(*mn)
 
-    @pytest.mark.parametrize("mn", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    @pytest.mark.parametrize("mn", LAW_SIZES)
     def test_vacuum_modulus(self, mn):
         assert vacuum_modulus_ok(*mn)
 
-    @pytest.mark.parametrize("mn", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    @pytest.mark.parametrize("mn", LAW_SIZES)
     def test_corner_adjoint_relation(self, mn):
         assert corner_adjoint_relation_ok(*mn)
 
-    @pytest.mark.parametrize("mn", [(1, 1), (1, 2), (2, 1)])
+    @pytest.mark.parametrize("mn", [(1, 1), (1, 2), (2, 1), (1, 3), (2, 3), (3, 2)])
     def test_determinant_acts_as_identity(self, mn):
         assert det_is_identity_ok(*mn)
 
     def test_determinant_acts_as_identity_two_by_two(self):
-        assert det_is_identity_ok(2, 2, through=4)
+        assert det_is_identity_ok(2, 2)
 
-    @pytest.mark.parametrize("mn", [(1, 1), (1, 2), (2, 1)])
+    @pytest.mark.parametrize("mn", [(1, 1), (1, 2), (2, 1), (1, 3), (2, 3), (3, 2)])
     def test_type_identity(self, mn):
-        assert type_identity_ok(*mn, 4)
+        assert type_identity_ok(*mn)
 
     def test_type_identity_two_by_two(self):
-        assert type_identity_ok(2, 2, 3)
+        assert type_identity_ok(2, 2)
 
-    @pytest.mark.parametrize("mn,k", [((1, 1), 1), ((1, 2), 1), ((1, 2), 2), ((2, 1), 1), ((2, 1), 2)])
+    @pytest.mark.parametrize(
+        "mn,k",
+        [((1, 1), 1), ((1, 2), 1), ((1, 2), 2), ((2, 1), 1), ((2, 1), 2),
+         ((1, 3), 2), ((2, 3), 2), ((3, 2), 1)],
+    )
     def test_minor_conjugation(self, mn, k):
         assert minor_conjugation_ok(*mn, k)
 
     def test_minor_conjugation_two_by_two(self):
-        assert minor_conjugation_ok(2, 2, 1, through=3)
+        assert minor_conjugation_ok(2, 2, 1)
 
     def test_corner_minor_spectrum(self):
         op = corner_diagonal(1, 2, 10)
         assert op.entries[((2, 1), (2, 1))] == q_pow(-3)
 
-    @pytest.mark.parametrize("mn", [(1, 1), (1, 2), (2, 1)])
+    @pytest.mark.parametrize("mn", [(1, 1), (1, 2), (2, 1), (1, 3), (2, 3), (3, 2)])
     def test_rewrite_rules_hold_as_operators(self, mn):
         assert rules_as_operators_failures(*mn) == []
 
@@ -521,6 +538,50 @@ class TestFailedCertificatesRaise:
         _with_planted_rules(monkeypatch, "Pol", lambda rules: {(z, zs): NCPoly.one()})
         with pytest.raises(ArithmeticError, match=r"z\[1,1\].*zs\[1,1\].*front"):
             fockrep.projector_pairing_matrix.__wrapped__(1, 1, 1)
+
+
+def _first_rule_scaled_by_s2(rules):
+    pat, repl = next((p, r) for p, r in rules.items() if r)
+    return {pat: repl.scale(s_pow(2))}
+
+
+class TestLawsCatchPlantedFaults:
+    def test_a_rescaled_rule_fails_as_an_operator(self, monkeypatch):
+        _with_planted_rules(monkeypatch, "Pol", _first_rule_scaled_by_s2)
+        bad = rules_as_operators_failures(2, 2)
+        assert bad == list(_first_rule_scaled_by_s2(make_preset("Pol", 2, 2).presentation.rules))
+
+    @pytest.fixture
+    def phased_letters(self, monkeypatch):
+        """Letters conjugated by the unitary e_k -> i^(k_0) e_k: leg 0's t11
+        gains the factor i and its t22 the factor -i.  Every letter
+        coefficient is real otherwise, so only such letters tell an adjoint
+        that conjugates from one that does not."""
+        real = ladder._generator
+
+        def phased(legs, leg, gen):
+            op = real(legs, leg, gen)
+            if leg == 0 and gen in ("t11", "t22"):
+                return op.scale(I if gen == "t11" else -I)
+            return op
+
+        monkeypatch.setattr(ladder, "_generator", phased)
+        ladder.letter_images.cache_clear()
+        yield
+        ladder.letter_images.cache_clear()
+
+    @pytest.mark.parametrize("mn", [(1, 1), (2, 2)])
+    def test_phased_letters_keep_the_type_identity(self, phased_letters, mn):
+        assert any(c.conjugate() != c for op in ladder.letter_images(*mn).values()
+                   for c in op.terms.values())
+        assert type_identity_ok(*mn)
+
+    @pytest.mark.parametrize("mn", [(1, 1), (2, 2)])
+    def test_an_adjoint_without_conjugation_fails_the_type_identity(
+        self, phased_letters, monkeypatch, mn
+    ):
+        monkeypatch.setattr(Scalar, "conjugate", lambda c: c)
+        assert not type_identity_ok(*mn)
 
 
 def _gauss_matrix(rows):
