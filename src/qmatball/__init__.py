@@ -86,6 +86,7 @@ _LRU_CACHES = (
     _fockrep.rep_coordinate_star,
     _fockrep.gram_matrix,
     _fockrep.projector_pairing_matrix,
+    _fockrep.vacuum_orbit,
     _letter_images,
     _coordinate_images,
     _integral.modular_weights,

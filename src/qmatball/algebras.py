@@ -18,7 +18,6 @@ plus an involution-availability flag.  Construction is cached per
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 
 from .braiding import (
     rules_conj_coord_diff,
@@ -149,16 +148,53 @@ def _build_presentation(name: str, m: int, n: int, diff_first: bool) -> Presenta
     raise ValueError(f"unknown preset {name!r}; known: {PRESET_NAMES}")
 
 
-@dataclass(frozen=True)
 class AlgebraPreset:
-    """A named algebra with its rewriting presentation and capabilities."""
+    """A named algebra with its rewriting presentation and capabilities.
 
-    name: str
-    m: int
-    n: int
-    presentation: Presentation = field(compare=False, repr=False)
-    has_star: bool = False
-    diff_first: bool = False
+    Immutable.  Equality, hash and repr use every field but the
+    presentation, which the other fields determine.
+    """
+
+    __slots__ = ("name", "m", "n", "presentation", "has_star", "diff_first")
+
+    def __init__(
+        self,
+        name: str,
+        m: int,
+        n: int,
+        presentation: Presentation,
+        has_star: bool = False,
+        diff_first: bool = False,
+    ):
+        values = (name, m, n, presentation, has_star, diff_first)
+        for attr, value in zip(self.__slots__, values):
+            object.__setattr__(self, attr, value)
+
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"cannot assign to field {attr!r} of an AlgebraPreset")
+
+    def __delattr__(self, attr):
+        raise AttributeError(f"cannot delete field {attr!r} of an AlgebraPreset")
+
+    def __reduce__(self):
+        return (self.__class__, tuple(getattr(self, a) for a in self.__slots__))
+
+    def _key(self) -> tuple:
+        return (self.name, self.m, self.n, self.has_star, self.diff_first)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (
+            f"AlgebraPreset(name={self.name!r}, m={self.m!r}, n={self.n!r}, "
+            f"has_star={self.has_star!r}, diff_first={self.diff_first!r})"
+        )
 
     def normal_form(self, f: NCPoly, strategy: str = "leftmost") -> NCPoly:
         return self.presentation.normal_form(f, strategy)

@@ -27,10 +27,8 @@ emitted with sorted keys and every enumeration is sorted.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
-import random
 import sys
 from fractions import Fraction
 from math import isqrt
@@ -263,6 +261,8 @@ def cmd_gram(args) -> int:
         payload["positive_minors_through_degree"] = ok
         code = 0 if ok else 2
     if args.format == "csv":
+        import csv
+
         buf = io.StringIO()
         buf.write(f"# mn={m}x{n} degree={k} dimension={d}\n")
         writer = csv.writer(buf, lineterminator="\n")
@@ -279,6 +279,8 @@ def cmd_gram(args) -> int:
 def cmd_integral(args) -> int:
     preset = parse_preset(args.algebra)
     if args.positivity:
+        import random
+
         s0 = _parse_q0(args.q0) if args.q0 else Fraction(1, 2)
         rng = random.Random(args.seed)
         zs = preset.presentation.symbols("z")

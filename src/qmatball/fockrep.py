@@ -35,7 +35,6 @@ certificates of the test suite.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 from fractions import Fraction
@@ -63,7 +62,6 @@ from .qminors import (
     qminor,
     row_sign,
     star_compact,
-    star_compact_poly,
     volume_element,
 )
 from .words import NCPoly, sym, word_tokens
@@ -99,6 +97,7 @@ __all__ = [
     "gram_matrix",
     "gram_minors_positive",
     "fock_gram_matrix",
+    "vacuum_orbit",
     "projector_pairing_matrix",
     "projector_pairing_rank",
     "pairing_block_theta",
@@ -674,10 +673,24 @@ def minor_conjugation_ok(m: int, n: int, k: int) -> bool:
 
     The compact involution sends the top-right k-minor to (-q)^(k(N-k))
     times the bottom-left (N-k)-minor.
+
+    The involution is conjugate-linear and antimultiplicative, so the image
+    of the involute of a word is the composition of its letters' involute
+    images in reverse order; the involute itself is never multiplied out.
     """
     N = m + n
+    legs = m * n
     top = qminor(range(1, k + 1), range(N - k + 1, N + 1))
-    lhs = tpoly_image(star_compact_poly(top, N), m, n)
+    involutes = {
+        g: tpoly_image(star_compact(g.row, g.col, N), m, n)
+        for g in {g for word in top.terms for g in word}
+    }
+    lhs = LadderOperator(legs, {})
+    for word, c in top.terms.items():
+        piece = LadderOperator.identity(legs).scale(c.conjugate())
+        for g in reversed(word):
+            piece = piece.compose(involutes[g])
+        lhs = lhs + piece
     rhs = tpoly_image(qminor(range(k + 1, N + 1), range(1, N - k + 1)), m, n)
     return lhs == rhs.scale(neg_q_pow(k * (N - k)))
 
@@ -846,9 +859,16 @@ def _leading_minors_positive(G) -> bool:
     return all(p.im == 0 and p.re > 0 for p in mat_leading_pivots(G))
 
 
+@lru_cache(maxsize=None)
+def vacuum_orbit(m: int, n: int, k: int) -> tuple:
+    """The vacuum orbit vectors of the degree-k monomials, in
+    :func:`hilbert_basis` order.  Shared between callers: do not mutate."""
+    return tuple(apply_coordinate_word(w, m, n) for w in hilbert_basis(m, n, k))
+
+
 def fock_gram_matrix(m: int, n: int, k: int):
     """Gram matrix of the vacuum orbit vectors of the degree-k monomials."""
-    return _vector_gram([apply_coordinate_word(w, m, n) for w in hilbert_basis(m, n, k)])
+    return _vector_gram(vacuum_orbit(m, n, k))
 
 
 def _vector_gram(vecs):
@@ -918,9 +938,9 @@ def pairing_block_theta(f: NCPoly, m: int, n: int, k_in: int, k_out: int):
 def pairing_block_fock(op, m: int, n: int, k_in: int, k_out: int):
     """Same pairings computed on the ladder side for the operator image
     (a truncated or ladder operator: anything with ``apply``)."""
-    vin = [apply_coordinate_word(w, m, n) for w in hilbert_basis(m, n, k_in)]
-    vout = [apply_coordinate_word(w, m, n) for w in hilbert_basis(m, n, k_out)]
-    return [[_fock_inner(img, vr) for vr in vout] for img in map(op.apply, vin)]
+    vout = vacuum_orbit(m, n, k_out)
+    images = map(op.apply, vacuum_orbit(m, n, k_in))
+    return [[_fock_inner(img, vr) for vr in vout] for img in images]
 
 
 def equivalence_report(m: int, n: int, through: int) -> dict:
@@ -980,6 +1000,8 @@ def operator_rows(op: TruncatedOperator) -> list:
 
 
 def operator_csv(op: TruncatedOperator) -> str:
+    import csv
+
     buf = io.StringIO()
     buf.write(
         f"# legs={op.legs} cert={op.cert} shift_up={op.up} shift_down={op.down}\n"

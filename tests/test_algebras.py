@@ -1,5 +1,6 @@
 """Algebra presets: rule tables, dimensions, involution, differential."""
 
+import copy
 import math
 import random
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from qmatball.algebras import (
     PRESET_NAMES,
+    AlgebraPreset,
     commutation_rules,
     differential,
     in_projection_slice,
@@ -18,7 +20,7 @@ from qmatball.algebras import (
     star_words,
 )
 from qmatball.field import I, ONE, q_pow
-from qmatball.words import NCPoly, sym
+from qmatball.words import NCPoly, Presentation, sym
 
 
 class TestCommutationRules:
@@ -105,6 +107,52 @@ class TestPresets:
         a = make_preset("Pol", 2, 2)
         b = make_preset("pol", 2, 2)
         assert a.presentation is b.presentation
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_make_preset_fields(self, name):
+        preset = make_preset(name.upper(), 2, 3)
+        # the repr leaves the presentation out
+        assert repr(preset) == (
+            f"AlgebraPreset(name={name!r}, m=2, n=3, "
+            f"has_star={name in ('Pol', 'Omega', 'FunU', 'DU')}, diff_first=False)"
+        )
+        assert (preset.presentation.name, preset.presentation.m) == (name, 2)
+        assert preset.label() == f"{name.lower()}:2x3"
+
+    def test_diff_first_field(self):
+        preset = make_preset("Lambda", 2, 3, diff_first=True)
+        assert repr(preset) == (
+            "AlgebraPreset(name='Lambda', m=2, n=3, has_star=False, diff_first=True)"
+        )
+        assert preset != make_preset("Lambda", 2, 3)
+
+    def test_equality_and_hash_ignore_the_presentation(self):
+        pol = make_preset("Pol", 2, 2)
+        pres = pol.presentation
+        other = Presentation("other", 2, 2, pres.kinds, dict(pres.rules))
+        twin = AlgebraPreset("Pol", 2, 2, other, has_star=True)
+        assert twin.presentation is not pres
+        assert twin == pol and hash(twin) == hash(pol)
+        assert len({pol, twin}) == 1
+        assert AlgebraPreset("Pol", 2, 2, other) != pol  # has_star differs
+        assert make_preset("Pol", 2, 1) != pol
+        assert pol != ("Pol", 2, 2, True, False)
+
+    @pytest.mark.parametrize(
+        "attr", ["name", "m", "n", "presentation", "has_star", "diff_first", "extra"]
+    )
+    def test_attributes_are_read_only(self, attr):
+        preset = make_preset("Pol", 1, 2)
+        with pytest.raises(AttributeError):
+            setattr(preset, attr, None)
+        with pytest.raises(AttributeError):
+            delattr(preset, attr)
+        assert preset == make_preset("Pol", 1, 2)
+
+    def test_copy_keeps_fields_and_presentation(self):
+        preset = make_preset("Omega", 1, 2)
+        dup = copy.copy(preset)
+        assert dup == preset and dup.presentation is preset.presentation
 
     def test_parse_preset_strings(self):
         p = parse_preset("cmat:2x2")

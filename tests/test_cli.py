@@ -4,11 +4,14 @@ import csv
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import qmatball
 from qmatball.cli import main
 from qmatball.field import ONE, Scalar, q_pow, s_pow
 from qmatball.fockrep import gram_matrix
@@ -478,3 +481,19 @@ class TestTopLevel:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["rows"][1]["dimension"] == 1
+
+
+def test_cold_import_skips_unused_stdlib_modules():
+    # dataclasses drags in inspect, ast, dis and tokenize; csv is needed only
+    # by the csv writers.  None of them belongs on the cold path of a verb.
+    code = (
+        "import sys; before = set(sys.modules); import qmatball, qmatball.cli; "
+        "print(' '.join(sorted({'dataclasses', 'inspect', 'csv'} & "
+        "(set(sys.modules) - before))))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(qmatball.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

@@ -6,14 +6,13 @@ checks (diagonal laws, type identity, operator-level rewrite rules, Gram
 agreement) certify the construction on explicit slices.
 """
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from qmatball import fockrep, ladder
 
-from qmatball.algebras import make_preset, star
+from qmatball.algebras import AlgebraPreset, make_preset, star
 from qmatball.field import GaussRat, I, ONE, Scalar, q_pow, s_pow
 from qmatball.fockrep import (
     CutoffError,
@@ -50,6 +49,7 @@ from qmatball.fockrep import (
     vacuum_eigenvalue,
     vacuum_modulus_ok,
     vacuum_modulus_value,
+    vacuum_orbit,
 )
 from qmatball.fockrep import _leading_minors_positive
 from qmatball.ladder import sign_chain, staircase_transpositions
@@ -355,7 +355,7 @@ class TestCertifiedLaws:
     @pytest.mark.parametrize(
         "mn,k",
         [((1, 1), 1), ((1, 2), 1), ((1, 2), 2), ((2, 1), 1), ((2, 1), 2),
-         ((1, 3), 2), ((2, 3), 2), ((3, 2), 1)],
+         ((1, 3), 2), ((2, 3), 2), ((3, 2), 1), ((3, 2), 3)],
     )
     def test_minor_conjugation(self, mn, k):
         assert minor_conjugation_ok(*mn, k)
@@ -394,6 +394,13 @@ class TestCyclicModuleSide:
         for mn in [(1, 1), (1, 2), (2, 1)]:
             for k in range(4):
                 assert gram_matrix(*mn, k) == fock_gram_matrix(*mn, k)
+
+    def test_vacuum_orbit_is_built_once_per_degree(self):
+        orbit = vacuum_orbit(2, 2, 2)
+        assert orbit is vacuum_orbit(2, 2, 2)
+        assert orbit == tuple(
+            apply_coordinate_word(w, 2, 2) for w in hilbert_basis(2, 2, 2)
+        )
 
     def test_gram_hermitian(self):
         G = gram_matrix(1, 2, 2)
@@ -511,7 +518,9 @@ def _with_planted_rules(monkeypatch, name, extra):
         pres = preset.presentation
         rules = {**pres.rules, **extra(pres.rules)}
         planted = Presentation("planted", m, n, pres.kinds, rules)
-        return dataclasses.replace(preset, presentation=planted)
+        return AlgebraPreset(
+            preset.name, m, n, planted, preset.has_star, preset.diff_first
+        )
 
     monkeypatch.setattr(fockrep, "make_preset", fake)
 
