@@ -331,6 +331,9 @@ def cmd_rep_check(args) -> int:
     # every law is an identity of exact ladder operators, so it holds at
     # every degree and --cutoff has nothing to bound; the type-identity line
     # keeps its "through degree" wording so the output stays unchanged
+    if args.cutoff is not None:
+        print("warning: --cutoff is deprecated and ignored; the checks hold at every degree",
+              file=sys.stderr)
     m, n = _parse_mn(args.mn)
     through = args.max_degree
     results = [
@@ -501,8 +504,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--cutoff",
         type=_nonneg_int,
-        help="accepted for older command lines; the checks hold at every degree "
-        "and do not depend on it",
+        help="deprecated and ignored (a warning goes to stderr); the checks hold "
+        "at every degree",
     )
     p.set_defaults(func=cmd_rep_check)
 

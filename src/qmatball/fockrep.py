@@ -40,7 +40,7 @@ import json
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebras import make_preset, star
+from .algebras import make_preset
 from .field import ONE, GaussRat, Scalar, ZERO, add_terms, q_pow
 from .ladder import (
     LadderOperator,
@@ -748,37 +748,6 @@ def theta_block(f: NCPoly, m: int, n: int, k_in: int, k_out: int):
     return block
 
 
-def _right_normal_forms(pres, left: NCPoly, words, drop_lead=None) -> list:
-    """NF(left w) for each word w, built one letter at a time.
-
-    For a confluent presentation NF(NF(a) b) = NF(a b) (Bergman's diamond
-    lemma); acceptance criterion 02 samples confluence of the presets, and
-    the tests compare the blocks built here with whole-word normal forms.
-    Each prefix of each word is normalized once, from the normal form of
-    the prefix one letter shorter, and words sharing a prefix share that
-    work.  With ``drop_lead`` set, every prefix normal form loses its words
-    that start with a letter of that kind; the constant terms of the results
-    are kept whenever ``pres.leading_kind_violations(drop_lead)`` is empty.
-    """
-    done = {(): left}
-    out = []
-    for w in words:
-        cur = left
-        for i in range(1, len(w) + 1):
-            nxt = done.get(w[:i])
-            if nxt is None:
-                tail = w[i - 1 : i]
-                shifted = NCPoly({u + tail: c for u, c in cur.terms.items()}, _clean=True)
-                nxt = pres.normal_form(shifted)
-                if drop_lead is not None:
-                    kept = {u: c for u, c in nxt.terms.items() if not u or u[0].kind != drop_lead}
-                    nxt = NCPoly(kept, _clean=True)
-                done[w[:i]] = nxt
-            cur = nxt
-        out.append(cur)
-    return out
-
-
 def _require_none(violations, what: str) -> None:
     """Raise ArithmeticError naming the first (pattern, replacement word)
     pair of a failed certificate."""
@@ -806,33 +775,52 @@ def _weight_classes(pres, basis) -> list:
     return [classes[mu] for mu in weights]
 
 
+def _lowered_block(pres, m: int, n: int, k: int, below) -> list:
+    """The degree-k block B[p][r] = sum over u of L(zs[a], b_p)[u] below[u][r'],
+    where b_r = z[a] r', L is ``pres.lower`` and ``below`` is the block of
+    degree k - 1.
+
+    Only pairs of equal weight are computed; every other entry is zero.  B
+    is Hermitian, so B[r][p] is the conjugate of B[p][r].
+    """
+    basis = hilbert_basis(m, n, k)
+    same = _weight_classes(pres, basis)
+    pres.require_lowering()  # the degree-0 block [[1]] needs f0 f0 -> f0 too
+    d = len(basis)
+    B = [[ZERO] * d for _ in range(d)]
+    if k == 0:
+        B[0][0] = ONE
+        return B
+    index = {w: i for i, w in enumerate(hilbert_basis(m, n, k - 1))}
+    for r, br in enumerate(basis):
+        col = index[br[1:]]
+        y = sym("zs", br[0].row, br[0].col)
+        for p in same[r]:
+            if p < r:
+                continue
+            val = ZERO
+            for u, c in pres.lower(y, basis[p]).items():
+                e = below[index[u]][col]
+                if e:
+                    val = val + c * e
+            B[p][r] = val
+            if p != r:
+                B[r][p] = val.conjugate()
+    return B
+
+
 @lru_cache(maxsize=None)
 def gram_matrix(m: int, n: int, k: int):
     """Exact Gram matrix of the degree-k monomials in the cyclic module.
 
     Entry (p, r) is the pairing of the p-th and r-th basis vectors: the
-    projector coefficient of f0 (conjugate of r) (p) f0.  Row r is built
-    from NF(f0 (conjugate of r)), which f0 z = 0 keeps small.  Only pairs of
-    equal weight are rewritten; every other entry is zero.
+    projector coefficient of f0 (conjugate of b_r) b_p f0.  With
+    b_r = z[a] r' it is the sum over u of L(zs[a], b_p)[u] times entry
+    (u, r') of the degree k - 1 matrix, since f0 (conjugate of r') zs[a] b_p
+    f0 is the sum of L(zs[a], b_p)[u] f0 (conjugate of r') u f0.
     """
-    funu = make_preset("FunU", m, n)
-    pres = funu.presentation
-    basis = hilbert_basis(m, n, k)
-    same = _weight_classes(pres, basis)
-    d = len(basis)
-    f0w = NCPoly.from_word((sym("f0"),))
-    f0key = (sym("f0"),)
-    G = [[ZERO] * d for _ in range(d)]
-    for r in range(d):
-        cols = [p for p in same[r] if p >= r]
-        left = pres.normal_form(f0w * star(NCPoly.from_word(basis[r]), funu))
-        nfs = _right_normal_forms(pres, left, [basis[p] + f0key for p in cols])
-        for p, g in zip(cols, nfs):
-            val = g.coeff(f0key)
-            G[p][r] = val
-            if p != r:
-                G[r][p] = val.conjugate()
-    return G
+    pres = make_preset("FunU", m, n).presentation
+    return _lowered_block(pres, m, n, k, gram_matrix(m, n, k - 1) if k else None)
 
 
 def gram_minors_positive(m: int, n: int, k: int, s0: Fraction) -> bool:
@@ -904,22 +892,18 @@ def projector_pairing_matrix(m: int, n: int, l: int):
     Sandwiching the projector between a degree-k monomial and a conjugated
     degree-l monomial acts on the cyclic module by (vector) times (this
     pairing); the block of all such operators between the graded slices has
-    full rank exactly when this matrix is invertible.  Only pairs of equal
-    weight are rewritten, and terms starting with z are dropped on the way.
+    full rank exactly when this matrix is invertible.  Entry (r, p) is the
+    constant term of (conjugate of b_r) b_p; its transpose follows the Gram
+    recursion, since the words of zs[a] b_p that the lowering map drops end
+    in zs and so have no constant term after any left factor.
     """
-    pol = make_preset("Pol", m, n)
-    pres = pol.presentation
-    basis = hilbert_basis(m, n, l)
-    same = _weight_classes(pres, basis)
-    # only constant terms are read, and a word starting with z has none
-    _require_none(pres.leading_kind_violations("z"), "moves z off the front")
-    M = [[ZERO] * len(basis) for _ in basis]
-    for r, row in enumerate(M):
-        sr = star(NCPoly.from_word(basis[r]), pol)
-        nfs = _right_normal_forms(pres, sr, [basis[p] for p in same[r]], drop_lead="z")
-        for p, g in zip(same[r], nfs):
-            row[p] = g.coeff(())
-    return M
+    pres = make_preset("Pol", m, n).presentation
+    below = _transpose(projector_pairing_matrix(m, n, l - 1)) if l else None
+    return _transpose(_lowered_block(pres, m, n, l, below))
+
+
+def _transpose(M) -> list:
+    return [list(col) for col in zip(*M)]
 
 
 def projector_pairing_rank(m: int, n: int, l: int, s0: Fraction) -> int:
@@ -932,7 +916,7 @@ def pairing_block_theta(f: NCPoly, m: int, n: int, k_in: int, k_out: int):
     """Matrix of pairings of (f times in-basis vectors) against out-basis
     vectors: the transposed coefficient block times the Gram matrix."""
     T = theta_block(f, m, n, k_in, k_out)
-    return mat_mul([list(col) for col in zip(*T)], gram_matrix(m, n, k_out))
+    return mat_mul(_transpose(T), gram_matrix(m, n, k_out))
 
 
 def pairing_block_fock(op, m: int, n: int, k_in: int, k_out: int):

@@ -28,7 +28,7 @@ from functools import lru_cache
 
 from .algebras import AlgebraPreset, make_preset, star
 from .field import ONE, Scalar, ZERO, add_terms, s_pow
-from .fockrep import _right_normal_forms, hilbert_basis
+from .fockrep import hilbert_basis
 from .linalg import mat_invert
 from .uqaction import UqElement, act, antipode, counit
 from .words import NCPoly, sym
@@ -131,12 +131,17 @@ def _sandwich_pairing(m: int, n: int, zspart: tuple, zpart: tuple) -> Scalar:
     """Projector coefficient of (projector, conjugate block, block, projector).
 
     This is the only matrix element a sandwich reaches on the diagonal of the
-    cyclic module, so it carries the whole trace of left multiplication.
+    cyclic module, so it carries the whole trace of left multiplication.  The
+    lowering map strips one conjugate letter at a time, from the right; then
+    f0 u f0 is f0 for the empty word u and 0 otherwise (f0 z = 0).
     """
     pres = make_preset("FunU", m, n).presentation
-    f0 = (sym("f0"),)
-    left = pres.normal_form(NCPoly.from_word(f0 + zspart))
-    return _right_normal_forms(pres, left, [zpart + f0])[0].coeff(f0)
+    v = {zpart: ONE}
+    for y in reversed(zspart):
+        v = add_terms({}, (
+            (u2, c * c2) for u, c in v.items() for u2, c2 in pres.lower(y, u).items()
+        ))
+    return v.get((), ZERO)
 
 
 def integral_nu(f: NCPoly, preset: AlgebraPreset) -> Scalar:

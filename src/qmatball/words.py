@@ -310,7 +310,7 @@ class Presentation:
       symbol order used both for the termination check and for enumerating
       the PBW-style basis of normal words.
 
-    Rewriting is memoized per word; :meth:`clear_memo` (or
+    Rewriting and lowering are memoized per word; :meth:`clear_memo` (or
     ``qmatball.clear_caches()`` for every live presentation) forgets it.
     """
 
@@ -337,6 +337,7 @@ class Presentation:
         self._memo = {"leftmost": {}, "rightmost": {}}
         self._letters = frozenset(self.alphabet())
         self._weight_bad = None
+        self._lowering = None  # the lowering map's memo, made once certified
         Presentation._live.add(self)
         bad = self.termination_violations()
         if bad:
@@ -410,21 +411,89 @@ class Presentation:
             )
         return self._weight_bad
 
-    def leading_kind_violations(self, kind: str) -> list:
-        """(pattern, replacement word) pairs where the pattern starts with a
-        letter of ``kind`` and the replacement word does not.
+    def lowering_violations(self) -> list:
+        """(pattern, replacement word or None, what is wrong) triples that
+        break the lowering map, in rule order; None marks a missing rule.
 
-        Empty means a word starting with such a letter keeps one in front
-        under every rewrite, so its normal form has no constant term, and
-        neither does the normal form of that word times anything.
+        The lowering map writes zs w f0 (w a z-word) as a sum of c u f0 over
+        normal z-words u, rewriting zs z first.  Empty means:
+
+        * every zs z pair is a pattern whose replacement words are empty or
+          a normal (z, zs) pair, and every z z replacement word is a z-word;
+        * with the projector: zs f0 -> 0, f0 z -> 0 and f0 f0 -> f0;
+        * without it: every replacement word of a pattern that ends in zs
+          ends in zs, so the words the map drops have no constant term.
+
+        It holds vacuously for a presentation without z or zs letters.
         """
-        return [
-            (pat, w)
-            for pat, repl in self.rules.items()
-            if pat[0].kind == kind
-            for w in repl.terms
-            if not w or w[0].kind != kind
-        ]
+        kinds = self.kinds
+        z_letters = self.symbols("z") if "z" in kinds else []
+        zs_letters = self.symbols("zs") if "zs" in kinds else []
+        bad = []
+        for pat in itertools.product(zs_letters, z_letters):
+            if pat not in self.rules:
+                bad.append((pat, None, "is missing"))
+        for pat, repl in self.rules.items():
+            pk = tuple(g.kind for g in pat)
+            for w in repl.terms:
+                wk = tuple(g.kind for g in w)
+                if pk == ("zs", "z") and w and (wk != ("z", "zs") or not self.is_normal(w)):
+                    bad.append((pat, w, "is neither empty nor a normal (z, zs) pair"))
+                elif pk == ("z", "z") and any(k != "z" for k in wk):
+                    bad.append((pat, w, "is not a z-word"))
+                elif "f0" not in kinds and pk[-1] == "zs" and (not w or wk[-1] != "zs"):
+                    bad.append((pat, w, "does not end in zs"))
+        if "f0" in kinds:
+            f0 = sym("f0")
+            wanted = [((f0, f0), NCPoly.from_word((f0,)))]
+            wanted += [((g, f0), NCPoly.zero()) for g in zs_letters]
+            wanted += [((f0, g), NCPoly.zero()) for g in z_letters]
+            for pat, repl in wanted:
+                if self.rules.get(pat) != repl:
+                    bad.append((pat, None, f"should rewrite to {repl}"))
+        return bad
+
+    def require_lowering(self) -> dict:
+        """The lowering memo, made once :meth:`lowering_violations` is empty;
+        otherwise raise ArithmeticError naming the first bad rule."""
+        if self._lowering is None:
+            bad = self.lowering_violations()
+            if bad:
+                pat, w, wrong = bad[0]
+                word = "" if w is None else f" (replacement word {word_tokens(w)})"
+                raise ArithmeticError(
+                    f"rule for {word_tokens(pat)} {wrong}{word}; "
+                    "the lowering map would be unsound"
+                )
+            self._lowering = {}
+        return self._lowering
+
+    def lower(self, y: GeneratorSymbol, w: tuple) -> dict:
+        """The lowering map L(y, w) of a conjugate letter y and a z-word w.
+
+        It is the {u: c} map over normal z-words u with y w f0 = sum of
+        c u f0 when the presentation has the projector; without it, y w is
+        that sum plus words that end in zs.  From the first letter b of w,
+        the rule y b -> c0 + sum c x y' gives
+        L(y, w) = c0 w[1:] + sum c NF(x L(y', w[1:])): for a confluent
+        presentation every rewriting order reaches the normal form (Bergman's
+        diamond lemma).  Memoized; :meth:`clear_memo` forgets it.  Shared
+        between callers: do not mutate.
+        """
+        memo = self.require_lowering()
+        got = memo.get((y, w))
+        if got is None:
+            terms = []
+            if w:
+                rest = w[1:]
+                for rw, c in self.rules[(y, w[0])].terms.items():
+                    if rw:
+                        x, y2 = rw
+                        terms += [((x,) + u, c * cu) for u, cu in self.lower(y2, rest).items()]
+                    else:
+                        terms.append((rest, c))
+            got = memo[(y, w)] = self.normal_form(NCPoly(add_terms({}, terms), _clean=True)).terms
+        return got
 
     # -- rewriting
 
@@ -493,12 +562,13 @@ class Presentation:
         return self.normal_form(f * g, strategy)
 
     def clear_memo(self) -> None:
-        """Forget every memoized reduction."""
+        """Forget every memoized reduction and lowering."""
         for memo in self._memo.values():
             memo.clear()
+        self._lowering = None
 
     def memo_size(self) -> int:
-        return sum(map(len, self._memo.values()))
+        return sum(map(len, self._memo.values())) + len(self._lowering or ())
 
     def is_normal(self, word: tuple) -> bool:
         return self._find_redex(word, "leftmost") is None

@@ -87,13 +87,19 @@ class TestPresets:
         for name in PRESET_NAMES:
             pres = make_preset(name, *mn).presentation
             assert pres.weight_violations() == ()
-            assert pres.leading_kind_violations("z") == []
+            assert pres.lowering_violations() == []
 
     def test_differential_first_order_moves_z_off_the_front(self):
         pres = make_preset("Lambda", 2, 2, diff_first=True).presentation
+        moved = [
+            w for pat, repl in pres.rules.items() if pat[0].kind == "z"
+            for w in repl.terms if w[0].kind != "z"
+        ]
+        assert moved and all(w[0].kind == "dz" for w in moved)
+        # the lowering map reads only z, zs and f0 rules, which this order
+        # leaves alone
         assert pres.weight_violations() == ()
-        bad = pres.leading_kind_violations("z")
-        assert bad and all(w[0].kind == "dz" for _, w in bad)
+        assert pres.lowering_violations() == []
 
     def test_involution_flags(self):
         assert not make_preset("CMat", 1, 1).has_star
@@ -361,6 +367,25 @@ def preset_words(draw, preset, max_len=4):
     return tuple(
         alphabet[draw(st.integers(0, len(alphabet) - 1))] for _ in range(k)
     )
+
+
+class TestLoweringMap:
+    """Presentation.lower against whole-word normal forms, in both presets."""
+
+    @pytest.mark.parametrize("mn", [(1, 2), (2, 2)])
+    def test_matches_whole_word_normal_forms(self, mn):
+        funu, pol = (make_preset(name, *mn).presentation for name in ("FunU", "Pol"))
+        f0 = sym("f0")
+        for k in range(3):
+            for w in make_preset("CMat", *mn).basis_by_total_degree(k):
+                for y in funu.symbols("zs"):
+                    nf = funu.normal_form(NCPoly.from_word((y,) + w + (f0,)))
+                    assert all(u[-1] is f0 for u in nf.terms)
+                    assert funu.lower(y, w) == {u[:-1]: c for u, c in nf.terms.items()}
+                    # in Pol the map drops exactly the words that end in zs
+                    nf = pol.normal_form(NCPoly.from_word((y,) + w))
+                    kept = {u: c for u, c in nf.terms.items() if not u or u[-1].kind != "zs"}
+                    assert pol.lower(y, w) == kept
 
 
 class TestConfluence:

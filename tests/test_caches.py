@@ -61,6 +61,19 @@ def test_clear_empties_every_cache_and_keeps_results():
     assert g.is_zero
 
 
+def test_lowering_memo_is_counted_and_cleared():
+    pres = make_preset("FunU", 1, 2).presentation
+    zs, w = sym("zs", 2, 1), (sym("z", 1, 1), sym("z", 2, 1))
+    qmatball.clear_caches()
+    got = pres.lower(zs, w)
+    rewriting = sum(map(len, pres._memo.values()))
+    assert pres.memo_size() > rewriting  # the lowering entries count too
+    assert qmatball.cache_sizes()["presentation_memos"] >= pres.memo_size()
+    qmatball.clear_caches()
+    assert pres.memo_size() == 0
+    assert pres.lower(zs, w) == got
+
+
 def _operator_snapshot(m, n, cutoff):
     """Entries (in order), certificate and shifts of every letter image and
     every coordinate image."""

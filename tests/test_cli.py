@@ -296,11 +296,13 @@ class TestRepCheck:
 
     def test_cutoff_no_longer_bounds_the_checks(self, capsys):
         # with truncated slices this cutoff was too small for degree 3 and
-        # exited 1; the ladder operators are exact at every degree
-        code, out, err = run(
-            capsys, "rep-check", "--mn", "1x1", "--max-degree", "3", "--cutoff", "2"
-        )
-        assert (code, err) == (0, "")
+        # exited 1; the ladder operators are exact at every degree, so the
+        # flag only draws a one-line deprecation warning on stderr
+        argv = ("rep-check", "--mn", "1x1", "--max-degree", "3")
+        code, out, err = run(capsys, *argv, "--cutoff", "2")
+        assert code == 0
+        assert err.count("\n") == 1 and "--cutoff is deprecated" in err
+        assert (code, out, "") == run(capsys, *argv)
         assert "9/9 checks passed" in out
 
     def test_three_by_three_battery(self, capsys):

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from qmatball import fockrep, ladder
+from qmatball import fockrep, integral, ladder
 
 from qmatball.algebras import AlgebraPreset, make_preset, star
 from qmatball.field import GaussRat, I, ONE, Scalar, q_pow, s_pow
@@ -485,7 +485,11 @@ class TestPrefixSharedBlocks:
     def test_pairing_equals_whole_word_normal_forms(self, mn, l):
         assert projector_pairing_matrix(*mn, l) == _pairing_by_whole_words(*mn, l)
 
-    @pytest.mark.parametrize("mn,k", [((2, 2), 4), ((2, 3), 0), ((2, 3), 1), ((2, 3), 2)])
+    @pytest.mark.parametrize(
+        "mn,k",
+        [((2, 2), 4), ((2, 3), 0), ((2, 3), 1), ((2, 3), 2)]
+        + [(mn, k) for mn in [(1, 3), (3, 2)] for k in range(3)],
+    )
     def test_gram_equals_whole_word_normal_forms_larger(self, mn, k):
         assert gram_matrix(*mn, k) == _gram_by_whole_words(*mn, k)
 
@@ -494,6 +498,11 @@ class TestPrefixSharedBlocks:
     @pytest.mark.parametrize("l", range(3))
     def test_pairing_equals_whole_word_normal_forms_rectangular(self, l):
         assert projector_pairing_matrix(2, 3, l) == _pairing_by_whole_words(2, 3, l)
+
+    @pytest.mark.parametrize("mn", [(1, 3), (3, 2)])
+    @pytest.mark.parametrize("l", range(3))
+    def test_pairing_equals_whole_word_normal_forms_more_sizes(self, mn, l):
+        assert projector_pairing_matrix(*mn, l) == _pairing_by_whole_words(*mn, l)
 
     @pytest.mark.parametrize(
         "mn,l",
@@ -508,7 +517,8 @@ class TestPrefixSharedBlocks:
 
 
 def _with_planted_rules(monkeypatch, name, extra):
-    """Let fockrep see preset ``name`` with ``extra`` rules laid over its own."""
+    """Let fockrep and integral see preset ``name`` with ``extra`` rules laid
+    over its own; a rule mapped to None is taken out."""
     real = fockrep.make_preset
 
     def fake(pname, m, n):
@@ -517,17 +527,29 @@ def _with_planted_rules(monkeypatch, name, extra):
             return preset
         pres = preset.presentation
         rules = {**pres.rules, **extra(pres.rules)}
+        rules = {pat: repl for pat, repl in rules.items() if repl is not None}
         planted = Presentation("planted", m, n, pres.kinds, rules)
         return AlgebraPreset(
             preset.name, m, n, planted, preset.has_star, preset.diff_first
         )
 
     monkeypatch.setattr(fockrep, "make_preset", fake)
+    monkeypatch.setattr(integral, "make_preset", fake)
 
 
 def _off_weight_term(rules):
     z11, z21 = sym("z", 1, 1), sym("z", 2, 1)
     return {(z21, z11): rules[(z21, z11)] + NCPoly.from_word((z11, z11))}
+
+
+def _zs_z_word_in_a_zs_z_rule(rules):
+    # weight-homogeneous and smaller than its pattern, but no (z, zs) pair
+    pat = (sym("zs", 2, 1), sym("z", 2, 1))
+    return {pat: rules[pat] + NCPoly.from_word((sym("zs", 1, 1), sym("z", 1, 1)))}
+
+
+def _no_zs_f0_rule(rules):
+    return {(sym("zs", 1, 1), sym("f0")): None}
 
 
 class TestFailedCertificatesRaise:
@@ -543,10 +565,29 @@ class TestFailedCertificatesRaise:
             fockrep.projector_pairing_matrix.__wrapped__(1, 2, 2)
 
     def test_pairing_needs_z_to_stay_in_front(self, monkeypatch):
+        # z zs -> 1 makes the (z, zs) replacement word of zs z a pattern
         z, zs = sym("z", 1, 1), sym("zs", 1, 1)
         _with_planted_rules(monkeypatch, "Pol", lambda rules: {(z, zs): NCPoly.one()})
-        with pytest.raises(ArithmeticError, match=r"z\[1,1\].*zs\[1,1\].*front"):
+        with pytest.raises(
+            ArithmeticError, match=r"zs\[1,1\].*z\[1,1\].*normal \(z, zs\) pair.*lowering"
+        ):
             fockrep.projector_pairing_matrix.__wrapped__(1, 1, 1)
+
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            (_zs_z_word_in_a_zs_z_rule, r"zs\[2,1\].*z\[2,1\].*normal \(z, zs\) pair"),
+            (_no_zs_f0_rule, r"zs\[1,1\].*f0.*should rewrite to 0"),
+        ],
+        ids=["zs-z-word-in-a-zs-z-rule", "no-zs-f0-rule"],
+    )
+    def test_lowering_needs_its_rule_shapes(self, monkeypatch, extra, message):
+        _with_planted_rules(monkeypatch, "FunU", extra)
+        with pytest.raises(ArithmeticError, match=message):
+            fockrep.gram_matrix.__wrapped__(1, 2, 2)
+        zs, z = (sym("zs", 2, 1), sym("zs", 1, 1)), (sym("z", 1, 1), sym("z", 2, 1))
+        with pytest.raises(ArithmeticError, match=message):
+            integral._sandwich_pairing.__wrapped__(1, 2, zs, z)
 
 
 def _first_rule_scaled_by_s2(rules):

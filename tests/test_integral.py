@@ -15,6 +15,7 @@ from qmatball.algebras import make_preset, star
 from qmatball.field import I, ONE, ZERO, from_int, q_pow
 from qmatball.fockrep import hilbert_basis
 from qmatball.integral import (
+    _sandwich_pairing,
     antipode_square_twist_ok,
     integral_is_real,
     integral_nu,
@@ -284,3 +285,26 @@ class TestClosedFormMatchesTrace:
             for j in (1, 2):
                 g = act(UqElement.letter(kind, j), f, funu)
                 assert integral_nu(g, funu) == integral_nu_trace(g, funu)
+
+
+class TestSandwichPairing:
+    """The lowering recursion must agree with the whole-word normal form."""
+
+    @pytest.mark.parametrize("mn", [(2, 2), (2, 3)])
+    def test_matches_whole_word_normal_form(self, mn):
+        funu = make_preset("FunU", *mn)
+        bar = make_preset("CMatBar", *mn)
+        rng = random.Random(1414)
+        f0 = w("f0")
+        nonzero = 0
+        for _ in range(24):
+            k = rng.randint(0, 3)
+            ks = max(0, k + rng.choice((0, 0, 0, 1, -1)))
+            zpart = rng.choice(hilbert_basis(*mn, k))
+            zspart = rng.choice(bar.basis_by_total_degree(ks))
+            whole = funu.normal_form(NCPoly.from_word(f0 + zspart + zpart + f0))
+            assert set(whole.terms) <= {f0}
+            got = _sandwich_pairing.__wrapped__(*mn, zspart, zpart)
+            assert got == whole.coeff(f0)
+            nonzero += bool(got)
+        assert nonzero >= 8

@@ -108,17 +108,38 @@ def test_weight_certificate_names_a_planted_rule():
     assert pres.weight_violations() == (((y, x), (x, x)),)
 
 
-def test_leading_kind_certificate_names_a_planted_rule():
-    z, zs = sym("z", 1, 1), sym("zs", 1, 1)
-    swap = NCPoly.from_word((z, zs), q_pow(2))
+def test_lowering_certificate_names_a_planted_rule():
+    z, zs, f0 = sym("z", 1, 1), sym("zs", 1, 1), sym("f0")
+    swap = NCPoly.from_word((z, zs), q_pow(2)) + NCPoly.one()
     pres = Presentation("plane", m=1, n=1, kinds=("z", "zs"), rules={(zs, z): swap})
-    assert pres.leading_kind_violations("z") == []
-    # z zs -> 1 is weight-homogeneous but leaves no z in front
+    assert pres.lowering_violations() == []
+    # z zs -> 1 is weight-homogeneous, but it makes the replacement word of
+    # zs z a pattern and takes the zs off the end of a word
     rules = {(zs, z): swap, (z, zs): NCPoly.one()}
     pres = Presentation("plane", m=1, n=1, kinds=("z", "zs"), rules=rules)
     assert pres.weight_violations() == ()
-    assert pres.leading_kind_violations("z") == [((z, zs), ())]
-    assert pres.leading_kind_violations("zs") == [((zs, z), (z, zs))]
+    assert pres.lowering_violations() == [
+        ((zs, z), (z, zs), "is neither empty nor a normal (z, zs) pair"),
+        ((z, zs), (), "does not end in zs"),
+    ]
+    # no zs z rule, and a zs z rule that keeps the zs in front
+    pres = Presentation("free", m=1, n=1, kinds=("z", "zs"), rules={})
+    assert pres.lowering_violations() == [((zs, z), None, "is missing")]
+    # with the projector, its three rules are read as well
+    pres = Presentation("plane", m=1, n=1, kinds=("z", "f0", "zs"), rules={(zs, z): swap})
+    assert [(pat, w) for pat, w, _ in pres.lowering_violations()] == [
+        ((f0, f0), None), ((zs, f0), None), ((f0, z), None)
+    ]
+
+
+def test_lowering_certificate_reads_z_z_rules():
+    x, y = sym("z", 1, 1), sym("z", 1, 2)
+    assert q_plane().lowering_violations() == []
+    ys = sym("zs", 1, 1)
+    rules = {(y, x): NCPoly.from_word((x, y), q_pow(-1)) + NCPoly.from_word((x, ys))}
+    pres = Presentation("qplane", m=2, n=1, kinds=("z", "zs"), rules=rules)
+    bad = [(pat, w, what) for pat, w, what in pres.lowering_violations() if w is not None]
+    assert bad == [((y, x), (x, ys), "is not a z-word")]
 
 
 def test_weights_at_one_one():
