@@ -16,8 +16,9 @@ The package is organized in layers:
   the compact-form star operation on the free matrix bialgebra,
 * :mod:`qmatball.ladder`    -- exact q-difference operators on the ladder
   space, on which every operator law is checked at all degrees,
-* :mod:`qmatball.fockrep`   -- certified truncated ladder-tensor operators,
-  the representation laws and the cyclic-module comparison,
+* :mod:`qmatball.fockrep`   -- certified slices of the ladder operators (what
+  ``qmb export`` writes), the representation laws and the cyclic-module
+  comparison,
 * :mod:`qmatball.integral`  -- the invariant positive integral,
 * :mod:`qmatball.cli`       -- the ``qmb`` command-line front end.
 
@@ -79,9 +80,9 @@ _LRU_CACHES = (
     _fockrep.fock_weight,
     _fockrep._norm2_ratio,
     _fockrep.fock_basis,
-    _fockrep._entry_product,
-    _fockrep._machine,
-    _fockrep.corner_inverse,
+    _fockrep._bounded_letters,
+    _fockrep._bounded_coordinate,
+    _fockrep.rep_letter,
     _fockrep.rep_coordinate,
     _fockrep.rep_coordinate_star,
     _fockrep.gram_matrix,

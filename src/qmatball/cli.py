@@ -329,11 +329,8 @@ def cmd_invariance(args) -> int:
 
 def cmd_rep_check(args) -> int:
     # every law is an identity of exact ladder operators, so it holds at
-    # every degree and --cutoff has nothing to bound; the type-identity line
-    # keeps its "through degree" wording so the output stays unchanged
-    if args.cutoff is not None:
-        print("warning: --cutoff is deprecated and ignored; the checks hold at every degree",
-              file=sys.stderr)
+    # every degree; the type-identity line keeps its "through degree"
+    # wording so the output stays unchanged
     m, n = _parse_mn(args.mn)
     through = args.max_degree
     results = [
@@ -501,12 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rep-check", help="certified operator-representation battery")
     p.add_argument("--mn", required=True, help="size, e.g. 1x2")
     p.add_argument("--max-degree", type=_nonneg_int, default=3, help="degree bound for word checks")
-    p.add_argument(
-        "--cutoff",
-        type=_nonneg_int,
-        help="deprecated and ignored (a warning goes to stderr); the checks hold "
-        "at every degree",
-    )
     p.set_defaults(func=cmd_rep_check)
 
     p = sub.add_parser("rmatrix-check", help="Hecke/braid checks for braiding tables")

@@ -1,30 +1,29 @@
-"""Exact operator realizations on a weighted multi-index ladder basis.
+"""Operator slices on the weighted ladder basis, the representation laws,
+and the cyclic-module comparison.
 
-The building block is a one-leg ladder representation of the 2 x 2 quantum
-matrix letters on basis vectors e_0, e_1, ... with the weighted inner
-product ||e_j||^2 = (q^-2 - 1)(q^-4 - 1)...(q^-2j - 1):
+The ladder space has the basis e_k, k in N^L (one index per tensor leg,
+L = mn for the (m, n) block split), with the weighted inner product
+||e_k||^2 = prod over legs of (q^-2 - 1)(q^-4 - 1)...(q^-2k_l - 1).  On
+one leg the 2 x 2 ladder generators act as
 
     t[1,1] e_j = e_{j+1}            t[1,2] e_j = q^-j e_j
     t[2,2] e_j = (1 - q^-2j) e_{j-1}    t[2,1] e_j = -q^-(j+1) e_j
 
-For the (m, n) block split the N x N letters act on the mn-fold tensor
-power of that ladder: pick the staircase word of adjacent transpositions
-whose product moves the first block past the second, route each tensor leg
-through the corresponding 2 x 2 block embedding, and multiply the resulting
-operator-valued N x N matrices.  A chain of +/- sign sequences certifies,
-leg by leg, that the result intertwines correctly with the signed
-involution of :mod:`qmatball.qminors`.
+and :mod:`qmatball.ladder` builds every letter, minor, coordinate and
+conjugate coordinate from them as an exact q-difference operator.
 
 The ``rep_*`` builders (behind ``qmb export``) return a
-:class:`TruncatedOperator`: an exact matrix slice together with a
-certificate (the largest input degree on which its columns are complete)
-and degree-shift bounds.  Compositions, sums and adjoints propagate
-certificates, so each slice is exact on its recorded degrees.
+:class:`TruncatedOperator`: the ladder operator evaluated on every e_k with
+|k| <= cert, with that certificate and degree-shift bounds.  The bounds
+come without entries, from the rules of the truncated arithmetic (products,
+sums, adjoints) run along the ladder products that build the operator, so
+each slice is exact on its recorded degrees.  The truncated arithmetic
+stays public: ``rep_pol_word`` and ``rep_pol_poly`` compose slices.
 
 The laws of the representation (diagonal corner and volume minors, the
 vacuum modulus, the type identity, the determinant, the rewrite rules as
-operators) are checked on the exact q-difference operators of
-:mod:`qmatball.ladder` instead, and so hold at every degree.
+operators) are checked on the ladder operators themselves, and so hold at
+every degree.
 
 On the symbolic side, the same module computes the graded left-multiplication
 blocks on the cyclic module spanned by coordinate monomials times the
@@ -46,10 +45,12 @@ from .ladder import (
     LadderOperator,
     coordinate_image,
     corner_image,
+    generator_image,
     letter_images,
     pol_image,
     staircase_product,
     tpoly_image,
+    word_image,
 )
 from .linalg import mat_leading_pivots, mat_mul, mat_rank
 from .qminors import (
@@ -75,8 +76,6 @@ __all__ = [
     "rep_letter",
     "rep_tpoly",
     "rep_minor",
-    "corner_diagonal",
-    "corner_inverse",
     "rep_coordinate",
     "rep_coordinate_star",
     "rep_projector",
@@ -183,20 +182,6 @@ def _fixed_degree(legs: int, d: int) -> list:
 # truncated operators
 
 
-@lru_cache(maxsize=None)
-def _entry_product(a: Scalar, b: Scalar) -> Scalar:
-    """a * b through one value-keyed table for the operator layer.
-
-    Operator entries take a few thousand distinct values, so almost every
-    product of two entries repeats an earlier one (a 2 x 2 ``rep-check``
-    multiplies about 164k pairs of entries, only 8k of them distinct).
-    Scalars are immutable and hash by value, so a hit is exact, and equal
-    products come back as one shared object.  ``clear_caches()`` empties
-    the table.
-    """
-    return a * b
-
-
 class TruncatedOperator:
     """An exact operator slice on the weighted tensor basis.
 
@@ -207,13 +192,11 @@ class TruncatedOperator:
     The observed shifts within the slice (never larger) refine certificate
     arithmetic for compositions.  No column beyond ``cert`` is stored, so an
     operation that keeps the certificate keeps every entry unfiltered.
-    ``_obs`` passes the observed (up, down) shifts in, skipping the scan of
-    the entries, when they have the keys of an operator already built.
     """
 
     __slots__ = ("legs", "cert", "entries", "up", "down", "_obs_up", "_obs_down", "_cols")
 
-    def __init__(self, legs, cert, entries, up, down, _obs=None):
+    def __init__(self, legs, cert, entries, up, down):
         if cert < 0:
             raise CutoffError("operator slice is empty (certificate below zero)")
         self.legs = legs
@@ -221,22 +204,21 @@ class TruncatedOperator:
         self.entries = entries
         self.up = up
         self.down = down
-        if _obs is None:
-            obs_up = 0
-            obs_down = 0
-            for kout, kin in entries:
-                din = sum(kin)
-                if din > cert:
-                    raise ValueError(
-                        f"stored column at degree {din} beyond certificate {cert}"
-                    )
-                sft = sum(kout) - din
-                if sft > obs_up:
-                    obs_up = sft
-                elif -sft > obs_down:
-                    obs_down = -sft
-            _obs = (obs_up, obs_down)
-        self._obs_up, self._obs_down = _obs
+        obs_up = 0
+        obs_down = 0
+        for kout, kin in entries:
+            din = sum(kin)
+            if din > cert:
+                raise ValueError(
+                    f"stored column at degree {din} beyond certificate {cert}"
+                )
+            sft = sum(kout) - din
+            if sft > obs_up:
+                obs_up = sft
+            elif -sft > obs_down:
+                obs_down = -sft
+        self._obs_up = obs_up
+        self._obs_down = obs_down
         self._cols = None
 
     # -- constructors
@@ -270,13 +252,6 @@ class TruncatedOperator:
             self._cols = cols
         return cols
 
-    def column(self, kin) -> dict:
-        if sum(kin) > self.cert:
-            raise CutoffError(
-                f"column at degree {sum(kin)} beyond certificate {self.cert}"
-            )
-        return dict(self._column_index().get(kin, ()))
-
     def apply(self, vec: dict) -> dict:
         """Image of a vector given as {multi-index: Scalar}."""
         for kin in vec:
@@ -305,7 +280,7 @@ class TruncatedOperator:
         )
 
     def __neg__(self):
-        return self._with_values({key: -c for key, c in self.entries.items()})
+        return self.scale(-ONE)
 
     def __sub__(self, other):
         return self + (-other)
@@ -314,26 +289,9 @@ class TruncatedOperator:
         if not c:
             return TruncatedOperator.zero(self.legs, self.cert)
         if c == ONE:
-            return self  # operators are never mutated (restrict relies on it too)
-        return self._with_values(
-            {key: _entry_product(v, c) for key, v in self.entries.items()}
-        )
-
-    def _with_values(self, entries):
-        """This operator's slice with new nonzero values on the same keys."""
-        return TruncatedOperator(
-            self.legs, self.cert, entries, self.up, self.down,
-            (self._obs_up, self._obs_down),
-        )
-
-    def restrict(self, cert: int):
-        """The same operator certified on a smaller slice (columns are kept
-        complete, so shrinking the certificate is always sound)."""
-        if cert >= self.cert:
-            return self
-        return TruncatedOperator(
-            self.legs, cert, self._entries_through(cert), self.up, self.down
-        )
+            return self  # operators are never mutated
+        entries = {key: v * c for key, v in self.entries.items()}
+        return TruncatedOperator(self.legs, self.cert, entries, self.up, self.down)
 
     def _entries_through(self, cert: int) -> dict:
         """The stored entries whose input degree is at most ``cert`` (the
@@ -350,7 +308,7 @@ class TruncatedOperator:
             raise CutoffError("composition exhausts the certified slice")
         cols = self._column_index()
         acc = add_terms({}, (
-            ((kout, kin), _entry_product(c1, c2))
+            ((kout, kin), c1 * c2)
             for (mid, kin), c2 in other._entries_through(cert).items()
             for kout, c1 in cols.get(mid, ())
         ))
@@ -367,51 +325,8 @@ class TruncatedOperator:
         for (kout, kin), c in self.entries.items():
             if sum(kout) > cert:
                 continue
-            entries[(kin, kout)] = _entry_product(
-                c.conjugate(), _weight_ratio(kout, kin)
-            )
+            entries[(kin, kout)] = c.conjugate() * _weight_ratio(kout, kin)
         return TruncatedOperator(self.legs, cert, entries, self.down, self.up)
-
-    # -- comparisons and shape checks
-
-    def agrees_with(self, other, through=None) -> bool:
-        """Entrywise equality on the common certified slice (optionally capped)."""
-        self._check_legs(other)
-        cert = min(self.cert, other.cert)
-        if through is not None:
-            cert = min(cert, through)
-        if cert < 0:
-            raise CutoffError("no common certified slice to compare on")
-        # no stored entry is zero, so equal slices are equal dicts
-        return self._entries_through(cert) == other._entries_through(cert)
-
-    def is_diagonal_with(self, eig) -> bool:
-        """True when the slice is exactly diagonal with the given eigenvalues."""
-        for (kout, kin), c in self.entries.items():
-            if kout != kin:
-                return False
-        for k in fock_basis(self.legs, self.cert):
-            if self.entries.get((k, k), ZERO) != eig(k):
-                return False
-        return True
-
-    def diagonal_inverse(self):
-        """Inverse of a verified-diagonal operator with nowhere-zero spectrum.
-
-        The structural shift bounds of the inverse are (0, 0); this encodes
-        that the operator is genuinely diagonal, which callers must have
-        verified on the slice (and which for the corner minor is a theorem
-        about the representation, not an approximation).
-        """
-        entries = {}
-        for k in fock_basis(self.legs, self.cert):
-            c = self.entries.get((k, k))
-            if c is None or not c:
-                raise ValueError("operator has a zero diagonal entry; not invertible")
-            entries[(k, k)] = c.inverse()
-        if len(entries) != len(self.entries):
-            raise ValueError("operator is not diagonal on its certified slice")
-        return TruncatedOperator(self.legs, self.cert, entries, 0, 0)
 
     def __repr__(self):
         return (
@@ -421,58 +336,101 @@ class TruncatedOperator:
 
 
 # ---------------------------------------------------------------------------
-# the staircase tensor construction
+# slices of the ladder operators
 
 
-def _lift_ladder(legs: int, leg: int, gen: str, cert: int) -> TruncatedOperator:
-    """One 2 x 2 ladder generator acting on a single tensor leg."""
-    entries: dict = {}
-    if gen == "t11":
+class _Bounded:
+    """A ladder operator with the certificate and shift bounds of its slices.
+
+    The bounds follow the rules of :class:`TruncatedOperator`, run without
+    entries: a product is certified through min(right cert, left cert minus
+    the right factor's largest up-shift), a sum through the smaller
+    certificate with the larger shift bounds, an adjoint through cert minus
+    down with the shifts swapped.  None of them depends on the cutoff, so
+    ``cert`` is kept relative to it: the slice at cutoff c is certified
+    through c + cert.
+    """
+
+    __slots__ = ("op", "cert", "up", "down")
+
+    def __init__(self, op: LadderOperator, cert: int, up: int, down: int):
+        self.op = op
+        self.cert = cert
+        self.up = up
+        self.down = down
+
+    @classmethod
+    def start(cls, op: LadderOperator):
+        """An operator the bounds start from (a generator, the identity or
+        zero), with the shifts of its own terms, certified through cutoff +
+        legs: a staircase factor lowers the certificate by at most one, so
+        every letter stays certified through the cutoff."""
+        shifts = [sum(d) for d, _ in op.terms]
+        return cls(op, op.legs, max([0, *shifts]), max([0, *(-x for x in shifts)]))
+
+    def compose(self, other):
+        top = max([0, *(sum(d) for d, _ in other.op.terms)])
+        return _Bounded(
+            self.op.compose(other.op), min(other.cert, self.cert - top),
+            self.up + other.up, self.down + other.down,
+        )
+
+    def __add__(self, other):
+        return _Bounded(
+            self.op + other.op, min(self.cert, other.cert),
+            max(self.up, other.up), max(self.down, other.down),
+        )
+
+    def scale(self, c: Scalar):
+        return _Bounded(self.op.scale(c), self.cert, self.up, self.down)
+
+    def adjoint(self):
+        return _Bounded(self.op.adjoint(), self.cert - self.down, self.down, self.up)
+
+    def slice(self, cutoff: int) -> TruncatedOperator:
+        """The columns e_k with |k| <= cutoff + cert, each the image of e_k."""
+        legs = self.op.legs
+        cert = cutoff + self.cert
+        entries = {}
         for k in fock_basis(legs, cert):
-            out = k[:leg] + (k[leg] + 1,) + k[leg + 1 :]
-            entries[(out, k)] = ONE
-        return TruncatedOperator(legs, cert, entries, 1, 0)
-    if gen == "t12":
-        for k in fock_basis(legs, cert):
-            entries[(k, k)] = q_pow(-k[leg])
-        return TruncatedOperator(legs, cert, entries, 0, 0)
-    if gen == "t21":
-        for k in fock_basis(legs, cert):
-            entries[(k, k)] = -q_pow(-(k[leg] + 1))
-        return TruncatedOperator(legs, cert, entries, 0, 0)
-    if gen == "t22":
-        for k in fock_basis(legs, cert):
-            j = k[leg]
-            if j:
-                out = k[:leg] + (j - 1,) + k[leg + 1 :]
-                entries[(out, k)] = ONE - q_pow(-2 * j)
-        return TruncatedOperator(legs, cert, entries, 0, 1)
-    raise ValueError(f"unknown ladder generator {gen!r}")
+            for kout, c in self.op.apply({k: ONE}).items():
+                entries[(kout, k)] = c
+        return TruncatedOperator(legs, cert, entries, self.up, self.down)
 
 
 @lru_cache(maxsize=None)
-def _machine(m: int, n: int, cutoff: int):
-    """Operator images of all N x N letters at the given cutoff.
-
-    Returns (letter-matrix, identity, zero, inner) where letter-matrix maps
-    (i, j) to the image of t[i,j], certified at least through ``cutoff``.
-    """
+def _bounded_letters(m: int, n: int) -> dict:
+    """{(i, j): the letter t[i,j]} from the staircase product."""
     legs = m * n
-    N = m + n
-    inner = cutoff + legs
-    ident = TruncatedOperator.identity(legs, inner)
     P = staircase_product(
-        m, n, lambda r, gen: _lift_ladder(legs, r, gen, inner), ident
+        m, n, lambda r, gen: _Bounded.start(generator_image(legs, r, gen)),
+        _Bounded.start(LadderOperator.identity(legs)),
     )
-    zero = TruncatedOperator.zero(legs, inner)
-    table = {}
-    for i in range(1, N + 1):
-        for j in range(1, N + 1):
-            op = P.get((i, j), zero)
-            if op.cert < cutoff:
-                raise CutoffError("internal headroom too small for the staircase")
-            table[(i, j)] = op
-    return table, ident, zero, inner
+    zero = _Bounded.start(LadderOperator(legs, {}))
+    N = m + n
+    return {(i, j): P.get((i, j), zero) for i in range(1, N + 1) for j in range(1, N + 1)}
+
+
+def _bounded_tpoly(f: NCPoly, m: int, n: int) -> _Bounded:
+    """Image of a polynomial in the t letters (see :func:`ladder.word_image`)."""
+    legs = m * n
+    return word_image(
+        f, _bounded_letters(m, n),
+        _Bounded.start(LadderOperator.identity(legs)),
+        _Bounded.start(LadderOperator(legs, {})),
+    )
+
+
+@lru_cache(maxsize=None)
+def _bounded_coordinate(m: int, n: int, a: int, al: int) -> _Bounded:
+    """z[a,al]: the inverse corner minor times the coordinate minor."""
+    legs = m * n
+    corner = _bounded_tpoly(qminor(*corner_minor_label(m, n)), m, n)
+    if corner.op != LadderOperator.diagonal(legs, (1,) * legs):
+        raise ArithmeticError("corner minor failed its diagonal law")
+    inverse = _Bounded(LadderOperator.diagonal(legs, (-1,) * legs), corner.cert, 0, 0)
+    num = _bounded_tpoly(qminor(*coordinate_numerator_label(a, al, m, n)), m, n)
+    return inverse.compose(num)
 
 
 def default_cutoff(m: int, n: int) -> int:
@@ -480,82 +438,30 @@ def default_cutoff(m: int, n: int) -> int:
     return {1: 12, 2: 10, 4: 8}.get(m * n, 6)
 
 
+@lru_cache(maxsize=None)
 def rep_letter(m: int, n: int, i: int, j: int, cutoff: int) -> TruncatedOperator:
     """Operator image of the letter t[i,j]."""
-    table, _, _, _ = _machine(m, n, cutoff)
-    return table[(i, j)]
+    return _bounded_letters(m, n)[(i, j)].slice(cutoff)
 
 
 def rep_tpoly(f: NCPoly, m: int, n: int, cutoff: int) -> TruncatedOperator:
-    """Multiplicative-linear extension to polynomials in the t letters.
-
-    Words are grouped on their last letter, recursively: the image of
-    sum_a (f / a) a is sum_a image(f / a) . A_a, so words that share a
-    prefix share its compositions.  A word's coefficient rides on its first
-    letter, and every product associates left to right; a composition's
-    certificate depends only on its left factor's certificate and its right
-    factor's observed shift, and a sum takes the smallest certificate and
-    the largest shift bounds.  So the certificate, shift bounds and entries
-    are those of multiplying out and summing word by word.
-    """
-    table, ident, zero, _ = _machine(m, n, cutoff)
-
-    def letter(g):
-        if g.kind != "t":
-            raise ValueError(f"expected a t-letter, got {g.token()}")
-        return table[(g.row, g.col)]
-
-    def image(terms: dict):
-        """Image of sum c_w w over non-empty words w."""
-        groups: dict = {}
-        for w, c in terms.items():
-            groups.setdefault(w[-1], {})[w[:-1]] = c
-        acc = None
-        for g, heads in groups.items():
-            c = heads.pop((), None)
-            piece = image(heads).compose(letter(g)) if heads else None
-            if c is not None:
-                lone = letter(g).scale(c)
-                piece = lone if piece is None else piece + lone
-            acc = piece if acc is None else acc + piece
-        return acc
-
-    terms = dict(f.terms)
-    c = terms.pop((), None)
-    acc = image(terms) if terms else None
-    if c is not None:
-        lone = ident.scale(c)
-        acc = lone if acc is None else acc + lone
-    return zero if acc is None else acc
+    """Multiplicative-linear extension to polynomials in the t letters."""
+    return _bounded_tpoly(f, m, n).slice(cutoff)
 
 
 def rep_minor(m: int, n: int, label: tuple, cutoff: int) -> TruncatedOperator:
     return rep_tpoly(qminor(*label), m, n, cutoff)
 
 
-def corner_diagonal(m: int, n: int, cutoff: int) -> TruncatedOperator:
-    """Image of the corner minor, verified diagonal with eigenvalue q^-(total)."""
-    op = rep_minor(m, n, corner_minor_label(m, n), cutoff)
-    if not op.is_diagonal_with(lambda k: q_pow(-sum(k))):
-        raise ArithmeticError("corner minor failed its diagonal law")
-    return op
-
-
-@lru_cache(maxsize=None)
-def corner_inverse(m: int, n: int, cutoff: int) -> TruncatedOperator:
-    return corner_diagonal(m, n, cutoff).diagonal_inverse()
-
-
 @lru_cache(maxsize=None)
 def rep_coordinate(m: int, n: int, a: int, al: int, cutoff: int) -> TruncatedOperator:
     """Operator image of z[a,al]: corner inverse times the coordinate minor."""
-    num = rep_minor(m, n, coordinate_numerator_label(a, al, m, n), cutoff)
-    return corner_inverse(m, n, cutoff).compose(num)
+    return _bounded_coordinate(m, n, a, al).slice(cutoff)
 
 
 @lru_cache(maxsize=None)
 def rep_coordinate_star(m, n, a, al, cutoff) -> TruncatedOperator:
-    return rep_coordinate(m, n, a, al, cutoff).adjoint()
+    return _bounded_coordinate(m, n, a, al).adjoint().slice(cutoff)
 
 
 def rep_projector(m: int, n: int, cutoff: int) -> TruncatedOperator:
@@ -567,8 +473,7 @@ def rep_projector(m: int, n: int, cutoff: int) -> TruncatedOperator:
 
 def rep_pol_word(word: tuple, m: int, n: int, cutoff: int) -> TruncatedOperator:
     """Image of a word in coordinate/conjugate/projector letters."""
-    _, ident, _, inner = _machine(m, n, cutoff)
-    piece = ident
+    piece = None
     for g in word:
         if g.kind == "z":
             op = rep_coordinate(m, n, g.row, g.col, cutoff)
@@ -578,8 +483,8 @@ def rep_pol_word(word: tuple, m: int, n: int, cutoff: int) -> TruncatedOperator:
             op = rep_projector(m, n, cutoff)
         else:
             raise ValueError(f"no operator image for letter {g.token()}")
-        piece = op if piece is ident else piece.compose(op)
-    return piece
+        piece = op if piece is None else piece.compose(op)
+    return rep_tpoly(NCPoly.one(), m, n, cutoff) if piece is None else piece
 
 
 def rep_pol_poly(f: NCPoly, m: int, n: int, cutoff: int) -> TruncatedOperator:
@@ -587,10 +492,7 @@ def rep_pol_poly(f: NCPoly, m: int, n: int, cutoff: int) -> TruncatedOperator:
     for word, c in f.terms.items():
         piece = rep_pol_word(word, m, n, cutoff).scale(c)
         acc = piece if acc is None else acc + piece
-    if acc is None:
-        _, _, zero, _ = _machine(m, n, cutoff)
-        return zero
-    return acc
+    return rep_tpoly(NCPoly.zero(), m, n, cutoff) if acc is None else acc
 
 
 def vacuum_eigenvalue(op) -> Scalar:

@@ -21,8 +21,10 @@ orthant of N^L, because q is not a root of unity (Dedekind-Artin).  So an
 identity checked here holds at every degree, with no truncation.
 
 The N x N letters come from the staircase product of the 2 x 2 generators
-(see :func:`staircase_product`), which the truncated operators of
-:mod:`qmatball.fockrep` use too.
+(see :func:`staircase_product`), and polynomials in them from one
+word-grouping routine (see :func:`word_image`).  The exported slices of
+:mod:`qmatball.fockrep` go through both too, so that their certificates
+follow the same products and sums.
 """
 
 from __future__ import annotations
@@ -45,7 +47,9 @@ __all__ = [
     "staircase_transpositions",
     "sign_chain",
     "staircase_product",
+    "generator_image",
     "letter_images",
+    "word_image",
     "tpoly_image",
     "corner_image",
     "coordinate_images",
@@ -297,7 +301,7 @@ def staircase_product(m: int, n: int, generator, ident) -> dict:
     return P
 
 
-def _generator(legs: int, leg: int, gen: str) -> LadderOperator:
+def generator_image(legs: int, leg: int, gen: str) -> LadderOperator:
     """One 2 x 2 ladder generator acting on a single tensor leg."""
     zero = (0,) * legs
     e = tuple(1 if l == leg else 0 for l in range(legs))
@@ -319,37 +323,58 @@ def letter_images(m: int, n: int) -> dict:
     legs = m * n
     N = m + n
     P = staircase_product(
-        m, n, lambda r, gen: _generator(legs, r, gen), LadderOperator.identity(legs)
+        m, n, lambda r, gen: generator_image(legs, r, gen), LadderOperator.identity(legs)
     )
     zero = LadderOperator(legs, {})
     return {(i, j): P.get((i, j), zero) for i in range(1, N + 1) for j in range(1, N + 1)}
 
 
-def tpoly_image(f: NCPoly, m: int, n: int) -> LadderOperator:
-    """Multiplicative-linear extension to polynomials in the t letters.
+def word_image(f: NCPoly, letters: dict, one, zero):
+    """The image of a polynomial f in the t letters, where ``letters`` maps
+    (i, j) to the image of t[i,j].
 
     Words are grouped on their last letter, recursively: the image of
     sum_a (f / a) a is sum_a image(f / a) . A_a, so words that share a
-    prefix share its compositions.
+    prefix share its compositions.  A word's coefficient rides on its first
+    letter, the constant term on ``one``, and ``zero`` is the image of 0.
+    Works for any operator type with ``compose``, ``+`` and ``scale``.
     """
-    letters = letter_images(m, n)
-    legs = m * n
 
-    def image(terms: dict) -> LadderOperator:
-        acc = LadderOperator(legs, {})
+    def letter(g):
+        if g.kind != "t":
+            raise ValueError(f"expected a t-letter, got {g.token()}")
+        return letters[(g.row, g.col)]
+
+    def image(terms: dict):
+        """Image of sum c_w w over non-empty words w."""
         groups: dict = {}
         for w, c in terms.items():
-            if w:
-                groups.setdefault(w[-1], {})[w[:-1]] = c
-            else:
-                acc = LadderOperator.identity(legs).scale(c)
+            groups.setdefault(w[-1], {})[w[:-1]] = c
+        acc = None
         for g, heads in groups.items():
-            if g.kind != "t":
-                raise ValueError(f"expected a t-letter, got {g.token()}")
-            acc = acc + image(heads).compose(letters[(g.row, g.col)])
+            c = heads.pop((), None)
+            piece = image(heads).compose(letter(g)) if heads else None
+            if c is not None:
+                lone = letter(g).scale(c)
+                piece = lone if piece is None else piece + lone
+            acc = piece if acc is None else acc + piece
         return acc
 
-    return image(f.terms)
+    terms = dict(f.terms)
+    c = terms.pop((), None)
+    acc = image(terms) if terms else None
+    if c is not None:
+        lone = one.scale(c)
+        acc = lone if acc is None else acc + lone
+    return zero if acc is None else acc
+
+
+def tpoly_image(f: NCPoly, m: int, n: int) -> LadderOperator:
+    """Multiplicative-linear extension to polynomials in the t letters."""
+    legs = m * n
+    return word_image(
+        f, letter_images(m, n), LadderOperator.identity(legs), LadderOperator(legs, {})
+    )
 
 
 def corner_image(m: int, n: int) -> LadderOperator:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import qmatball
-from qmatball import fockrep
+from qmatball import fockrep, ladder
 from qmatball.algebras import make_preset
 from qmatball.fockrep import gram_matrix, projector_pairing_rank, rep_coordinate
 from qmatball.integral import integral_nu
@@ -74,12 +74,13 @@ def test_lowering_memo_is_counted_and_cleared():
     assert pres.lower(zs, w) == got
 
 
-def _operator_snapshot(m, n, cutoff):
+def _slice_snapshot(m, n, cutoff):
     """Entries (in order), certificate and shifts of every letter image and
-    every coordinate image."""
+    every coordinate and conjugate coordinate image."""
     ops = [fockrep.rep_letter(m, n, i, j, cutoff)
            for i in range(1, m + n + 1) for j in range(1, m + n + 1)]
-    ops += [rep_coordinate(m, n, a, al, cutoff)
+    ops += [make(m, n, a, al, cutoff)
+            for make in (rep_coordinate, fockrep.rep_coordinate_star)
             for a in range(1, n + 1) for al in range(1, m + 1)]
     return [
         (list(op.entries.items()), op.cert, op.up, op.down, op._obs_up, op._obs_down)
@@ -87,23 +88,15 @@ def _operator_snapshot(m, n, cutoff):
     ]
 
 
-def test_entry_product_table_is_reported_and_cleared():
-    name = "qmatball.fockrep._entry_product"
-    qmatball.clear_caches()
-    rep_coordinate(1, 2, 1, 1, 4)
-    assert qmatball.cache_sizes()[name] > 0
-    qmatball.clear_caches()
-    assert qmatball.cache_sizes()[name] == 0
-
-
 @pytest.mark.parametrize("m,n,cutoff", [(1, 2, 6), (2, 2, 4)])
-def test_operators_do_not_depend_on_a_warm_product_table(m, n, cutoff):
+def test_slices_do_not_depend_on_warm_ladder_caches(m, n, cutoff):
     qmatball.clear_caches()
-    cold = _operator_snapshot(m, n, cutoff)
-    held = fockrep._entry_product.cache_info().currsize
-    # rebuild the operators, but keep the product table
-    for fn in (fockrep._machine, fockrep.corner_inverse, rep_coordinate):
+    cold = _slice_snapshot(m, n, cutoff)
+    ladder.letter_images(m, n)
+    ladder.coordinate_images(m, n)
+    # rebuild the slices and their bounded operators, with the ladder images
+    # and the basis and weight tables warm
+    for fn in (fockrep._bounded_letters, fockrep._bounded_coordinate, fockrep.rep_letter,
+               rep_coordinate, fockrep.rep_coordinate_star):
         fn.cache_clear()
-    warm = _operator_snapshot(m, n, cutoff)
-    assert fockrep._entry_product.cache_info().currsize == held  # every product hit
-    assert warm == cold
+    assert _slice_snapshot(m, n, cutoff) == cold

@@ -295,14 +295,16 @@ class TestRepCheck:
         assert "FAIL" not in out
 
     def test_cutoff_no_longer_bounds_the_checks(self, capsys):
-        # with truncated slices this cutoff was too small for degree 3 and
-        # exited 1; the ladder operators are exact at every degree, so the
-        # flag only draws a one-line deprecation warning on stderr
+        # the ladder operators are exact at every degree, so rep-check has no
+        # slice to bound and --cutoff is no option of it
         argv = ("rep-check", "--mn", "1x1", "--max-degree", "3")
         code, out, err = run(capsys, *argv, "--cutoff", "2")
-        assert code == 0
-        assert err.count("\n") == 1 and "--cutoff is deprecated" in err
-        assert (code, out, "") == run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: qmb")
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == ["qmb: error: unrecognized arguments: --cutoff 2"]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
         assert "9/9 checks passed" in out
 
     def test_three_by_three_battery(self, capsys):
@@ -337,6 +339,51 @@ class TestRMatrixCheck:
         # UU and VV carry four properties each, the bar tables one each.
         assert out.count("PASS") == 10
         assert "FAIL" not in out
+
+
+# sha256 of (csv, json) stdout over every export target of a size at a cutoff
+EVERY_TARGET_DIGESTS = {
+    ("1x1", 0): (
+        "c6fc027caa8c7c68d1d6a9c52a0941d839ce373b4f93f9d399c43e7222e71ceb",
+        "c5a85b8b8a58f29b72cfc997aa3ece9aee363db14eee3d43c4c290e6d2ed34f2",
+    ),
+    ("1x1", 2): (
+        "d9c2cb31aae54d80c12f4cb8ab93e37d26e18d8abed2f2796b1acf6b6ecd828a",
+        "51af8a83cf15468aab4b1a80587375675054decb0428455c7988558154c634e7",
+    ),
+    ("1x2", 0): (
+        "e38d2b7aa5f49ebf9fb5c094ee07285d2fb80a0e5a9f10d6d04f415ed86462e5",
+        "8bcb54637f65596da22f1f2a940d09a185c0160d1b59bd847ad39a91d927e4f1",
+    ),
+    ("1x2", 2): (
+        "4ec581d66fba74030810b89f7d8ef0c567793bc24bdbf7db48972ca2be1e33d5",
+        "4bb7a3465891760a1cc0e769de2f8dad2d71bba956d0285b3e4d8091dc1a6214",
+    ),
+    ("2x1", 0): (
+        "044859a99e9992d38913c226e30f406c5d6fa4edd56cca017fa27b8c7d1b043f",
+        "6f21d56b6dbcb0622a1b7fe9c3b1d51f5950affd48766a5aef09a77af2a751d8",
+    ),
+    ("2x1", 2): (
+        "bd1ea622260f9f15cc220b1f70545ad61399378146292a0f062ee617d88b243b",
+        "18e3254b67e4ac3cda6b95dae606c1665c78481226bb827b7c0000321e4619bd",
+    ),
+    ("1x3", 0): (
+        "91b15da8b274b3a163fe5b5080c15dbd5fa7f1e0646fa1a0245328df1a68aeda",
+        "659fa20abd6e49f301580edf1609092769cdc9a73194d794764f280a18cbaf18",
+    ),
+    ("1x3", 2): (
+        "063ae85fa56c2d22e88623bb4c00cf1b0e9037dc7a1874e54a22bc8de7ad5266",
+        "1583135e0eb6766f115c0908908fd5cf36747f7b1cedabe077a8ee1e0965f439",
+    ),
+    ("2x3", 0): (
+        "c98484f813359c856e0aa0c56e5a7cbd433665b0d7a3cadc48a47f10b04e404a",
+        "fd771c2207ddb05a7b6317c53abb406e1eb50fd7c522594b3b87ba6423792f4f",
+    ),
+    ("2x3", 2): (
+        "6be2cb7bdd81ef20cbadab5c7fd0b165373938930b20d27d6fec46a487295abc",
+        "ce1032bb29198a83505576666b5dde14193bb61732e66c929e5f6fbc61944437",
+    ),
+}
 
 
 class TestExport:
@@ -394,6 +441,28 @@ class TestExport:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("mn,cutoff", list(EVERY_TARGET_DIGESTS))
+    def test_every_target_golden(self, capsys, mn, cutoff):
+        # sha256 over every export target of the size, each as a line
+        # "<target> exit <code>" and its stdout; recorded while the slices
+        # were still composed entry by entry, so the certificate and shift
+        # headers are pinned at small cutoffs too
+        m, n = (int(x) for x in mn.split("x"))
+        N = m + n
+        targets = [f"letter:{i},{j}" for i in range(1, N + 1) for j in range(1, N + 1)]
+        for kind in ("coordinate", "coordinate-star"):
+            targets += [f"{kind}:{a},{al}" for a in range(1, n + 1) for al in range(1, m + 1)]
+        targets += ["corner", "opposite-corner", "volume", "projector"]
+        for fmt, digest in zip(("csv", "json"), EVERY_TARGET_DIGESTS[(mn, cutoff)]):
+            h = hashlib.sha256()
+            for what in targets:
+                code, out, _ = run(
+                    capsys, "export", "--mn", mn, "--what", what,
+                    "--cutoff", str(cutoff), "--format", fmt,
+                )
+                h.update(f"{what} exit {code}\n{out}".encode())
+            assert h.hexdigest() == digest, fmt
+
     def test_unknown_target(self, capsys):
         code, _, err = run(capsys, "export", "--mn", "1x1", "--what", "nope")
         assert code == 1
@@ -414,7 +483,6 @@ class TestNegativeBounds:
         ("dims", "--algebra", "cmat:2x2", "--max-degree", "-3"),
         ("gram", "--mn", "1x1", "--max-degree", "-1"),
         ("rep-check", "--mn", "1x1", "--max-degree", "-2"),
-        ("rep-check", "--mn", "1x1", "--cutoff", "-4"),
         ("export", "--mn", "1x1", "--what", "corner", "--cutoff", "-1"),
         ("rmatrix-check", "--dim", "-3"),
         ("integral", "--algebra", "funu:1x1", "--positivity", "-2"),

@@ -19,7 +19,6 @@ from qmatball.fockrep import (
     TruncatedOperator,
     apply_coordinate_word,
     corner_adjoint_relation_ok,
-    corner_diagonal,
     default_cutoff,
     det_is_identity_ok,
     diagonal_laws_ok,
@@ -40,6 +39,8 @@ from qmatball.fockrep import (
     rep_coordinate,
     rep_coordinate_star,
     rep_letter,
+    rep_minor,
+    rep_pol_poly,
     rep_pol_word,
     rep_projector,
     rep_tpoly,
@@ -55,6 +56,7 @@ from qmatball.fockrep import _leading_minors_positive
 from qmatball.ladder import sign_chain, staircase_transpositions
 from qmatball.linalg import mat_det
 from qmatball.qminors import (
+    corner_minor_label,
     qdet,
     qminor,
     star_compact,
@@ -86,13 +88,27 @@ class TestWeights:
         assert len(fock_basis(4, 3)) == 35  # C(3 + 4, 4)
 
 
+def _columns_through(op, cert) -> dict:
+    """The entries of a slice whose input degree is at most ``cert``."""
+    return {key: c for key, c in op.entries.items() if sum(key[1]) <= cert}
+
+
+def _restricted(op, cert):
+    """The same slice certified through a smaller degree (its columns are
+    complete, so dropping the higher ones is sound)."""
+    if cert >= op.cert:
+        return op
+    return TruncatedOperator(op.legs, cert, _columns_through(op, cert), op.up, op.down)
+
+
 class TestOperatorCalculus:
     def test_identity_and_diagonal(self):
         ident = TruncatedOperator.identity(2, 3)
         diag = TruncatedOperator.diagonal(2, 3, lambda k: q_pow(-sum(k)))
-        assert ident.agrees_with(ident)
-        assert diag.is_diagonal_with(lambda k: q_pow(-sum(k)))
-        assert not diag.is_diagonal_with(lambda k: ONE)
+        basis = fock_basis(2, 3)
+        assert ident.entries == {(k, k): ONE for k in basis}
+        assert diag.entries == {(k, k): q_pow(-sum(k)) for k in basis}
+        assert diag.entries != ident.entries
 
     def test_negative_certificate_rejected(self):
         with pytest.raises(CutoffError):
@@ -112,26 +128,29 @@ class TestOperatorCalculus:
     def test_adjoint_involutive_on_slice(self):
         z = rep_coordinate(1, 1, 1, 1, 12)
         back = z.adjoint().adjoint()
-        assert z.agrees_with(back)
+        assert back.cert == z.cert - 1
+        assert back.entries == _columns_through(z, back.cert)
 
     def test_adjoint_is_antilinear(self):
         # every entry of the ladder images is real, so only a complex
         # multiple tells a conjugated entry from a plain one
         z = rep_coordinate(1, 2, 2, 1, 6)
-        assert z.scale(I).adjoint().agrees_with(z.adjoint().scale(-I))
+        lhs, rhs = z.scale(I).adjoint(), z.adjoint().scale(-I)
+        assert lhs.cert == rhs.cert and lhs.entries == rhs.entries
 
-    def test_restrict_keeps_columns(self):
+    def test_smaller_cutoff_keeps_columns(self):
         z = rep_coordinate(1, 1, 1, 1, 12)
-        small = z.restrict(4)
+        small = rep_coordinate(1, 1, 1, 1, 4)
         assert small.cert == 4
-        assert small.column((4,)) == z.column((4,))
+        assert small.entries == _columns_through(z, 4)
+        assert small.apply({(4,): ONE}) == z.apply({(4,): ONE})
         with pytest.raises(CutoffError):
-            small.column((5,))
+            small.apply({(5,): ONE})
 
     def test_scalar_linearity(self):
         z = rep_coordinate(1, 1, 1, 1, 12)
-        assert (z + z).agrees_with(z.scale(ONE + ONE))
-        assert (z - z).agrees_with(TruncatedOperator.zero(1, z.cert))
+        assert (z + z).entries == z.scale(ONE + ONE).entries
+        assert (z - z).entries == {} and (z - z).cert == z.cert
 
     def test_negation_is_scaling_by_minus_one(self):
         z = rep_coordinate(1, 2, 2, 1, 6)
@@ -145,7 +164,7 @@ class TestOperatorCalculus:
         assert z.scale(1) is z
         assert z.scale(GaussRat(1)) is z
         two = z.scale(ONE + ONE)
-        assert two is not z and two.agrees_with(z + z)
+        assert two is not z and two.entries == (z + z).entries
 
     def test_column_beyond_certificate_rejected(self):
         with pytest.raises(ValueError, match="beyond certificate"):
@@ -166,20 +185,20 @@ def _tpoly_word_by_word(f, m, n, cutoff, through=None):
         budget = through + max((len(w) for w in f.terms), default=0)
     acc = None
     for word, c in f.terms.items():
-        piece = ident if budget is None else ident.restrict(budget)
+        piece = ident if budget is None else _restricted(ident, budget)
         for g in word:
             op = rep_letter(m, n, g.row, g.col, cutoff)
             if budget is not None:
-                op = op.restrict(budget)
+                op = _restricted(op, budget)
             piece = op if piece is ident else piece.compose(op)
         piece = piece.scale(c)
         acc = piece if acc is None else acc + piece
-    return acc if through is None else acc.restrict(through)
+    return acc if through is None else _restricted(acc, through)
 
 
 def _sliced(op, through):
     """The image cut to inputs of degree <= through (None keeps it whole)."""
-    return op if through is None else op.restrict(through)
+    return op if through is None else _restricted(op, through)
 
 
 def _same_operator(a, b) -> bool:
@@ -204,7 +223,9 @@ def _tpolys(m, n):
 
 
 class TestGroupedWordImages:
-    """rep_tpoly shares prefixes between words; the plain loop is the reference.
+    """rep_tpoly evaluates the grouped ladder image on each basis vector and
+    takes its bounds from the grouped products; the plain loop over
+    truncated letter slices is the reference.
 
     With ``through`` set, the reference multiplies letters pre-restricted to
     one degree of budget per letter, and the full image cut to the same
@@ -292,7 +313,18 @@ class TestRankOneLadder:
         zs = rep_coordinate_star(1, 1, 1, 1, self.CUT)
         lhs = zs.compose(z) - z.compose(zs).scale(q_pow(2))
         rhs = TruncatedOperator.identity(1, lhs.cert).scale(ONE - q_pow(2))
-        assert lhs.agrees_with(rhs)
+        assert lhs.entries == rhs.entries
+
+    def test_pol_poly_commutator_is_a_multiple_of_identity(self):
+        # zs z - q^2 z zs = (1 - q^2) 1; the certificate and shift bounds
+        # were recorded while the slices were composed entry by entry
+        z, zs = sym("z", 1, 1), sym("zs", 1, 1)
+        f = NCPoly.from_word((zs, z)) - NCPoly.from_word((z, zs)).scale(q_pow(2))
+        op = rep_pol_poly(f, 1, 1, 4)
+        assert (op.legs, op.cert, op.up, op.down) == (1, 3, 1, 1)
+        assert op.entries == {(k, k): ONE - q_pow(2) for k in fock_basis(1, 3)}
+        with pytest.raises(CutoffError):
+            rep_pol_poly(f, 1, 1, 0)
 
     def test_letter_images(self):
         raise_op = rep_letter(1, 1, 1, 1, self.CUT)
@@ -313,7 +345,7 @@ class TestRankOneLadder:
     def test_projector_is_vacuum_projection(self):
         p = rep_projector(1, 1, 6)
         assert p.entries == {((0,), (0,)): ONE}
-        assert p.compose(p).agrees_with(p)
+        assert p.compose(p).entries == p.entries
 
     def test_word_operator_matches_vector_orbit(self):
         word = (sym("z", 1, 1), sym("z", 1, 1))
@@ -364,8 +396,9 @@ class TestCertifiedLaws:
         assert minor_conjugation_ok(2, 2, 1)
 
     def test_corner_minor_spectrum(self):
-        op = corner_diagonal(1, 2, 10)
+        op = rep_minor(1, 2, corner_minor_label(1, 2), 10)
         assert op.entries[((2, 1), (2, 1))] == q_pow(-3)
+        assert op.entries == {(k, k): q_pow(-sum(k)) for k in fock_basis(2, op.cert)}
 
     @pytest.mark.parametrize("mn", [(1, 1), (1, 2), (2, 1), (1, 3), (2, 3), (3, 2)])
     def test_rewrite_rules_hold_as_operators(self, mn):
@@ -607,7 +640,7 @@ class TestLawsCatchPlantedFaults:
         gains the factor i and its t22 the factor -i.  Every letter
         coefficient is real otherwise, so only such letters tell an adjoint
         that conjugates from one that does not."""
-        real = ladder._generator
+        real = ladder.generator_image
 
         def phased(legs, leg, gen):
             op = real(legs, leg, gen)
@@ -615,7 +648,7 @@ class TestLawsCatchPlantedFaults:
                 return op.scale(I if gen == "t11" else -I)
             return op
 
-        monkeypatch.setattr(ladder, "_generator", phased)
+        monkeypatch.setattr(ladder, "generator_image", phased)
         ladder.letter_images.cache_clear()
         yield
         ladder.letter_images.cache_clear()
@@ -669,7 +702,7 @@ class TestSylvesterRule:
 
 class TestExport:
     def test_csv_shape(self):
-        z = rep_coordinate(1, 1, 1, 1, 12).restrict(2)
+        z = rep_coordinate(1, 1, 1, 1, 2)
         text = operator_csv(z)
         lines = text.strip().splitlines()
         assert lines[0].startswith("# legs=1 cert=2")
@@ -680,7 +713,7 @@ class TestExport:
     def test_json_round_trip_fields(self):
         import json as _json
 
-        z = rep_coordinate(1, 1, 1, 1, 12).restrict(2)
+        z = rep_coordinate(1, 1, 1, 1, 2)
         data = _json.loads(operator_json(z))
         assert data["legs"] == 1 and data["cert"] == 2
         assert {"out": [1], "in": [0], "value": q_pow(1).to_string()} in data["entries"]
