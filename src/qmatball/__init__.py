@@ -71,6 +71,7 @@ from . import algebras as _algebras, fockrep as _fockrep, integral as _integral
 from . import uqaction as _uqaction
 from .ladder import coordinate_images as _coordinate_images
 from .ladder import letter_images as _letter_images
+from .ladder import minor_images as _minor_images
 from .words import generator_weight as _generator_weight
 
 _LRU_CACHES = (
@@ -89,6 +90,7 @@ _LRU_CACHES = (
     _fockrep.projector_pairing_matrix,
     _fockrep.vacuum_orbit,
     _letter_images,
+    _minor_images,
     _coordinate_images,
     _integral.modular_weights,
     _integral._sandwich_pairing,

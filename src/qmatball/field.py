@@ -156,20 +156,24 @@ def _coerce_gauss(x) -> GaussRat:
 
 def format_gauss(c: GaussRat) -> str:
     """Canonical text for a Gaussian rational: '3', '-1/2', 'i', '1/2-3/4i'."""
-    re_, im = c.re, c.im
-    if im == 0:
-        return str(re_)
-    if im == 1:
-        ipart = "i"
-    elif im == -1:
-        ipart = "-i"
-    else:
-        ipart = f"{im}i"
-    if re_ == 0:
+    return _format_triple(_from_gauss(c))
+
+
+def _ratstr(x: int, d: int) -> str:
+    """x/d (d > 0) in lowest terms, as ``str`` of the equal Fraction."""
+    g = gcd(x, d)
+    return str(x // g) if g == d else f"{x // g}/{d // g}"
+
+
+def _format_triple(c: tuple) -> str:
+    """The text of :func:`format_gauss` for a triple (a, b, d) = (a + b*i)/d."""
+    a, b, d = c
+    if not b:
+        return _ratstr(a, d)
+    ipart = "i" if b == d else "-i" if b == -d else f"{_ratstr(b, d)}i"
+    if not a:
         return ipart
-    if im > 0 and not ipart.startswith("-"):
-        return f"{re_}+{ipart}"
-    return f"{re_}{ipart}"
+    return f"{_ratstr(a, d)}{'+' if b > 0 else ''}{ipart}"
 
 
 _GAUSS_RE = _re.compile(
@@ -721,7 +725,7 @@ def _coerce(x):
 def _pformat(p: dict) -> str:
     if not p:
         return "[]"
-    items = ",".join(f"{e}:{format_gauss(_to_gauss(c))}" for e, c in sorted(p.items()))
+    items = ",".join(f"{e}:{_format_triple(c)}" for e, c in sorted(p.items()))
     return f"[{items}]"
 
 
@@ -752,7 +756,7 @@ def _ppretty(p: dict) -> str:
     parts = []
     for e, c in sorted(p.items()):
         if e == 0:
-            term = format_gauss(_to_gauss(c))
+            term = _format_triple(c)
         else:
             sterm = "s" if e == 1 else f"s^{e}"
             if c == _C1:
@@ -760,7 +764,7 @@ def _ppretty(p: dict) -> str:
             elif c == _CM1:
                 term = f"-{sterm}"
             else:
-                cs = format_gauss(_to_gauss(c))
+                cs = _format_triple(c)
                 if "+" in cs[1:] or "-" in cs[1:]:
                     cs = f"({cs})"
                 term = f"{cs}*{sterm}"

@@ -47,9 +47,10 @@ from .ladder import (
     corner_image,
     generator_image,
     letter_images,
+    minor_image,
+    minor_images,
     pol_image,
     staircase_product,
-    tpoly_image,
     word_image,
 )
 from .linalg import mat_leading_pivots, mat_mul, mat_rank
@@ -59,11 +60,8 @@ from .qminors import (
     corner_minor_label,
     neg_q_pow,
     opposite_corner_label,
-    qdet,
     qminor,
     row_sign,
-    star_compact,
-    volume_element,
 )
 from .words import NCPoly, sym, word_tokens
 
@@ -408,7 +406,9 @@ def _bounded_letters(m: int, n: int) -> dict:
     )
     zero = _Bounded.start(LadderOperator(legs, {}))
     N = m + n
-    return {(i, j): P.get((i, j), zero) for i in range(1, N + 1) for j in range(1, N + 1)}
+    return {
+        (i, j): P.get(((i,), (j,)), zero) for i in range(1, N + 1) for j in range(1, N + 1)
+    }
 
 
 def _bounded_tpoly(f: NCPoly, m: int, n: int) -> _Bounded:
@@ -521,15 +521,20 @@ def apply_coordinate_word(word: tuple, m: int, n: int) -> dict:
 
 
 def diagonal_laws_ok(m: int, n: int) -> bool:
-    """Corner minor diagonal q^-(total); volume element diagonal q^-2(total)."""
+    """Corner minor diagonal q^-(total); volume element diagonal q^-2(total).
+
+    The volume element is (-q)^mn (corner minor)(opposite corner minor).
+    """
     corner_image(m, n)  # raises when violated
-    vol = tpoly_image(volume_element(m, n), m, n)
+    up = minor_image(m, n, corner_minor_label(m, n))
+    lo = minor_image(m, n, opposite_corner_label(m, n))
+    vol = up.compose(lo).scale(neg_q_pow(m * n))
     return vol == LadderOperator.diagonal(m * n, (2,) * (m * n))
 
 
 def vacuum_modulus_value(m: int, n: int) -> Scalar:
     """The vacuum eigenvalue of the opposite corner minor."""
-    return vacuum_eigenvalue(tpoly_image(qminor(*opposite_corner_label(m, n)), m, n))
+    return vacuum_eigenvalue(minor_image(m, n, opposite_corner_label(m, n)))
 
 
 def vacuum_modulus_ok(m, n, s0_list=(Fraction(1, 2), Fraction(9, 10))):
@@ -551,23 +556,36 @@ def vacuum_modulus_ok(m, n, s0_list=(Fraction(1, 2), Fraction(9, 10))):
     return True
 
 
-def type_identity_ok(m: int, n: int) -> bool:
-    """adjoint(image of t[i,j]) = rowsign(i) colsign(j) image of its involute."""
+def _involute_images(m: int, n: int) -> dict:
+    """{(i, j): image of the compact involute of t[i,j]}, that is
+    (-q)^(j-i) times the complementary cofactor (see
+    :func:`qminors.star_compact`)."""
     N = m + n
-    letters = letter_images(m, n)
+    cof = minor_images(m, n, N - 1)
+    out = {}
     for i in range(1, N + 1):
         for j in range(1, N + 1):
-            img = tpoly_image(star_compact(i, j, N), m, n)
-            if row_sign(i, m) * col_sign(j, n) == -1:
-                img = -img
-            if letters[(i, j)].adjoint() != img:
-                return False
+            rows = tuple(r for r in range(1, N + 1) if r != i)
+            cols = tuple(c for c in range(1, N + 1) if c != j)
+            out[(i, j)] = cof[(rows, cols)].scale(neg_q_pow(j - i))
+    return out
+
+
+def type_identity_ok(m: int, n: int) -> bool:
+    """adjoint(image of t[i,j]) = rowsign(i) colsign(j) image of its involute."""
+    letters = letter_images(m, n)
+    for (i, j), img in _involute_images(m, n).items():
+        if row_sign(i, m) * col_sign(j, n) == -1:
+            img = -img
+        if letters[(i, j)].adjoint() != img:
+            return False
     return True
 
 
 def det_is_identity_ok(m: int, n: int) -> bool:
     """The full quantum determinant acts as the identity."""
-    return tpoly_image(qdet(m + n), m, n) == LadderOperator.identity(m * n)
+    full = tuple(range(1, m + n + 1))
+    return minor_image(m, n, (full, full)) == LadderOperator.identity(m * n)
 
 
 def minor_conjugation_ok(m: int, n: int, k: int) -> bool:
@@ -583,24 +601,21 @@ def minor_conjugation_ok(m: int, n: int, k: int) -> bool:
     N = m + n
     legs = m * n
     top = qminor(range(1, k + 1), range(N - k + 1, N + 1))
-    involutes = {
-        g: tpoly_image(star_compact(g.row, g.col, N), m, n)
-        for g in {g for word in top.terms for g in word}
-    }
+    involutes = _involute_images(m, n)
     lhs = LadderOperator(legs, {})
     for word, c in top.terms.items():
         piece = LadderOperator.identity(legs).scale(c.conjugate())
         for g in reversed(word):
-            piece = piece.compose(involutes[g])
+            piece = piece.compose(involutes[(g.row, g.col)])
         lhs = lhs + piece
-    rhs = tpoly_image(qminor(range(k + 1, N + 1), range(1, N - k + 1)), m, n)
+    rhs = minor_image(m, n, (tuple(range(k + 1, N + 1)), tuple(range(1, N - k + 1))))
     return lhs == rhs.scale(neg_q_pow(k * (N - k)))
 
 
 def corner_adjoint_relation_ok(m: int, n: int) -> bool:
     """Corner minor = (-q)^mn adjoint(opposite corner minor) as operators."""
-    up = tpoly_image(qminor(*corner_minor_label(m, n)), m, n)
-    lo = tpoly_image(qminor(*opposite_corner_label(m, n)), m, n)
+    up = minor_image(m, n, corner_minor_label(m, n))
+    lo = minor_image(m, n, opposite_corner_label(m, n))
     return up == lo.adjoint().scale(neg_q_pow(m * n))
 
 

@@ -25,11 +25,23 @@ The N x N letters come from the staircase product of the 2 x 2 generators
 word-grouping routine (see :func:`word_image`).  The exported slices of
 :mod:`qmatball.fockrep` go through both too, so that their certificates
 follow the same products and sums.
+
+Quantum minors are comultiplicative, t^[I|J] -> sum_K t^[I|K] (x) t^[K|J],
+and the letter matrix is a product of factors whose entries act on
+different legs and so commute.  Hence the k x k minors of the letters are
+the product of the factors' k-th exterior powers (see :func:`minor_images`),
+with no sum over permutations.  Factor r, on the slots B = (a, a+1), has
+entry (I, K) only where I and K agree off B: the identity when I misses B,
+the generator t_xy when one row x of I and column y of K lie in B, and the
+block q-determinant t11 t22 - q t12 t21 when both rows do.  On the ladder
+that determinant is (1 - X_r^2) + X_r^2 = 1; :func:`minor_images` checks
+it as an operator identity and raises ArithmeticError if it fails.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 from operator import add, mul
 
 from .field import ONE, Scalar, add_terms, q_pow, s_pow
@@ -37,7 +49,6 @@ from .qminors import (
     col_signs,
     coordinate_numerator_label,
     corner_minor_label,
-    qminor,
     row_signs,
 )
 from .words import NCPoly, sym
@@ -48,6 +59,8 @@ __all__ = [
     "sign_chain",
     "staircase_product",
     "generator_image",
+    "minor_images",
+    "minor_image",
     "letter_images",
     "word_image",
     "tpoly_image",
@@ -259,44 +272,50 @@ def sign_chain(m: int, n: int) -> tuple:
     return tuple(chain)
 
 
-def staircase_product(m: int, n: int, generator, ident) -> dict:
-    """The N x N letter images as a product of block-embedded generators.
+def staircase_product(m: int, n: int, generator, ident, rows=None) -> dict:
+    """The minors of the staircase product of block-embedded generators.
 
     For the r-th transposition (a, a+1) of the staircase word, the 2 x 2
     generators ``generator(r, "t11")`` ... ``generator(r, "t22")`` on leg r
-    fill slots (a, a+1) x (a, a+1) and ``ident`` the rest of the diagonal;
-    these operator-valued matrices are multiplied left to right.  Entries
-    that stay zero are missing from the result.  Works for any operator
-    type with ``compose`` and ``+``.
+    fill slots (a, a+1) x (a, a+1) and ``ident`` the rest of the diagonal.
+    The k-th exterior powers of these operator-valued matrices are
+    multiplied left to right, keeping only the rows I in ``rows`` (ascending
+    tuples of 1..N; by default the N singletons, that is the product of the
+    factors themselves).  Entries are keyed (I, J) by ascending tuples, and
+    those that stay zero are missing from the result.
+
+    Factor r has entry (I, K) only where I and K agree off its block B: the
+    identity when I misses B, the generator t_xy when one row x of I, and
+    the column y of K, lie in B (the two sit at the same position, so the
+    sign is +1), and the block's q-determinant when both rows do.  That last
+    entry is taken as ``ident`` here; :func:`minor_images` checks that it is.
+    Works for any operator type with ``compose`` and ``+``.
     """
     N = m + n
     sign_chain(m, n)  # raises if the leg-by-leg sign bookkeeping breaks
-    P = None
+    if rows is None:
+        rows = [(i,) for i in range(1, N + 1)]
+    P = {(I, I): ident for I in rows}
     for r, a in enumerate(staircase_transpositions(m, n)):
-        M = {}
-        for i in (a, a + 1):
-            for j in (a, a + 1):
-                M[(i, j)] = generator(r, f"t{i - a + 1}{j - a + 1}")
-        for i in range(1, N + 1):
-            if i not in (a, a + 1):
-                M[(i, i)] = ident
-        if P is None:
-            P = M
-            continue
+        block = (a, a + 1)
+        gens = {(x, y): generator(r, f"t{x - a + 1}{y - a + 1}") for x in block for y in block}
         nxt: dict = {}
-        for (i, j), left in P.items():
-            for jj in (a, a + 1) if j in (a, a + 1) else (j,):
-                right = M.get((j, jj))
-                if right is None:
-                    continue
+        for (I, J), left in P.items():
+            inside = [x for x in J if x in block]
+            if len(inside) == 1:
+                x = inside[0]
+                row = [(tuple(y if j == x else j for j in J), gens[(x, y)]) for y in block]
+            else:
+                row = [(J, ident)]
+            for JJ, right in row:
                 if left is ident:
                     term = right
                 elif right is ident:
                     term = left
                 else:
                     term = left.compose(right)
-                prev = nxt.get((i, jj))
-                nxt[(i, jj)] = term if prev is None else prev + term
+                prev = nxt.get((I, JJ))
+                nxt[(I, JJ)] = term if prev is None else prev + term
         P = nxt
     return P
 
@@ -318,15 +337,45 @@ def generator_image(legs: int, leg: int, gen: str) -> LadderOperator:
 
 
 @lru_cache(maxsize=None)
-def letter_images(m: int, n: int) -> dict:
-    """{(i, j): image of the letter t[i,j]} for all N x N letters."""
+def minor_images(m: int, n: int, k: int, rows=None) -> dict:
+    """{(I, J): image of the quantum minor t^[I|J]} over ascending k-tuples
+    J and the ascending k-tuples I of the tuple ``rows`` (all by default).
+
+    The k-th exterior power of the staircase product (see
+    :func:`staircase_product`), which is the product of the factors'
+    exterior powers because operators on different legs commute.  For
+    k >= 2 each leg's block q-determinant t11 t22 - q t12 t21 is first
+    checked to be the identity operator; ArithmeticError otherwise.
+    """
     legs = m * n
-    N = m + n
+    ident = LadderOperator.identity(legs)
+    if k >= 2:
+        for r in range(legs):
+            t11, t12, t21, t22 = (
+                generator_image(legs, r, g) for g in ("t11", "t12", "t21", "t22")
+            )
+            if t11.compose(t22) - t12.compose(t21).scale(q_pow(1)) != ident:
+                raise ArithmeticError(f"the block q-determinant on leg {r} is not 1")
+    subsets = list(combinations(range(1, m + n + 1), k))
+    rows = subsets if rows is None else rows
     P = staircase_product(
-        m, n, lambda r, gen: generator_image(legs, r, gen), LadderOperator.identity(legs)
+        m, n, lambda r, gen: generator_image(legs, r, gen), ident, rows
     )
     zero = LadderOperator(legs, {})
-    return {(i, j): P.get((i, j), zero) for i in range(1, N + 1) for j in range(1, N + 1)}
+    return {(I, J): P.get((I, J), zero) for I in rows for J in subsets}
+
+
+def minor_image(m: int, n: int, label: tuple) -> LadderOperator:
+    """Image of the one minor t^[I|J], label = (I, J) ascending tuples,
+    from the row I of :func:`minor_images`."""
+    rows = label[0]
+    return minor_images(m, n, len(rows), (rows,))[label]
+
+
+@lru_cache(maxsize=None)
+def letter_images(m: int, n: int) -> dict:
+    """{(i, j): image of the letter t[i,j]}: the 1 x 1 minors."""
+    return {(I[0], J[0]): op for (I, J), op in minor_images(m, n, 1).items()}
 
 
 def word_image(f: NCPoly, letters: dict, one, zero):
@@ -381,7 +430,7 @@ def corner_image(m: int, n: int) -> LadderOperator:
     """Image of the corner minor, verified to be X^(1,...,1), that is
     diagonal with eigenvalue q^-(total degree)."""
     legs = m * n
-    op = tpoly_image(qminor(*corner_minor_label(m, n)), m, n)
+    op = minor_image(m, n, corner_minor_label(m, n))
     if op != LadderOperator.diagonal(legs, (1,) * legs):
         raise ArithmeticError("corner minor failed its diagonal law")
     return op
@@ -400,8 +449,7 @@ def coordinate_images(m: int, n: int) -> dict:
     out = {}
     for a in range(1, n + 1):
         for al in range(1, m + 1):
-            num = tpoly_image(qminor(*coordinate_numerator_label(a, al, m, n)), m, n)
-            z = inverse.compose(num)
+            z = inverse.compose(minor_image(m, n, coordinate_numerator_label(a, al, m, n)))
             out[sym("z", a, al)] = z
             out[sym("zs", a, al)] = z.adjoint()
     return out

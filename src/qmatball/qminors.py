@@ -4,8 +4,10 @@ The coordinate algebras of this package embed into a larger quantum matrix
 algebra with generators t[i,j], 1 <= i,j <= N = m + n.  Elements here are
 plain free polynomials in those letters (``TPoly`` is an alias of
 :class:`~qmatball.words.NCPoly`): no rewriting system is attached, because
-every identity the package relies on is certified through exact
-finite-dimensional operator slices (module :mod:`qmatball.fockrep`).
+every identity the package relies on is certified through exact ladder
+operators (module :mod:`qmatball.ladder`).  The laws read their minors
+from ``ladder.minor_images``, built without these permutation sums; the
+sums serve the exported slices and, in the tests, as the oracle.
 
 Provided here:
 
@@ -40,7 +42,6 @@ __all__ = [
     "star_compact",
     "star_indefinite",
     "star_compact_poly",
-    "star_indefinite_poly",
     "corner_minor_label",
     "opposite_corner_label",
     "volume_element",
@@ -152,26 +153,17 @@ def star_indefinite(i: int, j: int, m: int, n: int) -> NCPoly:
     return img if sgn == 1 else -img
 
 
-def _star_poly(f: NCPoly, letter_image) -> NCPoly:
+def star_compact_poly(f: NCPoly, N: int) -> NCPoly:
+    """Conjugate-linear antimultiplicative extension of the compact involution."""
     out: dict = {}
     for word, c in f.terms.items():
         piece = NCPoly.from_word((), c.conjugate())
         for g in reversed(word):
             if g.kind != "t":
                 raise ValueError(f"expected a t-letter, got {g.token()}")
-            piece = piece * letter_image(g.row, g.col)
+            piece = piece * star_compact(g.row, g.col, N)
         add_terms(out, piece.terms.items())
     return NCPoly(out, _clean=True)
-
-
-def star_compact_poly(f: NCPoly, N: int) -> NCPoly:
-    """Conjugate-linear antimultiplicative extension of the compact involution."""
-    return _star_poly(f, lambda i, j: star_compact(i, j, N))
-
-
-def star_indefinite_poly(f: NCPoly, m: int, n: int) -> NCPoly:
-    """Conjugate-linear antimultiplicative extension of the signed involution."""
-    return _star_poly(f, lambda i, j: star_indefinite(i, j, m, n))
 
 
 # ---------------------------------------------------------------------------

@@ -322,11 +322,15 @@ class TestRepCheck:
             ("2x1", "2", "3b33e348b920dc7c3d650d41c38846a6bf4324d0af0d839eb5f7f047f9a1d231"),
             ("1x3", "2", "3b33e348b920dc7c3d650d41c38846a6bf4324d0af0d839eb5f7f047f9a1d231"),
             ("2x3", "1", "6f6309a5f508eeb4307aa02e17f4edf6047f16997a9cd069985fb177d7e797bf"),
+            ("3x4", "1", "6f6309a5f508eeb4307aa02e17f4edf6047f16997a9cd069985fb177d7e797bf"),
+            ("4x4", "1", "6f6309a5f508eeb4307aa02e17f4edf6047f16997a9cd069985fb177d7e797bf"),
         ],
     )
     def test_stdout_golden(self, capsys, mn, k, digest):
         # sha256 of stdout recorded with truncated operator slices (the first
-        # two before operator entries shared a product table)
+        # two before operator entries shared a product table); 3x4 and 4x4
+        # (every line PASS, about 5 s) recorded while minors were still
+        # expanded as permutation sums
         code, out, _ = run(capsys, "rep-check", "--mn", mn, "--max-degree", k)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest

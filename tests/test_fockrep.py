@@ -650,8 +650,10 @@ class TestLawsCatchPlantedFaults:
 
         monkeypatch.setattr(ladder, "generator_image", phased)
         ladder.letter_images.cache_clear()
+        ladder.minor_images.cache_clear()
         yield
         ladder.letter_images.cache_clear()
+        ladder.minor_images.cache_clear()
 
     @pytest.mark.parametrize("mn", [(1, 1), (2, 2)])
     def test_phased_letters_keep_the_type_identity(self, phased_letters, mn):

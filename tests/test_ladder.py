@@ -6,7 +6,12 @@ to their tensor legs and multiplied as operator-valued matrices along the
 staircase word, with :class:`TruncatedOperator` arithmetic.  On every basis
 vector of a slice, each letter, coordinate and conjugate coordinate must act
 exactly as its reference does.
+
+The minors built as exterior powers of the staircase factors are compared
+with their permutation sums, word by word through the letter images.
 """
+
+from itertools import combinations
 
 import pytest
 
@@ -16,8 +21,13 @@ from qmatball.fockrep import TruncatedOperator, fock_basis
 from qmatball.ladder import (
     LadderOperator,
     coordinate_images,
+    generator_image,
     letter_images,
+    minor_image,
+    minor_images,
+    staircase_product,
     staircase_transpositions,
+    tpoly_image,
 )
 from qmatball.qminors import coordinate_numerator_label, corner_minor_label, qminor
 from qmatball.words import sym
@@ -168,3 +178,85 @@ def test_polynomial_images_reject_foreign_letters():
         ladder.tpoly_image(NCPoly.from_word((sym("z", 1, 1),)), 1, 1)
     with pytest.raises(ValueError, match="no ladder operator"):
         ladder.pol_image(NCPoly.from_word((sym("f0"),)), 1, 1)
+
+
+# ---------------------------------------------------------------------------
+# minors as exterior powers of the staircase factors
+
+
+def _minor_labels(m, n, sizes):
+    N = m + n
+    for k in sizes:
+        for I in combinations(range(1, N + 1), k):
+            for J in combinations(range(1, N + 1), k):
+                yield k, I, J
+
+
+@pytest.mark.parametrize("mn", [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (2, 3), (3, 2)])
+def test_minor_images_are_the_permutation_sums(mn):
+    m, n = mn
+    compared = 0
+    for k, I, J in _minor_labels(m, n, range(1, m + n + 1)):
+        assert minor_images(m, n, k)[(I, J)] == tpoly_image(qminor(I, J), m, n), (k, I, J)
+        compared += 1
+    assert compared == sum(len(minor_images(m, n, k)) for k in range(1, m + n + 1))
+
+
+def test_three_by_three_small_minors_cofactors_and_determinant():
+    # the 3 and 4 minors at 3 x 3 are left out: their permutation sums take
+    # about 3 s of the full sweep's 5 s
+    for k, I, J in _minor_labels(3, 3, (1, 2, 5, 6)):
+        assert minor_images(3, 3, k)[(I, J)] == tpoly_image(qminor(I, J), 3, 3), (k, I, J)
+
+
+def test_a_row_subset_reads_the_same_minors():
+    rows = ((1, 3), (2, 4))
+    part = minor_images(2, 2, 2, rows)
+    full = minor_images(2, 2, 2)
+    assert part and all(I in rows for I, _ in part)
+    assert all(full[key] == op for key, op in part.items())
+    assert len(part) == 2 * 6
+    assert minor_image(2, 2, ((2, 4), (1, 3))) == full[((2, 4), (1, 3))]
+
+
+def test_a_block_determinant_that_is_not_one_raises(monkeypatch):
+    # t22 doubled on leg 1: the block q-determinant becomes 2 - X^2
+    real = generator_image
+
+    def doubled(legs, leg, gen):
+        op = real(legs, leg, gen)
+        return op.scale(ONE + ONE) if (leg, gen) == (1, "t22") else op
+
+    monkeypatch.setattr(ladder, "generator_image", doubled)
+    minor_images.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match="block q-determinant on leg 1"):
+            minor_images(2, 2, 2)
+        minor_images(2, 2, 1)  # the letters do not meet the block determinant
+    finally:
+        minor_images.cache_clear()
+
+
+def test_a_sign_flipped_on_a_one_row_entry_breaks_the_oracle():
+    # at k = 2 every generator entry of a factor is a one-row entry, so a
+    # negated t21 on leg 2 flips the sign of exactly those entries
+    m, n = 2, 2
+    legs = m * n
+    ident = LadderOperator.identity(legs)
+    zero = LadderOperator(legs, {})
+    rows = list(combinations(range(1, m + n + 1), 2))
+
+    def product(flip):
+        def gen(r, name):
+            op = generator_image(legs, r, name)
+            return -op if flip and (r, name) == (2, "t21") else op
+
+        return staircase_product(m, n, gen, ident, rows)
+
+    good, bad = product(False), product(True)
+    differ = 0
+    for _, I, J in _minor_labels(m, n, (2,)):
+        oracle = tpoly_image(qminor(I, J), m, n)
+        assert good.get((I, J), zero) == oracle
+        differ += bad.get((I, J), zero) != oracle
+    assert differ > 0
