@@ -67,36 +67,34 @@ from .fockrep import (
     rep_projector,
 )
 from .integral import integral_nu, invariance_defect, modular_exponent
-from . import algebras as _algebras, fockrep as _fockrep, integral as _integral
-from . import uqaction as _uqaction
-from .ladder import coordinate_images as _coordinate_images
-from .ladder import letter_images as _letter_images
-from .ladder import minor_images as _minor_images
-from .words import generator_weight as _generator_weight
+# each submodule is registered under its own name only: a second binding
+# (an alias) would be a second package attribute holding the same module
+from . import algebras, fockrep, integral, ladder, uqaction, words
 
 _LRU_CACHES = (
-    _generator_weight,
-    _algebras._build_presentation,
-    _fockrep.fock_norm2,
-    _fockrep.fock_weight,
-    _fockrep._norm2_ratio,
-    _fockrep.fock_basis,
-    _fockrep._bounded_letters,
-    _fockrep._bounded_coordinate,
-    _fockrep.rep_letter,
-    _fockrep.rep_coordinate,
-    _fockrep.rep_coordinate_star,
-    _fockrep.gram_matrix,
-    _fockrep.projector_pairing_matrix,
-    _fockrep.vacuum_orbit,
-    _letter_images,
-    _minor_images,
-    _coordinate_images,
-    _integral.modular_weights,
-    _integral._sandwich_pairing,
-    _uqaction._z_table,
-    _uqaction._f0_table,
-    _uqaction._symbol_table,
+    words.generator_weight,
+    algebras._build_presentation,
+    fockrep.fock_norm2,
+    fockrep.fock_weight,
+    fockrep._norm2_ratio,
+    fockrep.fock_basis,
+    fockrep._bounded_letters,
+    fockrep._bounded_coordinate,
+    fockrep.rep_letter,
+    fockrep.rep_coordinate,
+    fockrep.rep_coordinate_star,
+    fockrep._weight_blocks,
+    fockrep.gram_matrix,
+    fockrep.projector_pairing_matrix,
+    fockrep.vacuum_orbit,
+    ladder.letter_images,
+    ladder.minor_images,
+    ladder.coordinate_images,
+    integral.modular_weights,
+    integral._sandwich_pairing,
+    uqaction._z_table,
+    uqaction._f0_table,
+    uqaction._symbol_table,
 )
 
 

@@ -20,7 +20,8 @@ the boundary.
 
 Conjugation fixes s and sends i to -i (the deformation parameter is real).
 Evaluation at a rational point 0 < s0 < 1 is exact and returns a Gaussian
-rational.
+rational; ``eval_triple`` returns the same value as a canonical triple, for
+callers that go on in integer arithmetic.
 """
 
 from __future__ import annotations
@@ -572,11 +573,15 @@ class Scalar:
     def eval_at(self, s0) -> GaussRat:
         """Exact evaluation at a rational point s = s0 (so q = s0**2)."""
         s0 = Fraction(s0)
-        u, v = s0.numerator, s0.denominator
+        return _to_gauss(self.eval_triple(s0.numerator, s0.denominator))
+
+    def eval_triple(self, u: int, v: int) -> tuple:
+        """The value at s = u/v (v > 0) as a canonical triple (a, b, d),
+        meaning (a + b*i)/d: integer arithmetic only, no Fraction."""
         den = _peval(self._den, u, v)
         if not (den[0] or den[1]):
-            raise ZeroDivisionError(f"pole at s = {s0}")
-        return _to_gauss(_cmul(_peval(self._num, u, v), _cinv(den)))
+            raise ZeroDivisionError(f"pole at s = {Fraction(u, v)}")
+        return _cmul(_peval(self._num, u, v), _cinv(den))
 
     # -- equality / hashing
 

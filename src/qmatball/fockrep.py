@@ -38,9 +38,10 @@ import io
 import json
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .algebras import make_preset
-from .field import ONE, GaussRat, Scalar, ZERO, add_terms, q_pow
+from .field import ONE, Scalar, ZERO, add_terms, q_pow
 from .ladder import (
     LadderOperator,
     coordinate_image,
@@ -53,7 +54,7 @@ from .ladder import (
     staircase_product,
     word_image,
 )
-from .linalg import mat_leading_pivots, mat_mul, mat_rank
+from .linalg import bareiss_zi, mat_mul
 from .qminors import (
     col_sign,
     coordinate_numerator_label,
@@ -63,7 +64,7 @@ from .qminors import (
     qminor,
     row_sign,
 )
-from .words import NCPoly, sym, word_tokens
+from .words import NCPoly, generator_weight, sym, word_tokens
 
 __all__ = [
     "CutoffError",
@@ -676,20 +677,23 @@ def _require_none(violations, what: str) -> None:
         )
 
 
-def _weight_classes(pres, basis) -> list:
-    """For each basis word, the positions of the basis words of its weight.
+@lru_cache(maxsize=None)
+def _weight_blocks(m: int, n: int, k: int) -> tuple:
+    """The positions of the degree-k basis words grouped by torus weight:
+    one tuple per weight, positions increasing, blocks ordered by their
+    first position.
 
-    Raises ArithmeticError unless every rule of ``pres`` is
-    weight-homogeneous: only then does a Gram-type entry between words of
-    different weights vanish, the entry being the weight-zero coefficient of
-    a normal form of weight equal to their difference.
+    Weights depend on the generators alone.  Whether rewriting keeps them
+    depends on the rules, which :func:`_lowered_block` checks: only then
+    does a Gram-type entry between words of different weights vanish, the
+    entry being the weight-zero coefficient of a normal form of weight equal
+    to their difference.
     """
-    _require_none(pres.weight_violations(), "is not weight-homogeneous")
-    weights = [pres.word_weight(w) for w in basis]
-    classes: dict = {}
-    for p, mu in enumerate(weights):
-        classes.setdefault(mu, []).append(p)
-    return [classes[mu] for mu in weights]
+    blocks: dict = {}
+    for p, w in enumerate(hilbert_basis(m, n, k)):
+        mu = tuple(map(sum, zip(*(generator_weight(g, m, n) for g in w))))
+        blocks.setdefault(mu, []).append(p)
+    return tuple(map(tuple, blocks.values()))
 
 
 def _lowered_block(pres, m: int, n: int, k: int, below) -> list:
@@ -697,32 +701,34 @@ def _lowered_block(pres, m: int, n: int, k: int, below) -> list:
     where b_r = z[a] r', L is ``pres.lower`` and ``below`` is the block of
     degree k - 1.
 
-    Only pairs of equal weight are computed; every other entry is zero.  B
-    is Hermitian, so B[r][p] is the conjugate of B[p][r].
+    Only pairs in one weight block are computed; every other entry is zero,
+    which needs every rule of ``pres`` to be weight-homogeneous (else
+    ArithmeticError).  B is Hermitian, so B[r][p] is the conjugate of
+    B[p][r].
     """
-    basis = hilbert_basis(m, n, k)
-    same = _weight_classes(pres, basis)
+    _require_none(pres.weight_violations(), "is not weight-homogeneous")
     pres.require_lowering()  # the degree-0 block [[1]] needs f0 f0 -> f0 too
+    basis = hilbert_basis(m, n, k)
     d = len(basis)
     B = [[ZERO] * d for _ in range(d)]
     if k == 0:
         B[0][0] = ONE
         return B
     index = {w: i for i, w in enumerate(hilbert_basis(m, n, k - 1))}
-    for r, br in enumerate(basis):
-        col = index[br[1:]]
-        y = sym("zs", br[0].row, br[0].col)
-        for p in same[r]:
-            if p < r:
-                continue
-            val = ZERO
-            for u, c in pres.lower(y, basis[p]).items():
-                e = below[index[u]][col]
-                if e:
-                    val = val + c * e
-            B[p][r] = val
-            if p != r:
-                B[r][p] = val.conjugate()
+    for block in _weight_blocks(m, n, k):
+        for i, r in enumerate(block):
+            br = basis[r]
+            col = index[br[1:]]
+            y = sym("zs", br[0].row, br[0].col)
+            for p in block[i:]:
+                val = ZERO
+                for u, c in pres.lower(y, basis[p]).items():
+                    e = below[index[u]][col]
+                    if e:
+                        val = val + c * e
+                B[p][r] = val
+                if p != r:
+                    B[r][p] = val.conjugate()
     return B
 
 
@@ -744,24 +750,43 @@ def gram_minors_positive(m: int, n: int, k: int, s0: Fraction) -> bool:
     """All leading principal minors of the degree-k Gram matrix are positive
     rationals at the sample parameter (Sylvester positivity certificate).
 
-    One elimination pass: every minor is positive iff every pivot
-    D_t / D_{t-1} is, and the test stops at the first pivot that is not.
+    The matrix is read one weight block at a time.  Entries between
+    different weights vanish, so each leading minor is a product of one
+    leading minor per block, and all are positive iff every block's are.
+    Each block's minors come from one fraction-free pass over Z[i]
+    (:func:`qmatball.linalg.bareiss_zi`).  ``s0`` is anything
+    ``Fraction`` accepts; a pole of an entry at s0 raises ZeroDivisionError.
     """
-    return _leading_minors_positive(_eval_matrix(gram_matrix(m, n, k), s0))
+    blocks = _zi_blocks(gram_matrix(m, n, k), _weight_blocks(m, n, k), s0)
+    return all(_leading_minors_positive(rows) for rows in blocks)
 
 
-_GAUSS_ZERO = GaussRat(0)
+def _zi_blocks(M, blocks, s0) -> list:
+    """Each weight block of M at s = s0, as rows of (re, im) int pairs.
+
+    Every nonzero entry is evaluated exactly (all of them, before any
+    elimination, so a pole raises whatever the verdict), and each row is
+    scaled by the lcm of its denominators.  That factor is positive, so the
+    sign of every leading minor and the rank are kept.
+    """
+    s0 = Fraction(s0)
+    u, v = s0.numerator, s0.denominator
+    out = []
+    for block in blocks:
+        rows = []
+        for p in block:
+            row = M[p]
+            vals = [row[r].eval_triple(u, v) if row[r] else (0, 0, 1) for r in block]
+            scale = lcm(*(d for _, _, d in vals))
+            rows.append([(a * (scale // d), b * (scale // d)) for a, b, d in vals])
+        out.append(rows)
+    return out
 
 
-def _eval_matrix(M, s0) -> list:
-    """M at s = s0; only nonzero entries are evaluated, zeros share one value."""
-    return [[c.eval_at(s0) if c else _GAUSS_ZERO for c in row] for row in M]
-
-
-def _leading_minors_positive(G) -> bool:
-    """Whether every leading principal minor of a GaussRat matrix is a
-    positive rational, read off the pivots of one elimination pass."""
-    return all(p.im == 0 and p.re > 0 for p in mat_leading_pivots(G))
+def _leading_minors_positive(rows) -> bool:
+    """Whether every leading principal minor of a Z[i] matrix is a positive
+    integer; a zero minor ends the list of minors and fails the test."""
+    return all(b == 0 and a > 0 for a, b in bareiss_zi(rows)[0])
 
 
 @lru_cache(maxsize=None)
@@ -825,8 +850,14 @@ def _transpose(M) -> list:
 
 def projector_pairing_rank(m: int, n: int, l: int, s0: Fraction) -> int:
     """Rank of the constant-term pairing matrix at a sample parameter value
-    (a lower bound for the generic rank)."""
-    return mat_rank(_eval_matrix(projector_pairing_matrix(m, n, l), s0))
+    (a lower bound for the generic rank).
+
+    The sum of the ranks of its weight blocks, each from one fraction-free
+    pass over Z[i] as in :func:`gram_minors_positive`, which also says
+    which ``s0`` are accepted.
+    """
+    blocks = _zi_blocks(projector_pairing_matrix(m, n, l), _weight_blocks(m, n, l), s0)
+    return sum(bareiss_zi(rows)[1] for rows in blocks)
 
 
 def pairing_block_theta(f: NCPoly, m: int, n: int, k_in: int, k_out: int):

@@ -1,4 +1,5 @@
-"""Dense exact linear algebra over any field-like elements.
+"""Dense exact linear algebra over any field-like elements, and one
+fraction-free kernel over the Gaussian integers.
 
 Matrices are lists of lists.  Entries only need +, -, *, / and truthiness
 (empty == zero), which both Scalar and GaussRat provide.  Sizes here are tiny
@@ -6,9 +7,11 @@ Matrices are lists of lists.  Entries only need +, -, *, / and truthiness
 operations is the right tool.  Every row update skips zero entries of the
 pivot row, because exact products and differences are the cost here.
 
-:func:`mat_leading_pivots` is the one-pass Sylvester kernel: elimination
-without row swaps, whose t-th pivot is the ratio D_t / D_{t-1} of
-consecutive leading principal minors.
+:func:`bareiss_zi` is the certificate kernel of the Gram and pairing
+blocks: Bareiss's fraction-free elimination (Math. Comp. 22, 1968) on
+(re, im) int pairs.  Its pivots are the leading principal minors
+themselves, every entry stays in Z[i], and each division by the previous
+pivot is exact, so no rational number is ever formed.
 """
 
 from __future__ import annotations
@@ -16,11 +19,11 @@ from __future__ import annotations
 from .field import ONE, ZERO
 
 __all__ = [
+    "bareiss_zi",
     "mat_det",
     "mat_mul",
     "mat_identity",
     "mat_invert",
-    "mat_leading_pivots",
     "mat_rank",
     "mat_rref",
 ]
@@ -103,27 +106,6 @@ def mat_det(A, one=ONE):
     return det
 
 
-def mat_leading_pivots(A):
-    """Yield the pivots of Gaussian elimination on A without row swaps.
-
-    Pivot t is D_t / D_{t-1}, where D_t is the t-th leading principal minor
-    (D_0 = 1), so D_t is the product of the first t pivots.  A zero pivot
-    means D_t = 0; elimination without swaps cannot go on, so it is the last
-    value yielded.  Lazy, so a caller that stops early skips the rest.
-    """
-    M = [list(row) for row in A]
-    n = len(M)
-    for t in range(n):
-        piv = M[t][t]
-        yield piv
-        if not piv:
-            return
-        tail = M[t][t + 1 :]
-        for row in M[t + 1 :]:
-            if row[t]:
-                row[t + 1 :] = _eliminate(row[t + 1 :], row[t] / piv, tail)
-
-
 def mat_rref(A):
     """Reduced row echelon form; returns (rows, pivot_column_indices)."""
     M = [list(row) for row in A]
@@ -156,3 +138,68 @@ def mat_rank(A) -> int:
     if not A or not A[0]:
         return 0
     return len(mat_rref(A)[1])
+
+
+_ZI_ONE = (1, 0)  # the pivot "before the first", D_0 = 1
+
+
+def _zi_exact_div(a: int, b: int, c: int, d: int) -> tuple:
+    """(a + b*i) / (c + d*i) in Z[i]; ArithmeticError when not exact."""
+    if d:
+        n2 = c * c + d * d
+        a, b, c = a * c + b * d, b * c - a * d, n2
+    qa, ra = divmod(a, c)
+    qb, rb = divmod(b, c)
+    if ra or rb:
+        raise ArithmeticError("inexact division in fraction-free elimination")
+    return (qa, qb)
+
+
+def bareiss_zi(rows) -> tuple:
+    """Fraction-free elimination of a matrix of Gaussian integers.
+
+    ``rows`` holds ``(re, im)`` int pairs.  Returns ``(minors, rank)``:
+
+    * ``minors`` are the leading principal minors D_1, D_2, ... as int
+      pairs, up to and including the first zero one (all of them when none
+      vanishes);
+    * ``rank`` is the rank.  Past a zero leading minor the pass goes on with
+      row swaps, and a column with no pivot left is skipped.
+
+    After t pivots every remaining entry is a (t+1) x (t+1) minor of the
+    input, so the division of each update by the previous pivot is exact;
+    it is checked, and a remainder raises ArithmeticError.
+    """
+    M = [list(row) for row in rows]
+    nrows, ncols = len(M), len(M[0]) if M else 0
+    minors = []
+    leading = True
+    prev = _ZI_ONE
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if M[i][c] != (0, 0)), None)
+        if leading:
+            minors.append(M[c][c])
+            leading = piv == c
+        if piv is None:
+            continue
+        M[r], M[piv] = M[piv], M[r]
+        top = M[r]
+        xa, xb = top[c]
+        qa, qb = prev
+        for row in M[r + 1 :]:
+            ya, yb = row[c]
+            for j in range(c + 1, ncols):
+                ua, ub = row[j]
+                va, vb = top[j]
+                row[j] = _zi_exact_div(
+                    xa * ua - xb * ub - ya * va + yb * vb,
+                    xa * ub + xb * ua - ya * vb - yb * va,
+                    qa,
+                    qb,
+                )
+        prev = (xa, xb)
+        r += 1
+    return minors, r

@@ -13,7 +13,7 @@ import pytest
 from qmatball import fockrep, integral, ladder
 
 from qmatball.algebras import AlgebraPreset, make_preset, star
-from qmatball.field import GaussRat, I, ONE, Scalar, q_pow, s_pow
+from qmatball.field import GaussRat, I, ONE, Scalar, ZERO, q_pow, s_pow
 from qmatball.fockrep import (
     CutoffError,
     TruncatedOperator,
@@ -28,6 +28,7 @@ from qmatball.fockrep import (
     fock_norm2,
     fock_weight,
     gram_matrix,
+    gram_minors_positive,
     hilbert_basis,
     minor_conjugation_ok,
     operator_csv,
@@ -54,7 +55,7 @@ from qmatball.fockrep import (
 )
 from qmatball.fockrep import _leading_minors_positive
 from qmatball.ladder import sign_chain, staircase_transpositions
-from qmatball.linalg import mat_det
+from qmatball.linalg import mat_det, mat_rank
 from qmatball.qminors import (
     corner_minor_label,
     qdet,
@@ -669,8 +670,26 @@ class TestLawsCatchPlantedFaults:
         assert not type_identity_ok(*mn)
 
 
-def _gauss_matrix(rows):
-    return [[GaussRat(*c) if isinstance(c, tuple) else GaussRat(c) for c in row] for row in rows]
+def _zi_matrix(rows):
+    return [[c if isinstance(c, tuple) else (c, 0) for c in row] for row in rows]
+
+
+def _evaluated(M, s0):
+    """The whole matrix at s = s0 over GaussRat, for the dense oracles."""
+    return [[c.eval_at(s0) if c else GaussRat(0) for c in row] for row in M]
+
+
+# Recorded at the parent commit, before the certificates were read per
+# weight block: its dense elimination over GaussRat gave these verdicts
+# for k = 0..4 at 1x2, 2x1, 2x2 and 2x3 alike, and the pairing ranks were
+# the block dimensions except at s0 = 1, where they were 1, 0, 0, 0, 0.
+_RECORDED_GRAM = {
+    "1/2": [True] * 5,
+    "2/3": [True] * 5,
+    "3/2": [True, False, True, False, True],
+    "-1/3": [True] * 5,
+    "1": [True, False, False, False, False],
+}
 
 
 class TestSylvesterRule:
@@ -690,16 +709,79 @@ class TestSylvesterRule:
         ],
     )
     def test_pivot_rule_matches_determinant_rule(self, rows, expect):
-        G = _gauss_matrix(rows)
+        rows = _zi_matrix(rows)
+        G = [[GaussRat(*c) for c in row] for row in rows]
         assert _minors_positive_by_determinants(G) is expect
-        assert _leading_minors_positive(G) is expect
+        assert _leading_minors_positive(rows) is expect
 
     @pytest.mark.parametrize("mn", [(1, 2), (2, 1), (2, 2)])
     def test_gram_blocks_agree_with_determinant_rule(self, mn):
         for k in range(4):
             for s0 in (Fraction(1, 2), Fraction(3, 2), Fraction(-1, 3)):
-                G = [[c.eval_at(s0) for c in row] for row in gram_matrix(*mn, k)]
-                assert _leading_minors_positive(G) is _minors_positive_by_determinants(G)
+                G = _evaluated(gram_matrix(*mn, k), s0)
+                assert gram_minors_positive(*mn, k, s0) is _minors_positive_by_determinants(G)
+
+    @pytest.mark.parametrize("mn", [(1, 2), (2, 1), (2, 2), (2, 3)])
+    @pytest.mark.parametrize("s0", list(_RECORDED_GRAM))
+    def test_certificates_match_dense_oracles(self, mn, s0):
+        """Per weight block over Z[i], against the whole evaluated matrix
+        over GaussRat and against the verdicts recorded before the change.
+        One determinant per leading minor of the 126 x 126 matrix (2x3 in
+        degree 4) takes about 0.8 s, so there the recorded verdict stands
+        alone."""
+        point = Fraction(s0)
+        for k in range(5):
+            ok = gram_minors_positive(*mn, k, point)
+            assert ok is _RECORDED_GRAM[s0][k]
+            if mn != (2, 3) or k < 4:
+                G = _evaluated(gram_matrix(*mn, k), point)
+                assert ok is _minors_positive_by_determinants(G)
+            rank = projector_pairing_rank(*mn, k, point)
+            assert rank == (len(hilbert_basis(*mn, k)) if s0 != "1" or k == 0 else 0)
+            assert rank == mat_rank(_evaluated(projector_pairing_matrix(*mn, k), point))
+
+    @pytest.mark.parametrize("check", [gram_minors_positive, projector_pairing_rank])
+    def test_pole_at_zero_raises(self, check):
+        assert check(2, 2, 1, 0)  # degree 1 has no pole at s = 0
+        for s0 in (0, Fraction(0), "0"):
+            with pytest.raises(ZeroDivisionError, match=r"^pole at s = 0$"):
+                check(2, 2, 2, s0)
+
+    def test_sample_point_is_read_through_fraction(self):
+        # recorded at the parent commit: 2x2, degrees 0..2
+        cases = {1: ([True, False, False], [1, 0, 0]), 2: ([True, False, True], [1, 4, 10])}
+        for s0 in ("1/2", 0.5, "0.25", Fraction(1, 2)):
+            cases[s0] = ([True] * 3, [1, 4, 10])
+        for s0, (gram, ranks) in cases.items():
+            assert [gram_minors_positive(2, 2, k, s0) for k in range(3)] == gram
+            assert [projector_pairing_rank(2, 2, l, s0) for l in range(3)] == ranks
+
+    def test_every_block_counts_and_ranks_go_past_a_zero_minor(self, monkeypatch):
+        """Planted blocks: the verdict fails on the last block alone, and a
+        block whose first leading minor vanishes still has full rank."""
+        monkeypatch.setattr(fockrep, "_weight_blocks", lambda m, n, k: ((0,), (1, 2)))
+        diag = [[ONE, ZERO, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, -ONE]]
+        swap = [[ONE, ZERO, ZERO], [ZERO, ZERO, ONE], [ZERO, ONE, ZERO]]
+        monkeypatch.setattr(fockrep, "gram_matrix", lambda m, n, k: diag)
+        monkeypatch.setattr(fockrep, "projector_pairing_matrix", lambda m, n, l: swap)
+        assert not gram_minors_positive(1, 1, 1, Fraction(1, 2))
+        assert projector_pairing_rank(1, 1, 1, Fraction(1, 2)) == 3
+
+    @pytest.mark.parametrize("mn,largest", [((2, 2), 3), ((2, 3), 4)])
+    def test_weight_blocks_hold_every_nonzero_entry(self, mn, largest):
+        sizes = []
+        for k in range(5):
+            blocks = fockrep._weight_blocks(*mn, k)
+            # basis order: the leading minors of a block are read in it
+            assert all(list(b) == sorted(b) for b in blocks)
+            assert [b[0] for b in blocks] == sorted(b[0] for b in blocks)
+            assert sorted(p for b in blocks for p in b) == list(range(len(hilbert_basis(*mn, k))))
+            block_of = {p: i for i, b in enumerate(blocks) for p in b}
+            for M in (gram_matrix(*mn, k), projector_pairing_matrix(*mn, k)):
+                for p, row in enumerate(M):
+                    assert all(block_of[p] == block_of[r] for r, c in enumerate(row) if c)
+            sizes += map(len, blocks)
+        assert max(sizes) == largest
 
 
 class TestExport:
