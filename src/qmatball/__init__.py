@@ -76,7 +76,6 @@ _LRU_CACHES = (
     algebras._build_presentation,
     fockrep.fock_norm2,
     fockrep.fock_weight,
-    fockrep._norm2_ratio,
     fockrep.fock_basis,
     fockrep._bounded_letters,
     fockrep._bounded_coordinate,

@@ -12,13 +12,15 @@ one leg the 2 x 2 ladder generators act as
 and :mod:`qmatball.ladder` builds every letter, minor, coordinate and
 conjugate coordinate from them as an exact q-difference operator.
 
-The ``rep_*`` builders (behind ``qmb export``) return a
+The ``rep_*`` builders (behind ``qmb export``) return a read-only
 :class:`TruncatedOperator`: the ladder operator evaluated on every e_k with
 |k| <= cert, with that certificate and degree-shift bounds.  The bounds
-come without entries, from the rules of the truncated arithmetic (products,
-sums, adjoints) run along the ladder products that build the operator, so
-each slice is exact on its recorded degrees.  The truncated arithmetic
-stays public: ``rep_pol_word`` and ``rep_pol_poly`` compose slices.
+come without entries, from the rules of multiplying slices entry by entry
+(products, sums, adjoints) run along the ladder products that build the
+operator, so each slice is exact on its recorded degrees.  Polynomials in
+the coordinates and their conjugates (``rep_pol_word``, ``rep_pol_poly``)
+are built the same way, through :func:`qmatball.ladder.word_image`; no
+slice is ever multiplied.
 
 The laws of the representation (diagonal corner and volume minors, the
 vacuum modulus, the type identity, the determinant, the rewrite rules as
@@ -52,6 +54,7 @@ from .ladder import (
     minor_images,
     pol_image,
     staircase_product,
+    t_letters,
     word_image,
 )
 from .linalg import bareiss_zi, mat_mul
@@ -136,29 +139,6 @@ def fock_weight(k: tuple) -> Scalar:
 
 
 @lru_cache(maxsize=None)
-def _norm2_ratio(jout: int, jin: int) -> Scalar:
-    """fock_norm2(jout) / fock_norm2(jin), built factor by factor so the
-    quotient never routes through a large polynomial reduction."""
-    if jout == jin:
-        return ONE
-    if jout < jin:
-        return _norm2_ratio(jin, jout).inverse()
-    out = ONE
-    for i in range(jin + 1, jout + 1):
-        out = out * (q_pow(-2 * i) - ONE)
-    return out
-
-
-def _weight_ratio(kout: tuple, kin: tuple) -> Scalar:
-    """fock_weight(kout) / fock_weight(kin) as a product of leg ratios."""
-    out = ONE
-    for a, b in zip(kout, kin):
-        if a != b:
-            out = out * _norm2_ratio(a, b)
-    return out
-
-
-@lru_cache(maxsize=None)
 def fock_basis(legs: int, maxdeg: int) -> tuple:
     """All multi-indices with the given number of legs and total <= maxdeg,
     ordered by total degree then lexicographically."""
@@ -182,42 +162,29 @@ def _fixed_degree(legs: int, d: int) -> list:
 
 
 class TruncatedOperator:
-    """An exact operator slice on the weighted tensor basis.
+    """A read-only operator slice on the weighted tensor basis.
 
     ``entries`` maps (out-index, in-index) to a nonzero Scalar.  Columns are
-    complete for every input of total degree <= ``cert``.  ``up``/``down``
-    bound the degree shift of any matrix entry, including entries beyond the
-    stored slice; they are propagated structurally (sums under composition).
-    The observed shifts within the slice (never larger) refine certificate
-    arithmetic for compositions.  No column beyond ``cert`` is stored, so an
-    operation that keeps the certificate keeps every entry unfiltered.
+    complete for every input of total degree <= ``cert``, and none beyond it
+    is stored.  ``up``/``down`` bound the degree shift of any matrix entry,
+    including entries beyond the stored slice.
     """
 
-    __slots__ = ("legs", "cert", "entries", "up", "down", "_obs_up", "_obs_down", "_cols")
+    __slots__ = ("legs", "cert", "entries", "up", "down", "_cols")
 
     def __init__(self, legs, cert, entries, up, down):
         if cert < 0:
             raise CutoffError("operator slice is empty (certificate below zero)")
+        for _, kin in entries:
+            if sum(kin) > cert:
+                raise ValueError(
+                    f"stored column at degree {sum(kin)} beyond certificate {cert}"
+                )
         self.legs = legs
         self.cert = cert
         self.entries = entries
         self.up = up
         self.down = down
-        obs_up = 0
-        obs_down = 0
-        for kout, kin in entries:
-            din = sum(kin)
-            if din > cert:
-                raise ValueError(
-                    f"stored column at degree {din} beyond certificate {cert}"
-                )
-            sft = sum(kout) - din
-            if sft > obs_up:
-                obs_up = sft
-            elif -sft > obs_down:
-                obs_down = -sft
-        self._obs_up = obs_up
-        self._obs_down = obs_down
         self._cols = None
 
     # -- constructors
@@ -263,70 +230,6 @@ class TruncatedOperator:
             (kout, a * c) for kin, c in vec.items() for kout, a in cols.get(kin, ())
         ))
 
-    # -- arithmetic
-
-    def _check_legs(self, other):
-        if self.legs != other.legs:
-            raise ValueError("operators live on different tensor spaces")
-
-    def __add__(self, other):
-        self._check_legs(other)
-        cert = min(self.cert, other.cert)
-        acc = dict(self._entries_through(cert))
-        add_terms(acc, other._entries_through(cert).items())
-        return TruncatedOperator(
-            self.legs, cert, acc, max(self.up, other.up), max(self.down, other.down)
-        )
-
-    def __neg__(self):
-        return self.scale(-ONE)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c: Scalar):
-        if not c:
-            return TruncatedOperator.zero(self.legs, self.cert)
-        if c == ONE:
-            return self  # operators are never mutated
-        entries = {key: v * c for key, v in self.entries.items()}
-        return TruncatedOperator(self.legs, self.cert, entries, self.up, self.down)
-
-    def _entries_through(self, cert: int) -> dict:
-        """The stored entries whose input degree is at most ``cert`` (the
-        entries themselves, unfiltered, when that keeps every column)."""
-        if cert >= self.cert:
-            return self.entries
-        return {key: c for key, c in self.entries.items() if sum(key[1]) <= cert}
-
-    def compose(self, other):
-        """Operator product self . other (other is applied first)."""
-        self._check_legs(other)
-        cert = min(other.cert, self.cert - other._obs_up)
-        if cert < 0:
-            raise CutoffError("composition exhausts the certified slice")
-        cols = self._column_index()
-        acc = add_terms({}, (
-            ((kout, kin), c1 * c2)
-            for (mid, kin), c2 in other._entries_through(cert).items()
-            for kout, c1 in cols.get(mid, ())
-        ))
-        return TruncatedOperator(
-            self.legs, cert, acc, self.up + other.up, self.down + other.down
-        )
-
-    def adjoint(self):
-        """Adjoint for the weighted inner product (entrywise D^-1 A^T- D)."""
-        cert = self.cert - self.down
-        if cert < 0:
-            raise CutoffError("adjoint exhausts the certified slice")
-        entries = {}
-        for (kout, kin), c in self.entries.items():
-            if sum(kout) > cert:
-                continue
-            entries[(kin, kout)] = c.conjugate() * _weight_ratio(kout, kin)
-        return TruncatedOperator(self.legs, cert, entries, self.down, self.up)
-
     def __repr__(self):
         return (
             f"TruncatedOperator(legs={self.legs}, cert={self.cert}, "
@@ -341,13 +244,16 @@ class TruncatedOperator:
 class _Bounded:
     """A ladder operator with the certificate and shift bounds of its slices.
 
-    The bounds follow the rules of :class:`TruncatedOperator`, run without
+    The bounds are those of multiplying slices entry by entry, run without
     entries: a product is certified through min(right cert, left cert minus
-    the right factor's largest up-shift), a sum through the smaller
-    certificate with the larger shift bounds, an adjoint through cert minus
-    down with the shifts swapped.  None of them depends on the cutoff, so
-    ``cert`` is kept relative to it: the slice at cutoff c is certified
-    through c + cert.
+    the right factor's largest up-shift), and its shift bounds add; a sum
+    through the smaller certificate with the larger shift bounds; an
+    adjoint through cert minus down with the shifts swapped.  These rules
+    commute with the word grouping of :func:`ladder.word_image`, so a
+    polynomial's header does not depend on how its words are grouped.  None
+    of them depends on the cutoff, so ``cert`` is kept relative to it: the
+    slice at cutoff c is certified through c + cert, and a certificate below
+    zero raises :class:`CutoffError` there.
     """
 
     __slots__ = ("op", "cert", "up", "down")
@@ -414,11 +320,9 @@ def _bounded_letters(m: int, n: int) -> dict:
 
 def _bounded_tpoly(f: NCPoly, m: int, n: int) -> _Bounded:
     """Image of a polynomial in the t letters (see :func:`ladder.word_image`)."""
-    legs = m * n
     return word_image(
-        f, _bounded_letters(m, n),
-        _Bounded.start(LadderOperator.identity(legs)),
-        _Bounded.start(LadderOperator(legs, {})),
+        f, t_letters(_bounded_letters(m, n)),
+        _Bounded.start(LadderOperator.identity(m * n)),
     )
 
 
@@ -432,6 +336,20 @@ def _bounded_coordinate(m: int, n: int, a: int, al: int) -> _Bounded:
     inverse = _Bounded(LadderOperator.diagonal(legs, (-1,) * legs), corner.cert, 0, 0)
     num = _bounded_tpoly(qminor(*coordinate_numerator_label(a, al, m, n)), m, n)
     return inverse.compose(num)
+
+
+def _bounded_pol(f: NCPoly, m: int, n: int) -> _Bounded:
+    """Image of a polynomial in the coordinate and conjugate letters: z[a,al]
+    is :func:`_bounded_coordinate` and zs[a,al] its adjoint.  Any other
+    letter, the projector f0 included, raises ValueError."""
+
+    def letter(g):
+        if g.kind not in ("z", "zs"):
+            raise ValueError(f"no operator image for letter {g.token()}")
+        z = _bounded_coordinate(m, n, g.row, g.col)
+        return z if g.kind == "z" else z.adjoint()
+
+    return word_image(f, letter, _Bounded.start(LadderOperator.identity(m * n)))
 
 
 def default_cutoff(m: int, n: int) -> int:
@@ -473,27 +391,13 @@ def rep_projector(m: int, n: int, cutoff: int) -> TruncatedOperator:
 
 
 def rep_pol_word(word: tuple, m: int, n: int, cutoff: int) -> TruncatedOperator:
-    """Image of a word in coordinate/conjugate/projector letters."""
-    piece = None
-    for g in word:
-        if g.kind == "z":
-            op = rep_coordinate(m, n, g.row, g.col, cutoff)
-        elif g.kind == "zs":
-            op = rep_coordinate_star(m, n, g.row, g.col, cutoff)
-        elif g.kind == "f0":
-            op = rep_projector(m, n, cutoff)
-        else:
-            raise ValueError(f"no operator image for letter {g.token()}")
-        piece = op if piece is None else piece.compose(op)
-    return rep_tpoly(NCPoly.one(), m, n, cutoff) if piece is None else piece
+    """Image of a word in the coordinate and conjugate letters."""
+    return rep_pol_poly(NCPoly.from_word(word), m, n, cutoff)
 
 
 def rep_pol_poly(f: NCPoly, m: int, n: int, cutoff: int) -> TruncatedOperator:
-    acc = None
-    for word, c in f.terms.items():
-        piece = rep_pol_word(word, m, n, cutoff).scale(c)
-        acc = piece if acc is None else acc + piece
-    return rep_tpoly(NCPoly.zero(), m, n, cutoff) if acc is None else acc
+    """Image of a polynomial in the coordinate and conjugate letters."""
+    return _bounded_pol(f, m, n).slice(cutoff)
 
 
 def vacuum_eigenvalue(op) -> Scalar:
@@ -596,19 +500,16 @@ def minor_conjugation_ok(m: int, n: int, k: int) -> bool:
     times the bottom-left (N-k)-minor.
 
     The involution is conjugate-linear and antimultiplicative, so the image
-    of the involute of a word is the composition of its letters' involute
-    images in reverse order; the involute itself is never multiplied out.
+    of the involute of the minor is that of its words reversed, with
+    conjugated coefficients, each letter t[i,j] read as the image of its
+    involute; the involute itself is never multiplied out.
     """
     N = m + n
-    legs = m * n
     top = qminor(range(1, k + 1), range(N - k + 1, N + 1))
-    involutes = _involute_images(m, n)
-    lhs = LadderOperator(legs, {})
-    for word, c in top.terms.items():
-        piece = LadderOperator.identity(legs).scale(c.conjugate())
-        for g in reversed(word):
-            piece = piece.compose(involutes[(g.row, g.col)])
-        lhs = lhs + piece
+    involute = NCPoly({w[::-1]: c.conjugate() for w, c in top.terms.items()})
+    lhs = word_image(
+        involute, t_letters(_involute_images(m, n)), LadderOperator.identity(m * n)
+    )
     rhs = minor_image(m, n, (tuple(range(k + 1, N + 1)), tuple(range(1, N - k + 1))))
     return lhs == rhs.scale(neg_q_pow(k * (N - k)))
 

@@ -21,10 +21,12 @@ orthant of N^L, because q is not a root of unity (Dedekind-Artin).  So an
 identity checked here holds at every degree, with no truncation.
 
 The N x N letters come from the staircase product of the 2 x 2 generators
-(see :func:`staircase_product`), and polynomials in them from one
-word-grouping routine (see :func:`word_image`).  The exported slices of
-:mod:`qmatball.fockrep` go through both too, so that their certificates
-follow the same products and sums.
+(see :func:`staircase_product`).  Every polynomial, in the t letters or in
+the coordinates and their conjugates, becomes an operator through one
+word-grouping routine (see :func:`word_image`), which reads its letters
+through one lookup.  The exported slices of :mod:`qmatball.fockrep` go
+through both too, so that their certificates follow the same products and
+sums.
 
 Quantum minors are comultiplicative, t^[I|J] -> sum_K t^[I|K] (x) t^[K|J],
 and the letter matrix is a product of factors whose entries act on
@@ -44,7 +46,7 @@ from functools import lru_cache
 from itertools import combinations
 from operator import add, mul
 
-from .field import ONE, Scalar, add_terms, q_pow, s_pow
+from .field import ONE, ZERO, Scalar, add_terms, q_pow, s_pow
 from .qminors import (
     col_signs,
     coordinate_numerator_label,
@@ -63,6 +65,7 @@ __all__ = [
     "minor_image",
     "letter_images",
     "word_image",
+    "t_letters",
     "tpoly_image",
     "corner_image",
     "coordinate_images",
@@ -378,21 +381,17 @@ def letter_images(m: int, n: int) -> dict:
     return {(I[0], J[0]): op for (I, J), op in minor_images(m, n, 1).items()}
 
 
-def word_image(f: NCPoly, letters: dict, one, zero):
-    """The image of a polynomial f in the t letters, where ``letters`` maps
-    (i, j) to the image of t[i,j].
+def word_image(f: NCPoly, letter, one):
+    """The image of a polynomial f, where ``letter`` maps a generator symbol
+    to its image and raises ValueError for a letter that has none.
 
     Words are grouped on their last letter, recursively: the image of
     sum_a (f / a) a is sum_a image(f / a) . A_a, so words that share a
     prefix share its compositions.  A word's coefficient rides on its first
-    letter, the constant term on ``one``, and ``zero`` is the image of 0.
-    Works for any operator type with ``compose``, ``+`` and ``scale``.
+    letter and the constant term on ``one``, the image of 1; the image of 0
+    is ``one`` scaled by zero.  Works for any operator type with
+    ``compose``, ``+`` and ``scale``.
     """
-
-    def letter(g):
-        if g.kind != "t":
-            raise ValueError(f"expected a t-letter, got {g.token()}")
-        return letters[(g.row, g.col)]
 
     def image(terms: dict):
         """Image of sum c_w w over non-empty words w."""
@@ -401,10 +400,11 @@ def word_image(f: NCPoly, letters: dict, one, zero):
             groups.setdefault(w[-1], {})[w[:-1]] = c
         acc = None
         for g, heads in groups.items():
+            op = letter(g)
             c = heads.pop((), None)
-            piece = image(heads).compose(letter(g)) if heads else None
+            piece = image(heads).compose(op) if heads else None
             if c is not None:
-                lone = letter(g).scale(c)
+                lone = op.scale(c)
                 piece = lone if piece is None else piece + lone
             acc = piece if acc is None else acc + piece
         return acc
@@ -415,15 +415,25 @@ def word_image(f: NCPoly, letters: dict, one, zero):
     if c is not None:
         lone = one.scale(c)
         acc = lone if acc is None else acc + lone
-    return zero if acc is None else acc
+    return one.scale(ZERO) if acc is None else acc
+
+
+def t_letters(images: dict):
+    """The letter lookup of :func:`word_image` for polynomials in the t
+    letters: t[i,j] reads ``images[(i, j)]``, any other letter raises
+    ValueError."""
+
+    def letter(g):
+        if g.kind != "t":
+            raise ValueError(f"expected a t-letter, got {g.token()}")
+        return images[(g.row, g.col)]
+
+    return letter
 
 
 def tpoly_image(f: NCPoly, m: int, n: int) -> LadderOperator:
     """Multiplicative-linear extension to polynomials in the t letters."""
-    legs = m * n
-    return word_image(
-        f, letter_images(m, n), LadderOperator.identity(legs), LadderOperator(legs, {})
-    )
+    return word_image(f, t_letters(letter_images(m, n)), LadderOperator.identity(m * n))
 
 
 def corner_image(m: int, n: int) -> LadderOperator:
@@ -465,11 +475,6 @@ def coordinate_image(g, m: int, n: int) -> LadderOperator:
 
 def pol_image(f: NCPoly, m: int, n: int) -> LadderOperator:
     """Image of a polynomial in the coordinate and conjugate letters."""
-    legs = m * n
-    acc = LadderOperator(legs, {})
-    for word, c in f.terms.items():
-        piece = LadderOperator.identity(legs)
-        for g in word:
-            piece = piece.compose(coordinate_image(g, m, n))
-        acc = acc + piece.scale(c)
-    return acc
+    return word_image(
+        f, lambda g: coordinate_image(g, m, n), LadderOperator.identity(m * n)
+    )

@@ -15,6 +15,8 @@ from qmatball.integral import integral_nu
 from qmatball.uqaction import E, act
 from qmatball.words import NCPoly, parse_symbol, sym, word_from_tokens
 
+import truncated_arithmetic as ta
+
 
 def _package_lru_caches():
     """Every functools cache defined anywhere in the package."""
@@ -92,7 +94,7 @@ def _slice_snapshot(m, n, cutoff):
             for make in (rep_coordinate, fockrep.rep_coordinate_star)
             for a in range(1, n + 1) for al in range(1, m + 1)]
     return [
-        (list(op.entries.items()), op.cert, op.up, op.down, op._obs_up, op._obs_down)
+        (list(op.entries.items()), op.cert, op.up, op.down, ta.observed_shifts(op))
         for op in ops
     ]
 

@@ -6,7 +6,9 @@ checks (diagonal laws, type identity, operator-level rewrite rules, Gram
 agreement) certify the construction on explicit slices.
 """
 
+import hashlib
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -67,6 +69,8 @@ from qmatball.qminors import (
 )
 from qmatball.words import NCPoly, Presentation, sym
 
+import truncated_arithmetic as ta
+
 
 class TestWeights:
     def test_norm_squares(self):
@@ -94,14 +98,6 @@ def _columns_through(op, cert) -> dict:
     return {key: c for key, c in op.entries.items() if sum(key[1]) <= cert}
 
 
-def _restricted(op, cert):
-    """The same slice certified through a smaller degree (its columns are
-    complete, so dropping the higher ones is sound)."""
-    if cert >= op.cert:
-        return op
-    return TruncatedOperator(op.legs, cert, _columns_through(op, cert), op.up, op.down)
-
-
 class TestOperatorCalculus:
     def test_identity_and_diagonal(self):
         ident = TruncatedOperator.identity(2, 3)
@@ -122,22 +118,25 @@ class TestOperatorCalculus:
 
     def test_compose_certificate_shrinks_with_raising(self):
         z = rep_coordinate(1, 1, 1, 1, 12)
-        zz = z.compose(z)
+        zz = rep_pol_word((sym("z", 1, 1),) * 2, 1, 1, 12)
         assert zz.cert == z.cert - 1
         assert zz.entries[((2,), (0,))] == q_pow(1) * q_pow(2)
 
     def test_adjoint_involutive_on_slice(self):
+        # the star slice is the adjoint of the coordinate slice, so its
+        # adjoint gives back the coordinate slice's columns
         z = rep_coordinate(1, 1, 1, 1, 12)
-        back = z.adjoint().adjoint()
+        back = ta.adjoint(rep_coordinate_star(1, 1, 1, 1, 12))
         assert back.cert == z.cert - 1
         assert back.entries == _columns_through(z, back.cert)
 
     def test_adjoint_is_antilinear(self):
         # every entry of the ladder images is real, so only a complex
         # multiple tells a conjugated entry from a plain one
-        z = rep_coordinate(1, 2, 2, 1, 6)
-        lhs, rhs = z.scale(I).adjoint(), z.adjoint().scale(-I)
-        assert lhs.cert == rhs.cert and lhs.entries == rhs.entries
+        z, zs = sym("z", 2, 1), sym("zs", 2, 1)
+        lhs = ta.adjoint(rep_pol_poly(NCPoly.from_word((z,), I), 1, 2, 6))
+        rhs = rep_pol_poly(NCPoly.from_word((zs,), -I), 1, 2, 6)
+        assert _same_operator(lhs, rhs)
 
     def test_smaller_cutoff_keeps_columns(self):
         z = rep_coordinate(1, 1, 1, 1, 12)
@@ -149,23 +148,22 @@ class TestOperatorCalculus:
             small.apply({(5,): ONE})
 
     def test_scalar_linearity(self):
-        z = rep_coordinate(1, 1, 1, 1, 12)
-        assert (z + z).entries == z.scale(ONE + ONE).entries
-        assert (z - z).entries == {} and (z - z).cert == z.cert
+        # a scaled sum of words is the scaled sum of their slices
+        z, zs = sym("z", 2, 1), sym("zs", 1, 1)
+        words = {(z, zs): I + q_pow(1), (zs, z): -ONE, (z,): ONE + ONE}
+        f = NCPoly.zero()
+        ref = None
+        for w, c in words.items():
+            f = f + NCPoly.from_word(w, c)
+            piece = ta.scale(rep_pol_word(w, 1, 2, 6), c)
+            ref = piece if ref is None else ta.add(ref, piece)
+        assert _same_operator(rep_pol_poly(f, 1, 2, 6), ref)
 
     def test_negation_is_scaling_by_minus_one(self):
-        z = rep_coordinate(1, 2, 2, 1, 6)
-        neg, ref = -z, z.scale(-ONE)
-        assert neg.entries == ref.entries
-        assert (neg.cert, neg.up, neg.down) == (ref.cert, ref.up, ref.down)
-
-    def test_scaling_by_one_is_the_operator_itself(self):
-        z = rep_coordinate(1, 2, 2, 1, 6)
-        assert z.scale(ONE) is z
-        assert z.scale(1) is z
-        assert z.scale(GaussRat(1)) is z
-        two = z.scale(ONE + ONE)
-        assert two is not z and two.entries == (z + z).entries
+        z, zs = sym("z", 2, 1), sym("zs", 1, 1)
+        f = NCPoly.from_word((z, zs), I) + NCPoly.from_word((zs,))
+        neg, ref = rep_pol_poly(-f, 1, 2, 6), ta.scale(rep_pol_poly(f, 1, 2, 6), -ONE)
+        assert _same_operator(neg, ref)
 
     def test_column_beyond_certificate_rejected(self):
         with pytest.raises(ValueError, match="beyond certificate"):
@@ -178,7 +176,8 @@ class TestOperatorCalculus:
 
 def _tpoly_word_by_word(f, m, n, cutoff, through=None):
     """Reference image of a t-polynomial: every word multiplied out left to
-    right from the (restricted) identity, scaled and summed one by one."""
+    right from the (restricted) identity, scaled and summed one by one, with
+    the test-side slice arithmetic."""
     legs = m * n
     ident = TruncatedOperator.identity(legs, cutoff + legs)
     budget = None
@@ -186,26 +185,26 @@ def _tpoly_word_by_word(f, m, n, cutoff, through=None):
         budget = through + max((len(w) for w in f.terms), default=0)
     acc = None
     for word, c in f.terms.items():
-        piece = ident if budget is None else _restricted(ident, budget)
+        piece = ident if budget is None else ta.restricted(ident, budget)
         for g in word:
             op = rep_letter(m, n, g.row, g.col, cutoff)
             if budget is not None:
-                op = _restricted(op, budget)
-            piece = op if piece is ident else piece.compose(op)
-        piece = piece.scale(c)
-        acc = piece if acc is None else acc + piece
-    return acc if through is None else _restricted(acc, through)
+                op = ta.restricted(op, budget)
+            piece = op if piece is ident else ta.compose(piece, op)
+        piece = ta.scale(piece, c)
+        acc = piece if acc is None else ta.add(acc, piece)
+    return acc if through is None else ta.restricted(acc, through)
 
 
 def _sliced(op, through):
     """The image cut to inputs of degree <= through (None keeps it whole)."""
-    return op if through is None else _restricted(op, through)
+    return op if through is None else ta.restricted(op, through)
 
 
 def _same_operator(a, b) -> bool:
     return (
-        (a.legs, a.cert, a.up, a.down, a._obs_up, a._obs_down)
-        == (b.legs, b.cert, b.up, b.down, b._obs_up, b._obs_down)
+        (a.legs, a.cert, a.up, a.down, ta.observed_shifts(a))
+        == (b.legs, b.cert, b.up, b.down, ta.observed_shifts(b))
         and a.entries == b.entries
     )
 
@@ -260,7 +259,7 @@ class TestGroupedWordImages:
         N = sum(mn)
         for i in range(1, N + 1):
             for j in range(1, N + 1):
-                assert rep_letter(*mn, i, j, cutoff)._obs_up <= 1
+                assert ta.observed_shifts(rep_letter(*mn, i, j, cutoff))[0] <= 1
 
     def test_empty_and_constant_polynomials(self):
         zero = rep_tpoly(NCPoly.zero(), 1, 2, 4)
@@ -270,6 +269,65 @@ class TestGroupedWordImages:
             assert _same_operator(
                 _sliced(rep_tpoly(c, 1, 2, 4), through), _tpoly_word_by_word(c, 1, 2, 4, through)
             )
+
+
+def _pol_letters(m, n):
+    return [sym(k, a, al) for k in ("z", "zs") for a in range(1, n + 1) for al in range(1, m + 1)]
+
+
+def _pol_polys(m, n):
+    z, zs = sym("z", 1, 1), sym("zs", 1, 1)
+    pat, repl = next(iter(make_preset("Pol", m, n).presentation.rules.items()))
+    return {
+        "commutator": NCPoly.from_word((zs, z)) - NCPoly.from_word((z, zs)).scale(q_pow(2)),
+        "cancelling": NCPoly.from_word(pat) - repl,  # a rewrite rule: zero as an operator
+        "zero": NCPoly.zero(),
+        "mixed": NCPoly.from_word((z, zs), I) + NCPoly.from_word((zs,)) + NCPoly.one().scale(q_pow(1)),
+    }
+
+
+def _slice_line(label, build) -> str:
+    """``label legs cert up down sha256(sorted entries)``, or ``label
+    CutoffError`` when the slice is exhausted."""
+    try:
+        op = build()
+    except CutoffError:
+        return f"{label} CutoffError"
+    text = "\n".join(f"{o} {i} {v}" for o, i, v in fockrep.operator_rows(op))
+    sha = hashlib.sha256(text.encode()).hexdigest()
+    return f"{label} {op.legs} {op.cert} {op.up} {op.down} {sha}"
+
+
+# sha256 over one _slice_line per input: every z/zs word of length 0..3
+# through rep_pol_word, then the polynomials of _pol_polys through
+# rep_pol_poly.  Recorded while the slices were composed, summed and scaled
+# with truncated arithmetic.
+_POL_SLICE_DIGESTS = {
+    ((1, 1), 0): "077ba152669cb5d97b5230a297515bbbef350a447b105fd1077189ef42142beb",
+    ((1, 1), 1): "d49102d41784207e1a97611baf085a037d8cf89631587b9cca65d6b0c7bec9b5",
+    ((1, 1), 2): "da4621d0100da38fd570ae84aafe3be8dc2aabd6eb61ef861154090f226ab201",
+    ((1, 1), 3): "ed06b16613cea43be2518729bd31557608bcc58a42f8e8492b98980857caeb00",
+    ((1, 2), 0): "cbcbb9bbbc5aae6c7358fed934b2f8e66c1488f33ccbc9f90ff52ea7fce8dd34",
+    ((1, 2), 1): "299a252e7c57a2893f8fd4e6f4db3816b92691f56c99246700a63cbe0073bfcf",
+    ((1, 2), 2): "ee5d31dc1c9a628a1bbc8d6605770f2b4ee064332c272c6643cf28198f9e9b74",
+    ((1, 2), 3): "e92ebe363fc66c09479873a95fb3491fc6675c2fa8d9347306c8050b341354ba",
+    ((2, 2), 0): "c0a0aca27418a391f7f536be1b9b64d2f8393aa90c51901fd22aede6c3839d72",
+    ((2, 2), 1): "1270286ac1855f9118bfdcfaee81c8181cfca4cfaacd7e7a10e75e9ca705b423",
+    ((2, 2), 2): "241f1870e49f2a8348f7390cc528c1eb3a37cb974fa58a1c50793ab4d2b8966f",
+    ((2, 2), 3): "6a91d1da8f537bb4d19382f4595edee2bc0c74dc89b784ffb9e2396090a399ab",
+}
+
+
+@pytest.mark.parametrize("mn, cutoff", list(_POL_SLICE_DIGESTS))
+def test_pol_slices_golden(mn, cutoff):
+    h = hashlib.sha256()
+    for k in range(4):
+        for w in product(_pol_letters(*mn), repeat=k):
+            label = " ".join(g.token() for g in w)
+            h.update((_slice_line(label, lambda: rep_pol_word(w, *mn, cutoff)) + "\n").encode())
+    for name, f in _pol_polys(*mn).items():
+        h.update((_slice_line(name, lambda: rep_pol_poly(f, *mn, cutoff)) + "\n").encode())
+    assert h.hexdigest() == _POL_SLICE_DIGESTS[(mn, cutoff)]
 
 
 class TestStaircase:
@@ -310,11 +368,10 @@ class TestRankOneLadder:
             assert zs.entries[((j,), (j + 1,))] == q_pow(-j - 1) - q_pow(j + 1)
 
     def test_defining_relation_as_operators(self):
-        z = rep_coordinate(1, 1, 1, 1, self.CUT)
-        zs = rep_coordinate_star(1, 1, 1, 1, self.CUT)
-        lhs = zs.compose(z) - z.compose(zs).scale(q_pow(2))
-        rhs = TruncatedOperator.identity(1, lhs.cert).scale(ONE - q_pow(2))
-        assert lhs.entries == rhs.entries
+        z, zs = sym("z", 1, 1), sym("zs", 1, 1)
+        f = NCPoly.from_word((zs, z)) - NCPoly.from_word((z, zs)).scale(q_pow(2))
+        lhs = rep_pol_poly(f, 1, 1, self.CUT)
+        assert lhs.entries == {(k, k): ONE - q_pow(2) for k in fock_basis(1, lhs.cert)}
 
     def test_pol_poly_commutator_is_a_multiple_of_identity(self):
         # zs z - q^2 z zs = (1 - q^2) 1; the certificate and shift bounds
@@ -346,7 +403,7 @@ class TestRankOneLadder:
     def test_projector_is_vacuum_projection(self):
         p = rep_projector(1, 1, 6)
         assert p.entries == {((0,), (0,)): ONE}
-        assert p.compose(p).entries == p.entries
+        assert ta.compose(p, p).entries == p.entries
 
     def test_word_operator_matches_vector_orbit(self):
         word = (sym("z", 1, 1), sym("z", 1, 1))
@@ -388,7 +445,7 @@ class TestCertifiedLaws:
     @pytest.mark.parametrize(
         "mn,k",
         [((1, 1), 1), ((1, 2), 1), ((1, 2), 2), ((2, 1), 1), ((2, 1), 2),
-         ((1, 3), 2), ((2, 3), 2), ((3, 2), 1), ((3, 2), 3)],
+         ((1, 3), 2), ((2, 3), 2), ((3, 2), 1), ((3, 2), 3), ((2, 2), 2), ((2, 2), 3)],
     )
     def test_minor_conjugation(self, mn, k):
         assert minor_conjugation_ok(*mn, k)
@@ -454,7 +511,7 @@ class TestCyclicModuleSide:
         # the ladder-side pairing is linear in the operator image, conjugate
         # linear in the basis vector it is paired against
         zpoly = NCPoly.from_word((sym("z", 2, 1),), I + q_pow(1))
-        op = rep_coordinate(1, 2, 2, 1, default_cutoff(1, 2)).scale(I + q_pow(1))
+        op = rep_pol_poly(zpoly, 1, 2, default_cutoff(1, 2))
         for k in range(2):
             assert pairing_block_theta(zpoly, 1, 2, k, k + 1) == pairing_block_fock(
                 op, 1, 2, k, k + 1
@@ -807,8 +864,13 @@ class TestExport:
             rep_tpoly(NCPoly.from_word((sym("z", 1, 1),)), 1, 1, 12)
 
     def test_pol_word_rejects_foreign_letters(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"no operator image for letter t\[1,1\]"):
             rep_pol_word((sym("t", 1, 1),), 1, 1, 12)
+        # the projector is no q-difference operator, so it is foreign here too
+        with pytest.raises(ValueError, match=r"no operator image for letter f0"):
+            rep_pol_word((sym("z", 1, 1), sym("f0")), 1, 1, 12)
+        with pytest.raises(ValueError, match="no operator image"):
+            rep_pol_poly(NCPoly.from_word((sym("f0"),)) + NCPoly.one(), 1, 2, 4)
 
     def test_qdet_vacuum(self):
         op = rep_tpoly(qdet(2), 1, 1, 12)

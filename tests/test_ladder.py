@@ -3,9 +3,9 @@
 The reference is built entry by entry, without the ladder calculus: the
 four 2 x 2 ladder generators are tabulated from their defining action, lifted
 to their tensor legs and multiplied as operator-valued matrices along the
-staircase word, with :class:`TruncatedOperator` arithmetic.  On every basis
-vector of a slice, each letter, coordinate and conjugate coordinate must act
-exactly as its reference does.
+staircase word, with the slice arithmetic of ``truncated_arithmetic``.  On
+every basis vector of a slice, each letter, coordinate and conjugate
+coordinate must act exactly as its reference does.
 
 The minors built as exterior powers of the staircase factors are compared
 with their permutation sums, word by word through the letter images.
@@ -14,6 +14,7 @@ with their permutation sums, word by word through the letter images.
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qmatball import ladder
 from qmatball.field import I, ONE, q_pow
@@ -30,7 +31,9 @@ from qmatball.ladder import (
     tpoly_image,
 )
 from qmatball.qminors import coordinate_numerator_label, corner_minor_label, qminor
-from qmatball.words import sym
+from qmatball.words import NCPoly, sym
+
+import truncated_arithmetic as ta
 
 
 def _hand_generator(legs: int, leg: int, gen: str, cert: int) -> TruncatedOperator:
@@ -75,8 +78,8 @@ def _hand_letters(m: int, n: int, cert: int) -> dict:
                 if left is ident or right is ident:
                     term = right if left is ident else left
                 else:
-                    term = left.compose(right)
-                product[(i, j)] = term if (i, j) not in product else product[(i, j)] + term
+                    term = ta.compose(left, right)
+                product[(i, j)] = term if (i, j) not in product else ta.add(product[(i, j)], term)
         P = product
     zero = TruncatedOperator.zero(legs, cert)
     return {(i, j): P.get((i, j), zero) for i in range(1, N + 1) for j in range(1, N + 1)}
@@ -86,10 +89,10 @@ def _hand_tpoly(f, letters: dict, legs: int, cert: int) -> TruncatedOperator:
     """Every word multiplied out letter by letter, scaled and summed."""
     acc = TruncatedOperator.zero(legs, cert)
     for word, c in f.terms.items():
-        piece = TruncatedOperator.identity(legs, cert).scale(c)
+        piece = ta.scale(TruncatedOperator.identity(legs, cert), c)
         for g in word:
-            piece = piece.compose(letters[(g.row, g.col)])
-        acc = acc + piece
+            piece = ta.compose(piece, letters[(g.row, g.col)])
+        acc = ta.add(acc, piece)
     return acc
 
 
@@ -111,8 +114,8 @@ def _images(m, n, degree):
     for a in range(1, n + 1):
         for al in range(1, m + 1):
             num = qminor(*coordinate_numerator_label(a, al, m, n))
-            z = inverse.compose(_hand_tpoly(num, letters, legs, cert))
-            for g, ref in ((sym("z", a, al), z), (sym("zs", a, al), z.adjoint())):
+            z = ta.compose(inverse, _hand_tpoly(num, letters, legs, cert))
+            for g, ref in ((sym("z", a, al), z), (sym("zs", a, al), ta.adjoint(z))):
                 out.append((g.token(), coords[g], ref))
     return out
 
@@ -172,12 +175,17 @@ def test_operators_on_different_leg_counts_do_not_mix():
 
 
 def test_polynomial_images_reject_foreign_letters():
-    from qmatball.words import NCPoly
-
     with pytest.raises(ValueError, match="expected a t-letter"):
         ladder.tpoly_image(NCPoly.from_word((sym("z", 1, 1),)), 1, 1)
     with pytest.raises(ValueError, match="no ladder operator"):
         ladder.pol_image(NCPoly.from_word((sym("f0"),)), 1, 1)
+    # a foreign letter inside a longer polynomial is named too
+    z, t = sym("z", 1, 1), sym("t", 2, 1)
+    f = NCPoly.from_word((z, z)) + NCPoly.from_word((t, z)) + NCPoly.one()
+    with pytest.raises(ValueError, match=r"no ladder operator for letter t\[2,1\]"):
+        ladder.pol_image(f, 1, 1)
+    with pytest.raises(ValueError, match=r"expected a t-letter, got z\[1,1\]"):
+        tpoly_image(f, 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -260,3 +268,44 @@ def test_a_sign_flipped_on_a_one_row_entry_breaks_the_oracle():
         assert good.get((I, J), zero) == oracle
         differ += bad.get((I, J), zero) != oracle
     assert differ > 0
+
+
+# ---------------------------------------------------------------------------
+# polynomial images through the one word-grouping routine
+
+
+def _pol_image_identity_first(f, m, n):
+    """Reference: every word multiplied out from the identity, letter by
+    letter, scaled and summed one by one."""
+    legs = m * n
+    acc = LadderOperator(legs, {})
+    for word, c in f.terms.items():
+        piece = LadderOperator.identity(legs)
+        for g in word:
+            piece = piece.compose(ladder.coordinate_image(g, m, n))
+        acc = acc + piece.scale(c)
+    return acc
+
+
+_COEFFS = [ONE, -ONE, I, q_pow(1), q_pow(-2) - I, ONE + ONE]
+
+
+@st.composite
+def _pol_polys(draw, m, n):
+    letters = [sym(k, a, al) for k in ("z", "zs") for a in range(1, n + 1) for al in range(1, m + 1)]
+    words = draw(st.lists(st.lists(st.sampled_from(letters), max_size=3), max_size=5))
+    f = NCPoly.zero()
+    for w in words:
+        f = f + NCPoly.from_word(tuple(w), draw(st.sampled_from(_COEFFS)))
+    return f
+
+
+@pytest.mark.parametrize("mn", [(1, 2), (2, 2)])
+def test_pol_image_is_the_identity_first_sum(mn):
+    @settings(max_examples=40, deadline=None)
+    @given(_pol_polys(*mn))
+    def check(f):
+        assert ladder.pol_image(f, *mn) == _pol_image_identity_first(f, *mn)
+
+    check()
+

@@ -1,0 +1,92 @@
+"""Entry-by-entry arithmetic of operator slices, as a test-side reference.
+
+The package's :class:`TruncatedOperator` slices are read-only: each is its
+exact ladder operator evaluated column by column, with a header computed
+without entries.  The functions here multiply, add, scale and adjoint
+slices entry by entry instead, with the certificate rules that header
+follows.  The tests build references with them that do not go through the
+ladder calculus:
+
+* a product is certified through min(right cert, left cert minus the
+  largest up-shift observed among the right factor's stored entries), and
+  its shift bounds add;
+* a sum takes the smaller certificate and the larger shift bounds;
+* an adjoint is certified through cert minus ``down`` and swaps the shifts.
+
+A certificate below zero raises :class:`CutoffError`.
+"""
+
+from qmatball.field import ONE, add_terms, q_pow
+from qmatball.fockrep import CutoffError, TruncatedOperator
+
+
+def observed_shifts(op) -> tuple:
+    """(largest raise, largest drop) of the total degree over the stored
+    entries; 0 where there is none."""
+    shifts = [sum(kout) - sum(kin) for kout, kin in op.entries]
+    return max([0, *shifts]), max([0, *(-s for s in shifts)])
+
+
+def restricted(op, cert):
+    """The same slice certified through a smaller degree (its columns are
+    complete, so dropping the higher ones is sound)."""
+    if cert >= op.cert:
+        return op
+    entries = {key: c for key, c in op.entries.items() if sum(key[1]) <= cert}
+    return TruncatedOperator(op.legs, cert, entries, op.up, op.down)
+
+
+def compose(a, b):
+    """The product a . b (b is applied first)."""
+    cert = min(b.cert, a.cert - observed_shifts(b)[0])
+    if cert < 0:
+        raise CutoffError("composition exhausts the certified slice")
+    cols: dict = {}
+    for (kout, kin), c in a.entries.items():
+        cols.setdefault(kin, []).append((kout, c))
+    acc = add_terms({}, (
+        ((kout, kin), c1 * c2)
+        for (mid, kin), c2 in restricted(b, cert).entries.items()
+        for kout, c1 in cols.get(mid, ())
+    ))
+    return TruncatedOperator(a.legs, cert, acc, a.up + b.up, a.down + b.down)
+
+
+def add(a, b):
+    cert = min(a.cert, b.cert)
+    acc = dict(restricted(a, cert).entries)
+    add_terms(acc, restricted(b, cert).entries.items())
+    return TruncatedOperator(a.legs, cert, acc, max(a.up, b.up), max(a.down, b.down))
+
+
+def scale(op, c):
+    if not c:
+        return TruncatedOperator.zero(op.legs, op.cert)
+    entries = {key: v * c for key, v in op.entries.items()}
+    return TruncatedOperator(op.legs, op.cert, entries, op.up, op.down)
+
+
+def _norm2_ratio(jout: int, jin: int):
+    """fock_norm2(jout) / fock_norm2(jin), factor by factor."""
+    lo, hi = sorted((jout, jin))
+    out = ONE
+    for i in range(lo + 1, hi + 1):
+        out = out * (q_pow(-2 * i) - ONE)
+    return out if jout >= jin else out.inverse()
+
+
+def adjoint(op):
+    """Adjoint for the weighted inner product: entry (kin, kout) is the
+    conjugate of entry (kout, kin) times |e_kout|^2 / |e_kin|^2."""
+    cert = op.cert - op.down
+    if cert < 0:
+        raise CutoffError("adjoint exhausts the certified slice")
+    entries = {}
+    for (kout, kin), c in op.entries.items():
+        if sum(kout) <= cert:
+            ratio = ONE
+            for a, b in zip(kout, kin):
+                if a != b:
+                    ratio = ratio * _norm2_ratio(a, b)
+            entries[(kin, kout)] = c.conjugate() * ratio
+    return TruncatedOperator(op.legs, cert, entries, op.down, op.up)
