@@ -196,8 +196,8 @@ class AlgebraPreset:
             f"has_star={self.has_star!r}, diff_first={self.diff_first!r})"
         )
 
-    def normal_form(self, f: NCPoly, strategy: str = "leftmost") -> NCPoly:
-        return self.presentation.normal_form(f, strategy)
+    def normal_form(self, f: NCPoly) -> NCPoly:
+        return self.presentation.normal_form(f)
 
     def multiply(self, f: NCPoly, g: NCPoly) -> NCPoly:
         return self.presentation.multiply(f, g)

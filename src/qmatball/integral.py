@@ -29,7 +29,6 @@ from functools import lru_cache
 from .algebras import AlgebraPreset, make_preset, star
 from .field import ONE, Scalar, ZERO, add_terms, s_pow
 from .fockrep import hilbert_basis
-from .linalg import mat_invert
 from .uqaction import UqElement, act, antipode, counit
 from .words import NCPoly, sym
 
@@ -52,22 +51,16 @@ __all__ = [
 def modular_weights(N: int) -> tuple:
     """The rationals d_1..d_{N-1} with Cartan matrix A satisfying A d = 1.
 
-    Computed by inverting the type-A Cartan matrix and checked against the
-    closed form d_i = i(N - i)/2.
+    Built from the closed form d_i = i(N - i)/2 and checked exactly against
+    the type-A Cartan system 2 d_i - d_{i-1} - d_{i+1} = 1, where
+    d_0 = d_N = 0 (A is invertible, so this pins d).
     """
     if N < 2:
         raise ValueError("need at least two rows/columns")
-    r = N - 1
-    cartan = [
-        [Fraction(2 if i == j else (-1 if abs(i - j) == 1 else 0)) for j in range(r)]
-        for i in range(r)
-    ]
-    inv = mat_invert(cartan, one=Fraction(1), zero=Fraction(0))
-    d = tuple(sum(row) for row in inv)
-    for i, v in enumerate(d, start=1):
-        if v != Fraction(i * (N - i), 2):
-            raise ArithmeticError("Cartan system solution mismatch")
-    return d
+    d = [Fraction(i * (N - i), 2) for i in range(N + 1)]
+    if any(2 * d[i] - d[i - 1] - d[i + 1] != 1 for i in range(1, N)):
+        raise ArithmeticError("Cartan system solution mismatch")
+    return tuple(d[1:-1])
 
 
 def modular_exponent(word: tuple, preset: AlgebraPreset) -> int:

@@ -228,7 +228,7 @@ def _divide_factor(poly: dict, leg: int, alpha: Scalar) -> dict:
 def staircase_transpositions(m: int, n: int) -> tuple:
     """First entries a_k of the adjacent transpositions (a_k, a_k+1), k = 1..mn.
 
-    Their product (rightmost factor applied first) is the permutation that
+    Their product (the factor written last applied first) is the permutation that
     sends 1..n to m+1..N and n+1..N to 1..m; this is verified here.
     """
     mn = m * n

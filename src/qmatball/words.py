@@ -13,12 +13,15 @@ Generators carry a kind tag and a (row, column) index pair:
 A word is a tuple of interned symbols; a polynomial is a {word: Scalar} map.
 A Presentation bundles an alphabet, a set of oriented rules (non-normal word
 on the left, polynomial on the right) and a total order on symbols.  Rules
-are validated at construction time: every replacement word must be strictly
+are validated at construction time: every pattern is a pair of letters, every
+letter of a rule is in the alphabet, and every replacement word is strictly
 smaller than its pattern in the degree-lexicographic word order, which makes
-the rewriting terminate no matter how rules are interleaved.  Confluence is
-not assumed; it is checked empirically by the test suite (two independent
-scan strategies must agree on normal forms).  Rewriting a word that holds a
-symbol outside the presentation's alphabet raises ValueError.
+the rewriting terminate.  Rewriting always reduces the leftmost pattern
+first.  Confluence is certified, not sampled: with pair patterns and a
+terminating order, Bergman's diamond lemma makes the rewriting confluent iff
+every overlap a b c resolves, and ``Presentation.confluence_violations``
+lists the overlaps that do not.  Rewriting a word that holds a symbol outside
+the presentation's alphabet raises ValueError.
 """
 
 from __future__ import annotations
@@ -303,9 +306,9 @@ class NCPoly:
 class Presentation:
     """An alphabet with oriented rewriting rules and a termination order.
 
-    * ``rules`` maps a pattern word (always non-normal) to its replacement
-      polynomial.  Patterns here all have length two, but the engine accepts
-      any positive pattern length.
+    * ``rules`` maps a pattern, a pair of letters, to its replacement
+      polynomial.  A pattern of another length, or a rule with a letter
+      outside the alphabet, raises ValueError naming the rule.
     * ``kind_rank`` orders the kinds; together with (row, col) it induces the
       symbol order used both for the termination check and for enumerating
       the PBW-style basis of normal words.
@@ -333,12 +336,21 @@ class Presentation:
         self.kinds = tuple(kinds)
         self.kind_rank = dict(kind_rank) if kind_rank is not None else dict(KIND_RANK)
         self.rules = dict(rules)
-        self._plens = tuple(sorted({len(p) for p in self.rules}, reverse=True))
-        self._memo = {"leftmost": {}, "rightmost": {}}
+        self._memo = {}
         self._letters = frozenset(self.alphabet())
         self._weight_bad = None
         self._lowering = None  # the lowering map's memo, made once certified
-        Presentation._live.add(self)
+        for pat, repl in self.rules.items():
+            if len(pat) != 2:
+                raise ValueError(
+                    f"rule for {word_tokens(pat)} has a pattern of length "
+                    f"{len(pat)}; patterns are pairs of letters"
+                )
+            try:
+                for w in (pat, *repl.terms):
+                    self._check_word(w)
+            except ValueError as exc:
+                raise ValueError(f"rule for {word_tokens(pat)}: {exc}") from None
         bad = self.termination_violations()
         if bad:
             pat, w = bad[0]
@@ -346,6 +358,7 @@ class Presentation:
                 f"rule for {word_tokens(pat)} does not decrease the word order "
                 f"(offending replacement word {word_tokens(w)})"
             )
+        Presentation._live.add(self)
 
     # -- alphabet
 
@@ -475,10 +488,12 @@ class Presentation:
         c u f0 when the presentation has the projector; without it, y w is
         that sum plus words that end in zs.  From the first letter b of w,
         the rule y b -> c0 + sum c x y' gives
-        L(y, w) = c0 w[1:] + sum c NF(x L(y', w[1:])): for a confluent
-        presentation every rewriting order reaches the normal form (Bergman's
-        diamond lemma).  Memoized; :meth:`clear_memo` forgets it.  Shared
-        between callers: do not mutate.
+        L(y, w) = c0 w[1:] + sum c NF(x L(y', w[1:])).  This rewrites in
+        another order than :meth:`reduce_word`; it reaches the same normal
+        form because the presentation is confluent, which
+        :meth:`confluence_violations` certifies (the presets pass it, and
+        the test suite runs it on each).  Memoized; :meth:`clear_memo`
+        forgets it.  Shared between callers: do not mutate.
         """
         memo = self.require_lowering()
         got = memo.get((y, w))
@@ -497,25 +512,17 @@ class Presentation:
 
     # -- rewriting
 
-    def _find_redex(self, w: tuple, strategy: str):
+    def _find_redex(self, w: tuple):
+        """(position, replacement) of the leftmost pattern in w, or None."""
         rules = self.rules
-        L = len(w)
-        if strategy == "leftmost":
-            positions = range(L)
-        elif strategy == "rightmost":
-            positions = range(L - 1, -1, -1)
-        else:
-            raise ValueError(f"unknown strategy {strategy!r}")
-        for i in positions:
-            for pl in self._plens:
-                if i + pl <= L:
-                    repl = rules.get(w[i : i + pl])
-                    if repl is not None:
-                        return i, pl, repl
+        for i in range(len(w) - 1):
+            repl = rules.get(w[i : i + 2])
+            if repl is not None:
+                return i, repl
         return None
 
-    def reduce_word(self, word: tuple, strategy: str = "leftmost") -> NCPoly:
-        memo = self._memo[strategy]
+    def reduce_word(self, word: tuple) -> NCPoly:
+        memo = self._memo
         got = memo.get(word)
         if got is not None:
             return got
@@ -526,13 +533,13 @@ class Presentation:
             if w in memo:
                 stack.pop()
                 continue
-            hit = self._find_redex(w, strategy)
+            hit = self._find_redex(w)
             if hit is None:
                 memo[w] = NCPoly({w: ONE}, _clean=True)
                 stack.pop()
                 continue
-            i, pl, repl = hit
-            pre, suf = w[:i], w[i + pl :]
+            i, repl = hit
+            pre, suf = w[:i], w[i + 2 :]
             missing = [
                 nw
                 for rw in repl.terms
@@ -550,28 +557,50 @@ class Presentation:
             stack.pop()
         return memo[word]
 
-    def normal_form(self, poly: NCPoly, strategy: str = "leftmost") -> NCPoly:
+    def normal_form(self, poly: NCPoly) -> NCPoly:
         terms = (
             (w2, c2 * c)
             for w, c in poly.terms.items()
-            for w2, c2 in self.reduce_word(w, strategy).terms.items()
+            for w2, c2 in self.reduce_word(w).terms.items()
         )
         return NCPoly(add_terms({}, terms), _clean=True)
 
-    def multiply(self, f: NCPoly, g: NCPoly, strategy: str = "leftmost") -> NCPoly:
-        return self.normal_form(f * g, strategy)
+    def multiply(self, f: NCPoly, g: NCPoly) -> NCPoly:
+        return self.normal_form(f * g)
 
     def clear_memo(self) -> None:
         """Forget every memoized reduction and lowering."""
-        for memo in self._memo.values():
-            memo.clear()
+        self._memo.clear()
         self._lowering = None
 
     def memo_size(self) -> int:
-        return sum(map(len, self._memo.values())) + len(self._lowering or ())
+        return len(self._memo) + len(self._lowering or ())
 
     def is_normal(self, word: tuple) -> bool:
-        return self._find_redex(word, "leftmost") is None
+        return self._find_redex(word) is None
+
+    # -- confluence
+
+    def confluence_violations(self) -> list:
+        """The overlaps (a, b, c), in rule order, whose two one-step reducts
+        (a b -> r) c and a (b c -> r') have different normal forms.
+
+        Patterns are pairs and the order terminates, so by Bergman's diamond
+        lemma (Adv. Math. 29, 1978) an empty list certifies that every
+        rewriting order reaches the same normal form.  Run on demand only:
+        it reduces every overlap of the presentation.
+        """
+        by_first: dict = {}
+        for b, c in self.rules:
+            by_first.setdefault(b, []).append(c)
+        bad = []
+        for (a, b), r in self.rules.items():
+            for c in by_first.get(b, ()):
+                left = self.multiply(r, NCPoly.from_word((c,)))
+                right = self.multiply(NCPoly.from_word((a,)), self.rules[(b, c)])
+                if left != right:
+                    bad.append((a, b, c))
+        return bad
 
     # -- basis enumeration
 

@@ -19,8 +19,11 @@ from qmatball.algebras import (
     star,
     star_words,
 )
+from qmatball.braiding import rules_cross_conj
 from qmatball.field import I, ONE, q_pow
 from qmatball.words import NCPoly, Presentation, sym
+
+import rightmost_reduction as rightmost
 
 
 class TestCommutationRules:
@@ -395,7 +398,7 @@ class TestConfluence:
         pol = make_preset("Pol", 2, 2)
         w = data.draw(preset_words(pol))
         P = pol.presentation
-        assert P.reduce_word(w, "leftmost") == P.reduce_word(w, "rightmost")
+        assert P.reduce_word(w) == rightmost.reduce_word(P, w)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -403,7 +406,7 @@ class TestConfluence:
         om = make_preset("Omega", 2, 2)
         w = data.draw(preset_words(om))
         P = om.presentation
-        assert P.reduce_word(w, "leftmost") == P.reduce_word(w, "rightmost")
+        assert P.reduce_word(w) == rightmost.reduce_word(P, w)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -411,7 +414,35 @@ class TestConfluence:
         funu = make_preset("FunU", 1, 2)
         w = data.draw(preset_words(funu, max_len=5))
         P = funu.presentation
-        assert P.reduce_word(w, "leftmost") == P.reduce_word(w, "rightmost")
+        assert P.reduce_word(w) == rightmost.reduce_word(P, w)
+
+    @staticmethod
+    def _pol_2x2_rules():
+        return {
+            **commutation_rules(2, 2, "z"),
+            **commutation_rules(2, 2, "zs"),
+            **rules_cross_conj(2, 2, "zs", "z"),
+        }
+
+    def test_planted_faults_are_named(self):
+        z11, z22, zs11, zs12 = sym("z", 1, 1), sym("z", 2, 2), sym("zs", 1, 1), sym("zs", 1, 2)
+
+        def overlaps(rules):
+            return Presentation("Pol", 2, 2, ("z", "zs"), rules).confluence_violations()
+
+        assert overlaps(self._pol_2x2_rules()) == []
+        # one zs z rule scaled by q
+        rules = self._pol_2x2_rules()
+        rules[(zs11, z11)] = rules[(zs11, z11)].scale(q_pow(1))
+        bad = overlaps(rules)
+        assert len(bad) == 6 and (zs12, zs11, z11) in bad
+        # the interchange term of z[2,2] z[1,1] with its sign flipped
+        rules = self._pol_2x2_rules()
+        rules[(z22, z11)] = NCPoly(
+            {w: c if w == (z11, z22) else -c for w, c in rules[(z22, z11)].terms.items()}
+        )
+        bad = overlaps(rules)
+        assert len(bad) == 7 and (zs12, z22, z11) in bad
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())

@@ -14,8 +14,10 @@ from qmatball.words import (
     word_from_tokens,
 )
 
+import rightmost_reduction as rightmost
 
-def q_plane(strategy_check=False):
+
+def q_plane():
     # two commuting-up-to-q coordinates: y x -> q^{-1} x y
     x, y = sym("z", 1, 1), sym("z", 1, 2)
     rules = {(y, x): NCPoly.from_word((x, y), q_pow(-1))}
@@ -62,7 +64,8 @@ def test_strategies_agree_on_qplane():
     pres = q_plane()
     x, y = sym("z", 1, 1), sym("z", 1, 2)
     w = (y, x, y, x, x)
-    assert pres.reduce_word(w, "leftmost") == pres.reduce_word(w, "rightmost")
+    assert pres.reduce_word(w) == rightmost.reduce_word(pres, w)
+    assert pres.confluence_violations() == []
 
 
 def test_basis_counts_match_binomials():
@@ -79,6 +82,24 @@ def test_termination_guard_rejects_increasing_rule():
     bad = {(x, y): NCPoly.from_word((y, x))}  # oriented the wrong way
     with pytest.raises(ValueError):
         Presentation("bad", m=2, n=1, kinds=("z",), rules=bad)
+
+
+def test_patterns_must_be_pairs_of_letters():
+    x, y = sym("z", 1, 1), sym("z", 1, 2)
+    for pat in ((y,), (y, y, x)):
+        rules = {pat: NCPoly.from_word((x,))}
+        with pytest.raises(ValueError, match="pattern of length"):
+            Presentation("bad", m=2, n=1, kinds=("z",), rules=rules)
+
+
+def test_rule_letters_outside_the_alphabet_are_rejected():
+    x, y = sym("z", 1, 1), sym("z", 1, 2)
+    outside = sym("zs", 1, 1)
+    # in the replacement, and in the pattern
+    for pat, repl in (((y, x), (x, outside)), ((outside, x), (x,))):
+        rules = {pat: NCPoly.from_word(repl)}
+        with pytest.raises(ValueError, match=r"rule for .*zs\[1,1\] is not in the alphabet"):
+            Presentation("p", m=2, n=1, kinds=("z",), rules=rules)
 
 
 def test_zero_replacement_and_f0_rules():
@@ -182,9 +203,8 @@ words_strategy = st.lists(
 @given(words_strategy)
 def test_qplane_reduction_confluence_and_degree(w):
     pres = q_plane()
-    left = pres.reduce_word(w, "leftmost")
-    right = pres.reduce_word(w, "rightmost")
-    assert left == right
+    left = pres.reduce_word(w)
+    assert left == rightmost.reduce_word(pres, w)
     # rewriting is degree-preserving here and lands on the sorted word
     assert len(left) == 1
     ((nw, _),) = left.items()
@@ -199,7 +219,7 @@ def test_words_outside_the_alphabet_are_rejected():
         with pytest.raises(ValueError, match="not in the alphabet"):
             pres.normal_form(NCPoly.from_word(word))
         with pytest.raises(ValueError, match="not in the alphabet"):
-            pres.reduce_word(word, "rightmost")
+            pres.reduce_word(word)
     # nothing half-reduced was memoized, and valid words still reduce
     assert pres.memo_size() == 0
     assert pres.normal_form(NCPoly.from_word((y, x))) == NCPoly.from_word((x, y), q_pow(-1))
