@@ -12,7 +12,7 @@ Seven presets share one rewriting engine:
 
 Every preset is a termination-checked :class:`~qmatball.words.Presentation`
 plus an involution-availability flag.  Construction is cached per
-(name, m, n, variant).
+(name, m, n).
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from .braiding import (
     rules_cross_conj,
     rules_wedge,
 )
-from .field import ONE, ZERO, add_terms, q_pow
-from .words import KIND_RANK, NCPoly, Presentation, sym
+from .field import ONE, add_terms, q_pow
+from .words import NCPoly, Presentation, sym
 
 __all__ = [
     "PRESET_NAMES",
@@ -96,14 +96,8 @@ def projection_rules(m: int, n: int) -> dict:
     return rules
 
 
-def _diff_first_rank() -> dict:
-    rank = dict(KIND_RANK)
-    rank["z"], rank["dz"] = rank["dz"], rank["z"]
-    return rank
-
-
 @functools.lru_cache(maxsize=None)
-def _build_presentation(name: str, m: int, n: int, diff_first: bool) -> Presentation:
+def _build_presentation(name: str, m: int, n: int) -> Presentation:
     if name == "CMat":
         return Presentation(name, m, n, ("z",), commutation_rules(m, n, "z"))
     if name == "CMatBar":
@@ -118,17 +112,16 @@ def _build_presentation(name: str, m: int, n: int, diff_first: bool) -> Presenta
     if name == "Lambda":
         rules = {
             **commutation_rules(m, n, "z"),
-            **rules_coord_diff(m, n, diff_last=not diff_first),
+            **rules_coord_diff(m, n),
             **rules_wedge(m, n, "dz"),
         }
-        rank = _diff_first_rank() if diff_first else None
-        return Presentation(name, m, n, ("z", "dz"), rules, kind_rank=rank)
+        return Presentation(name, m, n, ("z", "dz"), rules)
     if name == "Omega":
         rules = {
             **commutation_rules(m, n, "z"),
             **commutation_rules(m, n, "zs"),
             **rules_cross_conj(m, n, "zs", "z"),
-            **rules_coord_diff(m, n, diff_last=True),
+            **rules_coord_diff(m, n),
             **rules_wedge(m, n, "dz"),
             **rules_wedge(m, n, "dzs"),
             **rules_conj_coord_diff(m, n),
@@ -151,23 +144,14 @@ def _build_presentation(name: str, m: int, n: int, diff_first: bool) -> Presenta
 class AlgebraPreset:
     """A named algebra with its rewriting presentation and capabilities.
 
-    Immutable.  Equality, hash and repr use every field but the
-    presentation, which the other fields determine.
+    Immutable.  Equality, hash and repr use the name and the size, which
+    determine the presentation.
     """
 
-    __slots__ = ("name", "m", "n", "presentation", "has_star", "diff_first")
+    __slots__ = ("name", "m", "n", "presentation")
 
-    def __init__(
-        self,
-        name: str,
-        m: int,
-        n: int,
-        presentation: Presentation,
-        has_star: bool = False,
-        diff_first: bool = False,
-    ):
-        values = (name, m, n, presentation, has_star, diff_first)
-        for attr, value in zip(self.__slots__, values):
+    def __init__(self, name: str, m: int, n: int, presentation: Presentation):
+        for attr, value in zip(self.__slots__, (name, m, n, presentation)):
             object.__setattr__(self, attr, value)
 
     def __setattr__(self, attr, value):
@@ -179,8 +163,13 @@ class AlgebraPreset:
     def __reduce__(self):
         return (self.__class__, tuple(getattr(self, a) for a in self.__slots__))
 
+    @property
+    def has_star(self) -> bool:
+        """Whether the algebra carries the involution :func:`star`."""
+        return self.name in _STAR_PRESETS
+
     def _key(self) -> tuple:
-        return (self.name, self.m, self.n, self.has_star, self.diff_first)
+        return (self.name, self.m, self.n)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -191,10 +180,7 @@ class AlgebraPreset:
         return hash(self._key())
 
     def __repr__(self):
-        return (
-            f"AlgebraPreset(name={self.name!r}, m={self.m!r}, n={self.n!r}, "
-            f"has_star={self.has_star!r}, diff_first={self.diff_first!r})"
-        )
+        return f"AlgebraPreset(name={self.name!r}, m={self.m!r}, n={self.n!r})"
 
     def normal_form(self, f: NCPoly) -> NCPoly:
         return self.presentation.normal_form(f)
@@ -215,21 +201,11 @@ class AlgebraPreset:
 _CANONICAL = {p.lower(): p for p in PRESET_NAMES}
 
 
-def make_preset(name: str, m: int, n: int, diff_first: bool = False) -> AlgebraPreset:
+def make_preset(name: str, m: int, n: int) -> AlgebraPreset:
     canonical = _CANONICAL.get(name.lower())
     if canonical is None:
         raise ValueError(f"unknown preset {name!r}; known: {PRESET_NAMES}")
-    if diff_first and canonical != "Lambda":
-        raise ValueError("the differential-first word order is a Lambda variant")
-    pres = _build_presentation(canonical, m, n, diff_first)
-    return AlgebraPreset(
-        name=canonical,
-        m=m,
-        n=n,
-        presentation=pres,
-        has_star=canonical in _STAR_PRESETS,
-        diff_first=diff_first,
-    )
+    return AlgebraPreset(canonical, m, n, _build_presentation(canonical, m, n))
 
 
 def parse_preset(text: str) -> AlgebraPreset:
@@ -256,10 +232,16 @@ def star_words(f: NCPoly) -> NCPoly:
 
 
 def star(f: NCPoly, preset: AlgebraPreset) -> NCPoly:
-    """The antilinear anti-automorphism, reduced to normal form."""
+    """The antilinear anti-automorphism, reduced to normal form.
+
+    A letter of f outside the preset's alphabet raises ValueError naming it.
+    """
     if not preset.has_star:
         raise ValueError(f"preset {preset.name} does not support the involution")
-    return preset.presentation.normal_form(star_words(f))
+    pres = preset.presentation
+    for w in f.terms:
+        pres._check_word(w)
+    return pres.normal_form(star_words(f))
 
 
 def differential(f: NCPoly) -> NCPoly:

@@ -19,7 +19,7 @@ From these tables we *derive* oriented rewriting rules:
 
   * coordinate-vs-conjugate cross rules (with the inhomogeneous delta term),
   * coordinate-vs-differential rules, by exactly inverting the exchange
-    matrix (or directly, for the differential-first normal order),
+    matrix,
   * wedge rules among differentials, by row-reducing the quadratic exchange
     system and solving for the non-normal pair words,
   * the conjugated variants of all of the above.
@@ -37,7 +37,6 @@ from .words import NCPoly, sym
 
 __all__ = [
     "rhat",
-    "rhat_matrix",
     "rhat_operator",
     "hecke_holds",
     "braid_holds",
@@ -48,7 +47,6 @@ __all__ = [
     "rules_coord_diff",
     "rules_wedge",
     "rules_conj_coord_diff",
-    "emit_relations",
 ]
 
 TAGS = ("UU", "VV", "barUU", "barVV")
@@ -89,14 +87,6 @@ def rhat(tag: str, d: int) -> dict:
     entry = _entry_plain if tag in ("UU", "VV") else _entry_bar
     pairs = list(itertools.product(range(1, d + 1), repeat=2))
     return {(pp, up): entry(pp, up) for pp in pairs for up in pairs}
-
-
-def rhat_matrix(tag: str, d: int):
-    """(ordered pair list, dense matrix rows=primed cols=unprimed)."""
-    table = rhat(tag, d)
-    pairs = list(itertools.product(range(1, d + 1), repeat=2))
-    mat = [[table[(pp, up)] for up in pairs] for pp in pairs]
-    return pairs, mat
 
 
 def rhat_operator(tag: str, d: int):
@@ -262,39 +252,27 @@ def _exchange_matrix(m: int, n: int):
     return idx, M
 
 
-def rules_coord_diff(m: int, n: int, diff_last: bool = True) -> dict:
+def rules_coord_diff(m: int, n: int) -> dict:
     """Rules between coordinates and their differentials.
 
-    diff_last=True orients differentials to the right of coordinates
-    (patterns [dz z], coefficients from the exact inverse of the exchange
-    matrix); diff_last=False keeps the directly-stated orientation
-    (patterns [z dz]).
+    Differentials are oriented to the right of coordinates: the patterns
+    are [dz z], with coefficients from the exact inverse of the exchange
+    matrix.
     """
     idx, M = _exchange_matrix(m, n)
     pos = {t: i for i, t in enumerate(idx)}
+    Minv = mat_invert(M)
     rules = {}
-    if diff_last:
-        Minv = mat_invert(M)
-        # column c of M holds word dz_ap^alp z_bp^bep; row r holds z_b^be dz_a^al
-        for (bp, bep, ap_, alp) in idx:
-            c = pos[(bp, bep, ap_, alp)]
-            pat = (sym("dz", ap_, alp), sym("z", bp, bep))
-            acc = {}
-            for (b, be, a, al) in idx:
-                v = Minv[c][pos[(b, be, a, al)]]
-                if v:
-                    acc[(sym("z", b, be), sym("dz", a, al))] = v
-            rules[pat] = NCPoly(acc)
-    else:
+    # column c of M holds word dz_ap^alp z_bp^bep; row r holds z_b^be dz_a^al
+    for (bp, bep, ap_, alp) in idx:
+        c = pos[(bp, bep, ap_, alp)]
+        pat = (sym("dz", ap_, alp), sym("z", bp, bep))
+        acc = {}
         for (b, be, a, al) in idx:
-            r = pos[(b, be, a, al)]
-            pat = (sym("z", b, be), sym("dz", a, al))
-            acc = {}
-            for (bp, bep, ap_, alp) in idx:
-                v = M[r][pos[(bp, bep, ap_, alp)]]
-                if v:
-                    acc[(sym("dz", ap_, alp), sym("z", bp, bep))] = v
-            rules[pat] = NCPoly(acc)
+            v = Minv[c][pos[(b, be, a, al)]]
+            if v:
+                acc[(sym("z", b, be), sym("dz", a, al))] = v
+        rules[pat] = NCPoly(acc)
     return rules
 
 
@@ -357,45 +335,9 @@ def rules_wedge(m: int, n: int, kind: str = "dz") -> dict:
     return rules
 
 
-FAMILIES = (
-    "coord-diff",
-    "coord-diff-direct",
-    "wedge",
-    "wedge-conj",
-    "conj-cross",
-    "diff-conj-cross",
-    "conj-coord-diff",
-    "mixed-diff-cross",
-)
-
-
-def emit_relations(m: int, n: int, family: str) -> dict:
-    """Named access to every derived rule family (pattern word -> NCPoly)."""
-    if family == "coord-diff":
-        return rules_coord_diff(m, n, diff_last=True)
-    if family == "coord-diff-direct":
-        return rules_coord_diff(m, n, diff_last=False)
-    if family == "wedge":
-        return rules_wedge(m, n, "dz")
-    if family == "wedge-conj":
-        return rules_wedge(m, n, "dzs")
-    if family == "conj-cross":
-        return rules_cross_conj(m, n, "zs", "z")
-    if family == "diff-conj-cross":
-        return rules_cross_conj(m, n, "dzs", "z")
-    if family == "mixed-diff-cross":
-        return {
-            **rules_cross_conj(m, n, "zs", "dz"),
-            **rules_cross_conj(m, n, "dzs", "dz"),
-        }
-    if family == "conj-coord-diff":
-        return rules_conj_coord_diff(m, n)
-    raise ValueError(f"unknown rule family {family!r}; known: {FAMILIES}")
-
-
 def rules_conj_coord_diff(m: int, n: int) -> dict:
     """Rules for patterns [zs dzs], obtained by conjugating the [dz z] rules."""
-    base = rules_coord_diff(m, n, diff_last=True)
+    base = rules_coord_diff(m, n)
     rules = {}
     for (dzsym, zsym), repl in base.items():
         pat = (sym("zs", zsym.row, zsym.col), sym("dzs", dzsym.row, dzsym.col))

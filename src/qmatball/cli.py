@@ -34,9 +34,9 @@ from fractions import Fraction
 from math import isqrt
 from pathlib import Path
 
-from .algebras import AlgebraPreset, parse_preset, star
+from .algebras import parse_preset
 from .braiding import TAGS, verify_rhat_properties
-from .field import GaussRat, Scalar, from_int, I
+from .field import GaussRat, from_int, I
 from .fockrep import (
     CutoffError,
     default_cutoff,
@@ -57,12 +57,7 @@ from .fockrep import (
     type_identity_ok,
     vacuum_modulus_ok,
 )
-from .integral import (
-    integral_nu,
-    invariance_defect,
-    modular_exponent,
-    positivity_sample_ok,
-)
+from .integral import integral_nu, invariance_defect, positivity_sample_ok
 from .qminors import corner_minor_label, opposite_corner_label, volume_element
 from .uqaction import E, F, K, Kinv, act, parse_letter
 from .words import NCPoly, sym

@@ -2,10 +2,10 @@
 
 The coordinate algebras of this package embed into a larger quantum matrix
 algebra with generators t[i,j], 1 <= i,j <= N = m + n.  Elements here are
-plain free polynomials in those letters (``TPoly`` is an alias of
-:class:`~qmatball.words.NCPoly`): no rewriting system is attached, because
-every identity the package relies on is certified through exact ladder
-operators (module :mod:`qmatball.ladder`).  The laws read their minors
+plain free polynomials in those letters (:class:`~qmatball.words.NCPoly`):
+no rewriting system is attached, because every identity the package relies
+on is certified through exact ladder operators (module
+:mod:`qmatball.ladder`).  The laws read their minors
 from ``ladder.minor_images``, built without these permutation sums; the
 sums serve the exported slices and, in the tests, as the oracle.
 
@@ -17,19 +17,17 @@ Provided here:
   row/column sign characters;
 * the distinguished corner minor, the grouplike volume element built from
   it, and the column sets realizing coordinate generators as minor
-  quotients;
-* the integer grading of the letters induced by the (m, n) block split.
+  quotients.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .field import ONE, Scalar, add_terms, q_pow
+from .field import Scalar, add_terms, q_pow
 from .words import NCPoly, sym
 
 __all__ = [
-    "TPoly",
     "t_gen",
     "inversions",
     "neg_q_pow",
@@ -47,13 +45,7 @@ __all__ = [
     "volume_element",
     "coordinate_column_set",
     "coordinate_numerator_label",
-    "minor_label",
-    "t_degree",
-    "word_t_degree",
 ]
-
-
-TPoly = NCPoly
 
 
 def t_gen(i: int, j: int) -> NCPoly:
@@ -211,28 +203,3 @@ def coordinate_column_set(a: int, al: int, m: int, n: int) -> tuple:
 def coordinate_numerator_label(a: int, al: int, m: int, n: int) -> tuple:
     """Minor label (rows 1..m, the coordinate column set) for z[a,al]."""
     return (tuple(range(1, m + 1)), coordinate_column_set(a, al, m, n))
-
-
-def minor_label(label: tuple) -> str:
-    """Text form of a minor label, e.g. 't^[1,2|3,4]'."""
-    rows, cols = label
-    rtxt = ",".join(str(r) for r in rows)
-    ctxt = ",".join(str(c) for c in cols)
-    return f"t^[{rtxt}|{ctxt}]"
-
-
-# ---------------------------------------------------------------------------
-# grading
-
-
-def t_degree(i: int, j: int, m: int, n: int) -> int:
-    """+1 on the upper-left (m, n) block, -1 on the lower-right, else 0."""
-    if i <= m and j <= n:
-        return 1
-    if i > m and j > n:
-        return -1
-    return 0
-
-
-def word_t_degree(word: tuple, m: int, n: int) -> int:
-    return sum(t_degree(g.row, g.col, m, n) for g in word)

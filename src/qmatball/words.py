@@ -124,9 +124,10 @@ def word_tokens(word: tuple) -> list:
     return [g.token() for g in word]
 
 
-def deglex_key(word: tuple, rank: Mapping[str, int] = KIND_RANK):
-    """Sort key realizing the termination order: length first, then symbolwise."""
-    return (len(word), tuple((rank[g.kind], g.row, g.col) for g in word))
+def deglex_key(word: tuple):
+    """Sort key realizing the termination order: length first, then symbolwise
+    by kind (``KIND_RANK``), row and column."""
+    return (len(word), tuple((KIND_RANK[g.kind], g.row, g.col) for g in word))
 
 
 @functools.lru_cache(maxsize=None)
@@ -309,9 +310,9 @@ class Presentation:
     * ``rules`` maps a pattern, a pair of letters, to its replacement
       polynomial.  A pattern of another length, or a rule with a letter
       outside the alphabet, raises ValueError naming the rule.
-    * ``kind_rank`` orders the kinds; together with (row, col) it induces the
-      symbol order used both for the termination check and for enumerating
-      the PBW-style basis of normal words.
+    * ``KIND_RANK`` orders the kinds; together with (row, col) it induces
+      the symbol order used both for the termination check and for
+      enumerating the PBW-style basis of normal words.
 
     Rewriting and lowering are memoized per word; :meth:`clear_memo` (or
     ``qmatball.clear_caches()`` for every live presentation) forgets it.
@@ -326,7 +327,6 @@ class Presentation:
         n: int,
         kinds: tuple,
         rules: Mapping[tuple, NCPoly],
-        kind_rank: Mapping[str, int] | None = None,
     ):
         if m < 1 or n < 1:
             raise ValueError("m and n must be positive")
@@ -334,7 +334,6 @@ class Presentation:
         self.m = m
         self.n = n
         self.kinds = tuple(kinds)
-        self.kind_rank = dict(kind_rank) if kind_rank is not None else dict(KIND_RANK)
         self.rules = dict(rules)
         self._memo = {}
         self._letters = frozenset(self.alphabet())
@@ -375,7 +374,7 @@ class Presentation:
 
     def alphabet(self) -> list:
         out = []
-        for kind in sorted(self.kinds, key=self.kind_rank.__getitem__):
+        for kind in sorted(self.kinds, key=KIND_RANK.__getitem__):
             out.extend(self.symbols(kind))
         return out
 
@@ -389,18 +388,17 @@ class Presentation:
                 )
 
     def symbol_key(self, g: GeneratorSymbol):
-        return (self.kind_rank[g.kind], g.row, g.col)
+        return (KIND_RANK[g.kind], g.row, g.col)
 
     # -- termination
 
     def termination_violations(self) -> list:
         """Rules whose replacement fails to decrease deglex; empty when sound."""
         bad = []
-        rank = self.kind_rank
         for pat, repl in self.rules.items():
-            pkey = deglex_key(pat, rank)
+            pkey = deglex_key(pat)
             for w in repl.terms:
-                if deglex_key(w, rank) >= pkey:
+                if deglex_key(w) >= pkey:
                     bad.append((pat, w))
         return bad
 
@@ -610,7 +608,7 @@ class Presentation:
             if kind not in self.kinds:
                 raise ValueError(f"kind {kind!r} not in presentation {self.name!r}")
         blocks = []
-        for kind in sorted(self.kinds, key=self.kind_rank.__getitem__):
+        for kind in sorted(self.kinds, key=KIND_RANK.__getitem__):
             c = counts.get(kind, 0)
             if c == 0:
                 blocks.append([()])
@@ -635,7 +633,7 @@ class Presentation:
 
     def basis_by_total_degree(self, total: int) -> list:
         """All normal words with ``total`` symbols across the kinds."""
-        kinds = sorted(self.kinds, key=self.kind_rank.__getitem__)
+        kinds = sorted(self.kinds, key=KIND_RANK.__getitem__)
         out = []
         for split in _compositions(total, len(kinds)):
             counts = dict(zip(kinds, split))

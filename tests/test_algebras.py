@@ -1,8 +1,12 @@
 """Algebra presets: rule tables, dimensions, involution, differential."""
 
 import copy
+import hashlib
+import itertools
+import json
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +25,7 @@ from qmatball.algebras import (
 )
 from qmatball.braiding import rules_cross_conj
 from qmatball.field import I, ONE, q_pow
-from qmatball.words import NCPoly, Presentation, sym
+from qmatball.words import NCPoly, Presentation, sym, word_tokens
 
 import rightmost_reduction as rightmost
 
@@ -92,18 +96,6 @@ class TestPresets:
             assert pres.weight_violations() == ()
             assert pres.lowering_violations() == []
 
-    def test_differential_first_order_moves_z_off_the_front(self):
-        pres = make_preset("Lambda", 2, 2, diff_first=True).presentation
-        moved = [
-            w for pat, repl in pres.rules.items() if pat[0].kind == "z"
-            for w in repl.terms if w[0].kind != "z"
-        ]
-        assert moved and all(w[0].kind == "dz" for w in moved)
-        # the lowering map reads only z, zs and f0 rules, which this order
-        # leaves alone
-        assert pres.weight_violations() == ()
-        assert pres.lowering_violations() == []
-
     def test_involution_flags(self):
         assert not make_preset("CMat", 1, 1).has_star
         assert not make_preset("Lambda", 1, 1).has_star
@@ -121,34 +113,25 @@ class TestPresets:
     def test_make_preset_fields(self, name):
         preset = make_preset(name.upper(), 2, 3)
         # the repr leaves the presentation out
-        assert repr(preset) == (
-            f"AlgebraPreset(name={name!r}, m=2, n=3, "
-            f"has_star={name in ('Pol', 'Omega', 'FunU', 'DU')}, diff_first=False)"
-        )
+        assert repr(preset) == f"AlgebraPreset(name={name!r}, m=2, n=3)"
+        assert preset.has_star == (name in ("Pol", "Omega", "FunU", "DU"))
         assert (preset.presentation.name, preset.presentation.m) == (name, 2)
         assert preset.label() == f"{name.lower()}:2x3"
-
-    def test_diff_first_field(self):
-        preset = make_preset("Lambda", 2, 3, diff_first=True)
-        assert repr(preset) == (
-            "AlgebraPreset(name='Lambda', m=2, n=3, has_star=False, diff_first=True)"
-        )
-        assert preset != make_preset("Lambda", 2, 3)
 
     def test_equality_and_hash_ignore_the_presentation(self):
         pol = make_preset("Pol", 2, 2)
         pres = pol.presentation
         other = Presentation("other", 2, 2, pres.kinds, dict(pres.rules))
-        twin = AlgebraPreset("Pol", 2, 2, other, has_star=True)
+        twin = AlgebraPreset("Pol", 2, 2, other)
         assert twin.presentation is not pres
         assert twin == pol and hash(twin) == hash(pol)
-        assert len({pol, twin}) == 1
-        assert AlgebraPreset("Pol", 2, 2, other) != pol  # has_star differs
+        assert len({pol, twin}) == 1 and twin.has_star
+        assert AlgebraPreset("CMat", 2, 2, other) != pol
         assert make_preset("Pol", 2, 1) != pol
-        assert pol != ("Pol", 2, 2, True, False)
+        assert pol != ("Pol", 2, 2)
 
     @pytest.mark.parametrize(
-        "attr", ["name", "m", "n", "presentation", "has_star", "diff_first", "extra"]
+        "attr", ["name", "m", "n", "presentation", "has_star", "extra"]
     )
     def test_attributes_are_read_only(self, attr):
         preset = make_preset("Pol", 1, 2)
@@ -162,6 +145,7 @@ class TestPresets:
         preset = make_preset("Omega", 1, 2)
         dup = copy.copy(preset)
         assert dup == preset and dup.presentation is preset.presentation
+        assert preset.__reduce__() == (AlgebraPreset, ("Omega", 1, 2, preset.presentation))
 
     def test_parse_preset_strings(self):
         p = parse_preset("cmat:2x2")
@@ -172,11 +156,6 @@ class TestPresets:
             parse_preset("pol-2x2")
         with pytest.raises(ValueError):
             parse_preset("nosuch:1x1")
-
-    def test_diff_first_restricted_to_lambda(self):
-        make_preset("Lambda", 1, 1, diff_first=True)
-        with pytest.raises(ValueError):
-            make_preset("Pol", 1, 1, diff_first=True)
 
     def test_rank_one_cross_rule(self):
         pol = make_preset("Pol", 1, 1)
@@ -212,6 +191,35 @@ class TestPresets:
             in_projection_slice(NCPoly.one(), make_preset("Pol", 1, 1))
 
 
+def _preset_digest() -> str:
+    """sha256 over every preset's rules, alphabet, degree-2 basis, involution
+    flag and label at each size from 1x1 to 3x3."""
+    h = hashlib.sha256()
+    for name in PRESET_NAMES:
+        for m, n in itertools.product(range(1, 4), repeat=2):
+            preset = make_preset(name, m, n)
+            pres = preset.presentation
+            record = {
+                "label": preset.label(),
+                "has_star": preset.has_star,
+                "alphabet": word_tokens(pres.alphabet()),
+                "rules": sorted(
+                    (word_tokens(pat), repl.to_dict()["terms"])
+                    for pat, repl in pres.rules.items()
+                ),
+                "basis2": [word_tokens(w) for w in preset.basis_by_total_degree(2)],
+            }
+            h.update(json.dumps(record, sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def test_preset_rules_match_the_golden_digest():
+    # any change to a preset's rules, word order or normal basis moves this
+    assert _preset_digest() == (
+        "3c715055a1e08d41f2d275367729d19aff1fc4d9baa511927cbda2a9aa11756d"
+    )
+
+
 class TestDimensions:
     @pytest.mark.parametrize("mn", [(1, 1), (1, 2), (2, 1), (2, 2)])
     def test_coordinate_algebra_dims(self, mn):
@@ -228,9 +236,8 @@ class TestDimensions:
                 got = len(pol.basis_words({"z": k, "zs": l}))
                 assert got == math.comb(3 + k, k) * math.comb(3 + l, l)
 
-    @pytest.mark.parametrize("diff_first", [False, True])
-    def test_one_form_component_is_free(self, diff_first):
-        lam = make_preset("Lambda", 2, 2, diff_first=diff_first)
+    def test_one_form_component_is_free(self):
+        lam = make_preset("Lambda", 2, 2)
         for k in range(5):
             got = len(lam.basis_words({"z": k, "dz": 1}))
             assert got == 4 * math.comb(3 + k, k)
@@ -272,6 +279,16 @@ class TestStar:
     def test_rejects_preset_without_involution(self):
         with pytest.raises(ValueError):
             star(NCPoly.one(), make_preset("CMat", 1, 1))
+
+    @pytest.mark.parametrize(
+        "letter", [sym("t", 1, 1), sym("z", 3, 3)], ids=["t11", "z33"]
+    )
+    def test_rejects_a_letter_outside_the_preset_by_its_name(self, letter):
+        # t[1,1] has no conjugate kind, and z[3,3] lies outside 2x2: either
+        # way the error names the letter passed, not its starred image
+        f = NCPoly.from_word((sym("z", 1, 1), letter))
+        with pytest.raises(ValueError, match=rf"generator {re.escape(letter.token())} "):
+            star(f, make_preset("Pol", 2, 2))
 
     def test_rank_one_self_adjoint_element(self):
         pol = make_preset("Pol", 1, 1)

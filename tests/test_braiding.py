@@ -3,15 +3,14 @@
 import pytest
 
 from qmatball.braiding import (
-    FAMILIES,
+    _exchange_matrix,
     braid_holds,
-    emit_relations,
     hecke_holds,
     hecke_shift_inverse_ok,
     rhat,
     rhat_inverse,
-    rhat_matrix,
     rhat_operator,
+    rules_conj_coord_diff,
     rules_coord_diff,
     rules_cross_conj,
     rules_wedge,
@@ -24,6 +23,21 @@ from qmatball.words import NCPoly, sym
 
 QINV = q_pow(-1)
 Q = q_pow(1)
+
+
+def _direct_coord_diff(m, n):
+    """The directly stated relations z_b^be dz_a^al = sum M dz_a'^al' z_b'^be',
+    read off the exchange matrix M as rules on the patterns [z dz].  The
+    package orients the other way ([dz z], through the inverse of M); this
+    family is kept here only to check that inversion."""
+    idx, M = _exchange_matrix(m, n)
+    return {
+        (sym("z", b, be), sym("dz", a, al)): NCPoly({
+            (sym("dz", ap, alp), sym("z", bp, bep)): M[r][c]
+            for c, (bp, bep, ap, alp) in enumerate(idx)
+        })
+        for r, (b, be, a, al) in enumerate(idx)
+    }
 
 
 class TestFrozenEntries:
@@ -147,22 +161,22 @@ class TestCrossConjRules:
 
 class TestCoordDiffRules:
     def test_rank_one_diff_last(self):
-        rules = rules_coord_diff(1, 1, diff_last=True)
+        rules = rules_coord_diff(1, 1)
         pat = (sym("dz", 1, 1), sym("z", 1, 1))
         assert rules[pat] == NCPoly.from_word(
             (sym("z", 1, 1), sym("dz", 1, 1)), q_pow(2)
         )
 
     def test_rank_one_diff_first(self):
-        rules = rules_coord_diff(1, 1, diff_last=False)
+        rules = _direct_coord_diff(1, 1)
         pat = (sym("z", 1, 1), sym("dz", 1, 1))
         assert rules[pat] == NCPoly.from_word(
             (sym("dz", 1, 1), sym("z", 1, 1)), q_pow(-2)
         )
 
     def test_orientations_are_mutually_inverse(self):
-        last = rules_coord_diff(2, 1, diff_last=True)
-        first = rules_coord_diff(2, 1, diff_last=False)
+        last = rules_coord_diff(2, 1)
+        first = _direct_coord_diff(2, 1)
         # substituting one family into the other must give the identity:
         # for each pattern z dz, expanding each dz z word of its replacement
         # via the diff-last family must return the original pattern.
@@ -175,7 +189,7 @@ class TestCoordDiffRules:
             assert acc == {(zsym, dsym): ONE}
 
     def test_every_replacement_keeps_bidegree(self):
-        rules = rules_coord_diff(2, 2, diff_last=True)
+        rules = rules_coord_diff(2, 2)
         for pat, repl in rules.items():
             assert len(pat) == 2
             for w in repl.terms:
@@ -214,22 +228,33 @@ class TestWedgeRules:
             rules_wedge(1, 1, "z")
 
 
+# every derived rule family, as the presets assemble them
+FAMILIES = {
+    "coord-diff": rules_coord_diff,
+    "wedge": lambda m, n: rules_wedge(m, n, "dz"),
+    "wedge-conj": lambda m, n: rules_wedge(m, n, "dzs"),
+    "conj-cross": lambda m, n: rules_cross_conj(m, n, "zs", "z"),
+    "diff-conj-cross": lambda m, n: rules_cross_conj(m, n, "dzs", "z"),
+    "conj-coord-diff": rules_conj_coord_diff,
+    "mixed-diff-cross": lambda m, n: {
+        **rules_cross_conj(m, n, "zs", "dz"),
+        **rules_cross_conj(m, n, "dzs", "dz"),
+    },
+}
+
+
 class TestEmitters:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_every_family_emits(self, family):
-        rules = emit_relations(1, 2, family)
+        rules = FAMILIES[family](1, 2)
         assert rules
         for pat, repl in rules.items():
             assert isinstance(pat, tuple) and len(pat) == 2
             assert isinstance(repl, NCPoly)
 
-    def test_unknown_family_rejected(self):
-        with pytest.raises(ValueError):
-            emit_relations(1, 1, "nope")
-
     def test_conj_coord_diff_is_conjugate_of_coord_diff(self):
-        base = rules_coord_diff(1, 2, diff_last=True)
-        conj = emit_relations(1, 2, "conj-coord-diff")
+        base = rules_coord_diff(1, 2)
+        conj = rules_conj_coord_diff(1, 2)
         assert len(conj) == len(base)
         for (zs_sym, dzs_sym), repl in conj.items():
             assert zs_sym.kind == "zs" and dzs_sym.kind == "dzs"

@@ -620,9 +620,7 @@ def _with_planted_rules(monkeypatch, name, extra):
         rules = {**pres.rules, **extra(pres.rules)}
         rules = {pat: repl for pat, repl in rules.items() if repl is not None}
         planted = Presentation("planted", m, n, pres.kinds, rules)
-        return AlgebraPreset(
-            preset.name, m, n, planted, preset.has_star, preset.diff_first
-        )
+        return AlgebraPreset(preset.name, m, n, planted)
 
     monkeypatch.setattr(fockrep, "make_preset", fake)
     monkeypatch.setattr(integral, "make_preset", fake)

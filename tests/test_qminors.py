@@ -9,7 +9,6 @@ from qmatball.qminors import (
     coordinate_numerator_label,
     corner_minor_label,
     inversions,
-    minor_label,
     opposite_corner_label,
     qdet,
     qminor,
@@ -17,10 +16,8 @@ from qmatball.qminors import (
     star_compact,
     star_compact_poly,
     star_indefinite,
-    t_degree,
     t_gen,
     volume_element,
-    word_t_degree,
 )
 from qmatball.words import NCPoly, sym
 
@@ -127,18 +124,14 @@ class TestDistinguishedElements:
         with pytest.raises(ValueError):
             coordinate_column_set(3, 1, 2, 2)
 
-    def test_label_text(self):
-        assert minor_label(((1, 2), (3, 4))) == "t^[1,2|3,4]"
-        assert minor_label(((1,), (2,))) == "t^[1|2]"
+
+def word_t_degree(word, m, n):
+    """The block grading: +1 per letter in the upper-left (m, n) block, -1
+    per letter in the lower-right block, 0 otherwise."""
+    return sum((g.row <= m and g.col <= n) - (g.row > m and g.col > n) for g in word)
 
 
 class TestGrading:
-    def test_letter_degrees(self):
-        assert t_degree(1, 1, 2, 2) == 1
-        assert t_degree(3, 3, 2, 2) == -1
-        assert t_degree(1, 3, 2, 2) == 0
-        assert t_degree(2, 1, 1, 1) == 0
-
     def test_volume_element_is_degree_zero(self):
         for m, n in ((1, 1), (1, 2), (2, 2)):
             for w in volume_element(m, n).terms:
