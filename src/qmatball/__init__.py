@@ -41,7 +41,6 @@ from .field import (
     from_fraction,
     q_bracket,
     q_factorial,
-    q_exp_coeffs,
 )
 from .words import GeneratorSymbol, NCPoly, Presentation, sym
 from .braiding import rhat, rhat_operator, verify_rhat_properties
@@ -77,8 +76,8 @@ _LRU_CACHES = (
     fockrep.fock_norm2,
     fockrep.fock_weight,
     fockrep.fock_basis,
-    fockrep._bounded_letters,
-    fockrep._bounded_coordinate,
+    fockrep._letter_headers,
+    fockrep._coordinate_headers,
     fockrep.rep_letter,
     fockrep.rep_coordinate,
     fockrep.rep_coordinate_star,
@@ -132,7 +131,6 @@ __all__ = [
     "from_fraction",
     "q_bracket",
     "q_factorial",
-    "q_exp_coeffs",
     "GeneratorSymbol",
     "NCPoly",
     "Presentation",

@@ -38,7 +38,6 @@ __all__ = [
     "star",
     "star_words",
     "differential",
-    "in_projection_slice",
 ]
 
 PRESET_NAMES = ("CMat", "CMatBar", "Pol", "Lambda", "Omega", "FunU", "DU")
@@ -223,12 +222,20 @@ def parse_preset(text: str) -> AlgebraPreset:
 
 def star_words(f: NCPoly) -> NCPoly:
     """The involution on symbols, without rewriting: each word reversed with
-    every kind swapped for its conjugate, each coefficient conjugated."""
+    every kind swapped for its conjugate, each coefficient conjugated.  A
+    letter with no conjugate (a t letter) raises ValueError naming it."""
     pairs = (
-        (tuple(sym(_STAR_KIND[g.kind], g.row, g.col) for g in reversed(w)), c.conjugate())
+        (tuple(map(_conjugate_letter, reversed(w))), c.conjugate())
         for w, c in f.terms.items()
     )
     return NCPoly(add_terms({}, pairs), _clean=True)
+
+
+def _conjugate_letter(g):
+    kind = _STAR_KIND.get(g.kind)
+    if kind is None:
+        raise ValueError(f"letter {g.token()} has no conjugate")
+    return sym(kind, g.row, g.col)
 
 
 def star(f: NCPoly, preset: AlgebraPreset) -> NCPoly:
@@ -265,11 +272,3 @@ def _leibniz_terms(f: NCPoly):
                     parity = -parity
                 continue
             yield w[:i] + (sym(kd, g.row, g.col),) + w[i + 1 :], parity * c
-
-
-def in_projection_slice(f: NCPoly, preset: AlgebraPreset) -> bool:
-    """Whether every word of a FunU normal form passes through the projection."""
-    if preset.name not in ("FunU", "DU"):
-        raise ValueError("the projection slice lives inside FunU/DU")
-    f0 = sym("f0")
-    return all(f0 in w for w in f.terms)

@@ -44,7 +44,6 @@ __all__ = [
     "from_fraction",
     "q_bracket",
     "q_factorial",
-    "q_exp_coeffs",
 ]
 
 
@@ -823,11 +822,3 @@ def q_factorial(k: int) -> Scalar:
     for j in range(1, k + 1):
         out = out * q_bracket(j)
     return out
-
-
-def q_exp_coeffs(kmax: int) -> list:
-    """Taylor coefficients through degree kmax of the q-squared exponential.
-
-    Entry k is 1 / q_factorial(k); the series starts [1, 1, 1/(1+q^2), ...].
-    """
-    return [q_factorial(k).inverse() for k in range(kmax + 1)]

@@ -13,13 +13,16 @@ and :mod:`qmatball.ladder` builds every letter, minor, coordinate and
 conjugate coordinate from them as an exact q-difference operator.
 
 The ``rep_*`` builders (behind ``qmb export``) return a read-only
-:class:`TruncatedOperator`: the ladder operator evaluated on every e_k with
-|k| <= cert, with that certificate and degree-shift bounds.  The bounds
-come without entries, from the rules of multiplying slices entry by entry
-(products, sums, adjoints) run along the ladder products that build the
-operator, so each slice is exact on its recorded degrees.  Polynomials in
-the coordinates and their conjugates (``rep_pol_word``, ``rep_pol_poly``)
-are built the same way, through :func:`qmatball.ladder.word_image`; no
+:class:`TruncatedOperator`: an operator that :mod:`qmatball.ladder` builds
+and caches (a letter, a minor, the volume element, a coordinate or its
+conjugate, or a polynomial in the coordinates and their conjugates)
+evaluated on every e_k with |k| <= cert, with that certificate and
+degree-shift bounds.  The bounds come without entries: the rules of
+multiplying slices entry by entry (products, sums, adjoints) are folded
+over integers along the products that define the operator, the staircase
+product for the letters and the word grouping of
+:func:`qmatball.ladder.word_image` for polynomials (a minor as its
+permutation sum).  So each slice is exact on its recorded degrees, and no
 slice is ever multiplied.
 
 The laws of the representation (diagonal corner and volume minors, the
@@ -47,6 +50,7 @@ from .field import ONE, Scalar, ZERO, add_terms, q_pow
 from .ladder import (
     LadderOperator,
     coordinate_image,
+    coordinate_images,
     corner_image,
     generator_image,
     letter_images,
@@ -55,6 +59,7 @@ from .ladder import (
     pol_image,
     staircase_product,
     t_letters,
+    tpoly_image,
     word_image,
 )
 from .linalg import bareiss_zi, mat_mul
@@ -81,7 +86,6 @@ __all__ = [
     "rep_coordinate",
     "rep_coordinate_star",
     "rep_projector",
-    "rep_pol_word",
     "rep_pol_poly",
     "vacuum_eigenvalue",
     "apply_coordinate_word",
@@ -187,28 +191,6 @@ class TruncatedOperator:
         self.down = down
         self._cols = None
 
-    # -- constructors
-
-    @classmethod
-    def zero(cls, legs, cert):
-        return cls(legs, cert, {}, 0, 0)
-
-    @classmethod
-    def identity(cls, legs, cert):
-        entries = {(k, k): ONE for k in fock_basis(legs, cert)}
-        return cls(legs, cert, entries, 0, 0)
-
-    @classmethod
-    def diagonal(cls, legs, cert, eig):
-        entries = {}
-        for k in fock_basis(legs, cert):
-            c = eig(k)
-            if c:
-                entries[(k, k)] = c
-        return cls(legs, cert, entries, 0, 0)
-
-    # -- structure
-
     def _column_index(self):
         cols = self._cols
         if cols is None:
@@ -241,115 +223,100 @@ class TruncatedOperator:
 # slices of the ladder operators
 
 
-class _Bounded:
-    """A ladder operator with the certificate and shift bounds of its slices.
+class _Header:
+    """The certificate and shift bounds of a slice, without its entries.
 
-    The bounds are those of multiplying slices entry by entry, run without
-    entries: a product is certified through min(right cert, left cert minus
-    the right factor's largest up-shift), and its shift bounds add; a sum
-    through the smaller certificate with the larger shift bounds; an
-    adjoint through cert minus down with the shifts swapped.  These rules
-    commute with the word grouping of :func:`ladder.word_image`, so a
-    polynomial's header does not depend on how its words are grouped.  None
-    of them depends on the cutoff, so ``cert`` is kept relative to it: the
-    slice at cutoff c is certified through c + cert, and a certificate below
-    zero raises :class:`CutoffError` there.
+    The rules of multiplying slices entry by entry, folded over integers: a
+    product is certified through min(right cert, left cert - ``top``), with
+    ``top`` the right factor's largest up-shift among its own ladder terms
+    (:meth:`with_top`; a right factor is always a generator, a letter, a
+    numerator minor or a coordinate), and its shift bounds add; a sum takes
+    the smaller certificate and the larger shift bounds; an adjoint lowers
+    the certificate by ``down`` and swaps the shifts.  The rules commute
+    with the word grouping of :func:`ladder.word_image`, and none depends
+    on the cutoff, so ``cert`` is kept relative to it: the slice at cutoff
+    c is certified through c + cert.
     """
 
-    __slots__ = ("op", "cert", "up", "down")
+    __slots__ = ("cert", "up", "down", "top")
 
-    def __init__(self, op: LadderOperator, cert: int, up: int, down: int):
-        self.op = op
-        self.cert = cert
-        self.up = up
-        self.down = down
+    def __init__(self, cert: int, up: int = 0, down: int = 0, top=None):
+        self.cert, self.up, self.down, self.top = cert, up, down, top
 
-    @classmethod
-    def start(cls, op: LadderOperator):
-        """An operator the bounds start from (a generator, the identity or
-        zero), with the shifts of its own terms, certified through cutoff +
-        legs: a staircase factor lowers the certificate by at most one, so
-        every letter stays certified through the cutoff."""
-        shifts = [sum(d) for d, _ in op.terms]
-        return cls(op, op.legs, max([0, *shifts]), max([0, *(-x for x in shifts)]))
+    def with_top(self, op: LadderOperator):
+        return _Header(self.cert, self.up, self.down, max([0, *(sum(d) for d, _ in op.terms)]))
 
-    def compose(self, other):
-        top = max([0, *(sum(d) for d, _ in other.op.terms)])
-        return _Bounded(
-            self.op.compose(other.op), min(other.cert, self.cert - top),
-            self.up + other.up, self.down + other.down,
+    def compose(self, right):
+        return _Header(
+            min(right.cert, self.cert - right.top), self.up + right.up, self.down + right.down
         )
 
     def __add__(self, other):
-        return _Bounded(
-            self.op + other.op, min(self.cert, other.cert),
-            max(self.up, other.up), max(self.down, other.down),
+        return _Header(
+            min(self.cert, other.cert), max(self.up, other.up), max(self.down, other.down)
         )
 
     def scale(self, c: Scalar):
-        return _Bounded(self.op.scale(c), self.cert, self.up, self.down)
+        return self
 
     def adjoint(self):
-        return _Bounded(self.op.adjoint(), self.cert - self.down, self.down, self.up)
+        return _Header(self.cert - self.down, self.down, self.up)
 
-    def slice(self, cutoff: int) -> TruncatedOperator:
-        """The columns e_k with |k| <= cutoff + cert, each the image of e_k."""
-        legs = self.op.legs
-        cert = cutoff + self.cert
-        entries = {}
-        for k in fock_basis(legs, cert):
-            for kout, c in self.op.apply({k: ONE}).items():
-                entries[(kout, k)] = c
-        return TruncatedOperator(legs, cert, entries, self.up, self.down)
+
+def _generator_header(op: LadderOperator) -> _Header:
+    """A generator's header: the shifts of its own terms, certified through
+    cutoff + legs, since a staircase factor lowers the certificate by at
+    most one and so every letter stays certified through the cutoff."""
+    shifts = [sum(d) for d, _ in op.terms]
+    return _Header(op.legs, max([0, *shifts]), max([0, *(-x for x in shifts)])).with_top(op)
 
 
 @lru_cache(maxsize=None)
-def _bounded_letters(m: int, n: int) -> dict:
-    """{(i, j): the letter t[i,j]} from the staircase product."""
+def _letter_headers(m: int, n: int) -> dict:
+    """{(i, j): header of t[i,j]}, by the staircase product of the letters."""
     legs = m * n
     P = staircase_product(
-        m, n, lambda r, gen: _Bounded.start(generator_image(legs, r, gen)),
-        _Bounded.start(LadderOperator.identity(legs)),
+        m, n, lambda r, gen: _generator_header(generator_image(legs, r, gen)), _Header(legs)
     )
-    zero = _Bounded.start(LadderOperator(legs, {}))
-    N = m + n
     return {
-        (i, j): P.get(((i,), (j,)), zero) for i in range(1, N + 1) for j in range(1, N + 1)
+        (i, j): P.get(((i,), (j,)), _Header(legs)).with_top(op)
+        for (i, j), op in letter_images(m, n).items()
     }
 
 
-def _bounded_tpoly(f: NCPoly, m: int, n: int) -> _Bounded:
-    """Image of a polynomial in the t letters (see :func:`ladder.word_image`)."""
-    return word_image(
-        f, t_letters(_bounded_letters(m, n)),
-        _Bounded.start(LadderOperator.identity(m * n)),
-    )
+def _tpoly_header(f: NCPoly, m: int, n: int) -> _Header:
+    """Header of a polynomial in the t letters, by :func:`ladder.word_image`."""
+    return word_image(f, t_letters(_letter_headers(m, n)), _Header(m * n))
 
 
 @lru_cache(maxsize=None)
-def _bounded_coordinate(m: int, n: int, a: int, al: int) -> _Bounded:
-    """z[a,al]: the inverse corner minor times the coordinate minor."""
-    legs = m * n
-    corner = _bounded_tpoly(qminor(*corner_minor_label(m, n)), m, n)
-    if corner.op != LadderOperator.diagonal(legs, (1,) * legs):
-        raise ArithmeticError("corner minor failed its diagonal law")
-    inverse = _Bounded(LadderOperator.diagonal(legs, (-1,) * legs), corner.cert, 0, 0)
-    num = _bounded_tpoly(qminor(*coordinate_numerator_label(a, al, m, n)), m, n)
-    return inverse.compose(num)
+def _coordinate_headers(m: int, n: int) -> dict:
+    """{z[a,al]: header, zs[a,al]: its adjoint}: the inverse corner minor,
+    certified as far as the corner minor's word sum, times the numerator
+    minor's word sum (:func:`qminors.qminor`)."""
+    ops = coordinate_images(m, n)
+    inverse = _Header(_tpoly_header(qminor(*corner_minor_label(m, n)), m, n).cert)
+    out = {}
+    for a in range(1, n + 1):
+        for al in range(1, m + 1):
+            label = coordinate_numerator_label(a, al, m, n)
+            num = _tpoly_header(qminor(*label), m, n).with_top(minor_image(m, n, label))
+            z = inverse.compose(num)
+            for g, h in ((sym("z", a, al), z), (sym("zs", a, al), z.adjoint())):
+                out[g] = h.with_top(ops[g])
+    return out
 
 
-def _bounded_pol(f: NCPoly, m: int, n: int) -> _Bounded:
-    """Image of a polynomial in the coordinate and conjugate letters: z[a,al]
-    is :func:`_bounded_coordinate` and zs[a,al] its adjoint.  Any other
-    letter, the projector f0 included, raises ValueError."""
-
-    def letter(g):
-        if g.kind not in ("z", "zs"):
-            raise ValueError(f"no operator image for letter {g.token()}")
-        z = _bounded_coordinate(m, n, g.row, g.col)
-        return z if g.kind == "z" else z.adjoint()
-
-    return word_image(f, letter, _Bounded.start(LadderOperator.identity(m * n)))
+def _slice(op: LadderOperator, h: _Header, cutoff: int) -> TruncatedOperator:
+    """The columns e_k with |k| <= cutoff + h.cert, each the image of e_k,
+    with the header's shift bounds; a certificate below zero raises
+    :class:`CutoffError`."""
+    cert = cutoff + h.cert
+    entries = {}
+    for k in fock_basis(op.legs, cert):
+        for kout, c in op.apply({k: ONE}).items():
+            entries[(kout, k)] = c
+    return TruncatedOperator(op.legs, cert, entries, h.up, h.down)
 
 
 def default_cutoff(m: int, n: int) -> int:
@@ -360,27 +327,33 @@ def default_cutoff(m: int, n: int) -> int:
 @lru_cache(maxsize=None)
 def rep_letter(m: int, n: int, i: int, j: int, cutoff: int) -> TruncatedOperator:
     """Operator image of the letter t[i,j]."""
-    return _bounded_letters(m, n)[(i, j)].slice(cutoff)
+    return _slice(letter_images(m, n)[(i, j)], _letter_headers(m, n)[(i, j)], cutoff)
 
 
 def rep_tpoly(f: NCPoly, m: int, n: int, cutoff: int) -> TruncatedOperator:
     """Multiplicative-linear extension to polynomials in the t letters."""
-    return _bounded_tpoly(f, m, n).slice(cutoff)
+    return _slice(tpoly_image(f, m, n), _tpoly_header(f, m, n), cutoff)
 
 
 def rep_minor(m: int, n: int, label: tuple, cutoff: int) -> TruncatedOperator:
-    return rep_tpoly(qminor(*label), m, n, cutoff)
+    """Operator image of the minor t^[I|J], label = (I, J) index sets."""
+    h = _tpoly_header(qminor(*label), m, n)  # qminor checks the index sets
+    ascending = tuple(tuple(sorted(s)) for s in label)
+    return _slice(minor_image(m, n, ascending), h, cutoff)
 
 
 @lru_cache(maxsize=None)
 def rep_coordinate(m: int, n: int, a: int, al: int, cutoff: int) -> TruncatedOperator:
     """Operator image of z[a,al]: corner inverse times the coordinate minor."""
-    return _bounded_coordinate(m, n, a, al).slice(cutoff)
+    g = sym("z", a, al)
+    return _slice(coordinate_image(g, m, n), _coordinate_headers(m, n)[g], cutoff)
 
 
 @lru_cache(maxsize=None)
 def rep_coordinate_star(m, n, a, al, cutoff) -> TruncatedOperator:
-    return _bounded_coordinate(m, n, a, al).adjoint().slice(cutoff)
+    """Operator image of zs[a,al], the adjoint of z[a,al]."""
+    g = sym("zs", a, al)
+    return _slice(coordinate_image(g, m, n), _coordinate_headers(m, n)[g], cutoff)
 
 
 def rep_projector(m: int, n: int, cutoff: int) -> TruncatedOperator:
@@ -390,14 +363,18 @@ def rep_projector(m: int, n: int, cutoff: int) -> TruncatedOperator:
     return TruncatedOperator(legs, cutoff, {(zero_idx, zero_idx): ONE}, 0, 0)
 
 
-def rep_pol_word(word: tuple, m: int, n: int, cutoff: int) -> TruncatedOperator:
-    """Image of a word in the coordinate and conjugate letters."""
-    return rep_pol_poly(NCPoly.from_word(word), m, n, cutoff)
-
-
 def rep_pol_poly(f: NCPoly, m: int, n: int, cutoff: int) -> TruncatedOperator:
-    """Image of a polynomial in the coordinate and conjugate letters."""
-    return _bounded_pol(f, m, n).slice(cutoff)
+    """Image of a polynomial in the coordinate and conjugate letters.  Any
+    other letter, the projector f0 included, raises ValueError."""
+    headers = _coordinate_headers(m, n)
+
+    def letter(g):
+        if g not in headers:
+            raise ValueError(f"no operator image for letter {g.token()}")
+        return headers[g]
+
+    h = word_image(f, letter, _Header(m * n))
+    return _slice(pol_image(f, m, n), h, cutoff)
 
 
 def vacuum_eigenvalue(op) -> Scalar:
@@ -463,8 +440,8 @@ def vacuum_modulus_ok(m, n, s0_list=(Fraction(1, 2), Fraction(9, 10))):
 
 def _involute_images(m: int, n: int) -> dict:
     """{(i, j): image of the compact involute of t[i,j]}, that is
-    (-q)^(j-i) times the complementary cofactor (see
-    :func:`qminors.star_compact`)."""
+    (-q)^(j-i) times the minor on the rows without i and the columns
+    without j."""
     N = m + n
     cof = minor_images(m, n, N - 1)
     out = {}

@@ -24,9 +24,9 @@ The N x N letters come from the staircase product of the 2 x 2 generators
 (see :func:`staircase_product`).  Every polynomial, in the t letters or in
 the coordinates and their conjugates, becomes an operator through one
 word-grouping routine (see :func:`word_image`), which reads its letters
-through one lookup.  The exported slices of :mod:`qmatball.fockrep` go
-through both too, so that their certificates follow the same products and
-sums.
+through one lookup.  The exported slices of :mod:`qmatball.fockrep` are
+these operators, and their certificates are folded through both routines
+too, so they follow the same products and sums.
 
 Quantum minors are comultiplicative, t^[I|J] -> sum_K t^[I|K] (x) t^[K|J],
 and the letter matrix is a product of factors whose entries act on

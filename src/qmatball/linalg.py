@@ -1,4 +1,5 @@
-"""Dense exact linear algebra over any field-like elements, and one
+"""Dense exact linear algebra over any field-like elements (products,
+inverses and reduced row echelon forms, for the braiding tables), and one
 fraction-free kernel over the Gaussian integers.
 
 Matrices are lists of lists.  Entries only need +, -, *, / and truthiness
@@ -11,7 +12,8 @@ pivot row, because exact products and differences are the cost here.
 blocks: Bareiss's fraction-free elimination (Math. Comp. 22, 1968) on
 (re, im) int pairs.  Its pivots are the leading principal minors
 themselves, every entry stays in Z[i], and each division by the previous
-pivot is exact, so no rational number is ever formed.
+pivot is exact, so no rational number is ever formed.  It gives the only
+determinants (leading minors) and ranks in the package.
 """
 
 from __future__ import annotations
@@ -20,11 +22,9 @@ from .field import ONE, ZERO
 
 __all__ = [
     "bareiss_zi",
-    "mat_det",
     "mat_mul",
     "mat_identity",
     "mat_invert",
-    "mat_rank",
     "mat_rref",
 ]
 
@@ -80,32 +80,6 @@ def mat_invert(A, one=ONE, zero=ZERO):
     return [row[n:] for row in M]
 
 
-def mat_det(A, one=ONE):
-    """Determinant by Gaussian elimination with row swaps (exact field ops)."""
-    n = len(A)
-    if n == 0:
-        return one
-    M = [list(row) for row in A]
-    det = one
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if M[r][col]:
-                piv = r
-                break
-        if piv is None:
-            return M[0][0] - M[0][0]
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-            det = -det
-        det = det * M[col][col]
-        inv = one / M[col][col]
-        for r in range(col + 1, n):
-            if M[r][col]:
-                M[r] = _eliminate(M[r], M[r][col] * inv, M[col])
-    return det
-
-
 def mat_rref(A):
     """Reduced row echelon form; returns (rows, pivot_column_indices)."""
     M = [list(row) for row in A]
@@ -132,12 +106,6 @@ def mat_rref(A):
         if r == nrows:
             break
     return M, pivots
-
-
-def mat_rank(A) -> int:
-    if not A or not A[0]:
-        return 0
-    return len(mat_rref(A)[1])
 
 
 _ZI_ONE = (1, 0)  # the pivot "before the first", D_0 = 1

@@ -1,20 +1,22 @@
-"""Quantum minors of the ambient N x N matrix algebra and its involutions.
+"""Quantum minors of the ambient N x N matrix algebra and the sign
+characters of the (m, n) block split.
 
 The coordinate algebras of this package embed into a larger quantum matrix
 algebra with generators t[i,j], 1 <= i,j <= N = m + n.  Elements here are
 plain free polynomials in those letters (:class:`~qmatball.words.NCPoly`):
 no rewriting system is attached, because every identity the package relies
 on is certified through exact ladder operators (module
-:mod:`qmatball.ladder`).  The laws read their minors
-from ``ladder.minor_images``, built without these permutation sums; the
-sums serve the exported slices and, in the tests, as the oracle.
+:mod:`qmatball.ladder`).  The laws and the exported slices read their
+minors from ``ladder.minor_images``, built without these permutation sums;
+the sums give the certificates of the exported slices and, in the tests,
+the oracle.
 
 Provided here:
 
 * q-minors: signed permutation sums over a row set and a column set;
-* the compact-form involution (each letter maps to a signed complementary
-  minor) and the indefinite-signature involution obtained from it by the
-  row/column sign characters;
+* the row and column sign characters, which twist the compact-form
+  involution into the indefinite-signature one (checked on operators by
+  :func:`qmatball.fockrep.type_identity_ok`);
 * the distinguished corner minor, the grouplike volume element built from
   it, and the column sets realizing coordinate generators as minor
   quotients.
@@ -24,11 +26,10 @@ from __future__ import annotations
 
 import itertools
 
-from .field import Scalar, add_terms, q_pow
+from .field import Scalar, q_pow
 from .words import NCPoly, sym
 
 __all__ = [
-    "t_gen",
     "inversions",
     "neg_q_pow",
     "qminor",
@@ -37,20 +38,12 @@ __all__ = [
     "col_sign",
     "row_signs",
     "col_signs",
-    "star_compact",
-    "star_indefinite",
-    "star_compact_poly",
     "corner_minor_label",
     "opposite_corner_label",
     "volume_element",
     "coordinate_column_set",
     "coordinate_numerator_label",
 ]
-
-
-def t_gen(i: int, j: int) -> NCPoly:
-    """The single letter t[i,j] as a polynomial."""
-    return NCPoly.from_word((sym("t", i, j),))
 
 
 def neg_q_pow(e: int) -> Scalar:
@@ -115,47 +108,6 @@ def row_signs(m: int, n: int) -> tuple:
 
 def col_signs(m: int, n: int) -> tuple:
     return tuple(col_sign(k, n) for k in range(1, m + n + 1))
-
-
-# ---------------------------------------------------------------------------
-# involutions
-
-
-def star_compact(i: int, j: int, N: int) -> NCPoly:
-    """Image of t[i,j] under the compact-form involution.
-
-    The letter goes to (-q)^(j-i) times the complementary quantum minor
-    (rows without i, columns without j).  Extended to polynomials by
-    :func:`star_compact_poly`; the involutive property holds only modulo
-    the ambient relations, so it is certified representation-side.
-    """
-    rows = tuple(r for r in range(1, N + 1) if r != i)
-    cols = tuple(c for c in range(1, N + 1) if c != j)
-    return qminor(rows, cols).scale(neg_q_pow(j - i))
-
-
-def star_indefinite(i: int, j: int, m: int, n: int) -> NCPoly:
-    """Image of t[i,j] under the indefinite-signature involution.
-
-    Equals the compact image twisted by the row and column sign characters
-    of the (m, n) block split.
-    """
-    sgn = row_sign(i, m) * col_sign(j, n)
-    img = star_compact(i, j, m + n)
-    return img if sgn == 1 else -img
-
-
-def star_compact_poly(f: NCPoly, N: int) -> NCPoly:
-    """Conjugate-linear antimultiplicative extension of the compact involution."""
-    out: dict = {}
-    for word, c in f.terms.items():
-        piece = NCPoly.from_word((), c.conjugate())
-        for g in reversed(word):
-            if g.kind != "t":
-                raise ValueError(f"expected a t-letter, got {g.token()}")
-            piece = piece * star_compact(g.row, g.col, N)
-        add_terms(out, piece.terms.items())
-    return NCPoly(out, _clean=True)
 
 
 # ---------------------------------------------------------------------------

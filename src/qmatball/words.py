@@ -387,9 +387,6 @@ class Presentation:
                     f"{self.name} {self.m}x{self.n}"
                 )
 
-    def symbol_key(self, g: GeneratorSymbol):
-        return (KIND_RANK[g.kind], g.row, g.col)
-
     # -- termination
 
     def termination_violations(self) -> list:

@@ -16,7 +16,6 @@ from qmatball.algebras import (
     AlgebraPreset,
     commutation_rules,
     differential,
-    in_projection_slice,
     make_preset,
     parse_preset,
     projection_rules,
@@ -182,14 +181,6 @@ class TestPresets:
         kept = funu.normal_form(NCPoly.from_word((z, f0, zs)))
         assert kept == NCPoly.from_word((z, f0, zs))
 
-    def test_projection_slice_membership(self):
-        du = make_preset("DU", 1, 1)
-        f0, z = sym("f0"), sym("z", 1, 1)
-        assert in_projection_slice(NCPoly.from_word((z, f0)), du)
-        assert not in_projection_slice(NCPoly.from_word((z,)), du)
-        with pytest.raises(ValueError):
-            in_projection_slice(NCPoly.one(), make_preset("Pol", 1, 1))
-
 
 def _preset_digest() -> str:
     """sha256 over every preset's rules, alphabet, degree-2 basis, involution
@@ -275,6 +266,11 @@ class TestStar:
         g = NCPoly.from_word((sym("z", 1, 1), sym("z", 2, 2)), I)
         assert star(g, pol) == pol.normal_form(star_words(g))
         assert star(g, pol) != star_words(g)
+
+    def test_symbol_involution_names_a_letter_without_conjugate(self):
+        f = NCPoly.from_word((sym("z", 1, 1), sym("t", 1, 1))) + NCPoly.one()
+        with pytest.raises(ValueError, match=r"letter t\[1,1\] has no conjugate"):
+            star_words(f)
 
     def test_rejects_preset_without_involution(self):
         with pytest.raises(ValueError):

@@ -105,9 +105,9 @@ def test_slices_do_not_depend_on_warm_ladder_caches(m, n, cutoff):
     cold = _slice_snapshot(m, n, cutoff)
     ladder.letter_images(m, n)
     ladder.coordinate_images(m, n)
-    # rebuild the slices and their bounded operators, with the ladder images
-    # and the basis and weight tables warm
-    for fn in (fockrep._bounded_letters, fockrep._bounded_coordinate, fockrep.rep_letter,
+    # rebuild the slices and their headers, with the ladder images and the
+    # basis and weight tables warm
+    for fn in (fockrep._letter_headers, fockrep._coordinate_headers, fockrep.rep_letter,
                rep_coordinate, fockrep.rep_coordinate_star):
         fn.cache_clear()
     assert _slice_snapshot(m, n, cutoff) == cold

@@ -387,6 +387,20 @@ EVERY_TARGET_DIGESTS = {
         "6be2cb7bdd81ef20cbadab5c7fd0b165373938930b20d27d6fec46a487295abc",
         "ce1032bb29198a83505576666b5dde14193bb61732e66c929e5f6fbc61944437",
     ),
+    # recorded while the slices still carried their own bounded operators,
+    # built apart from the ladder images
+    ("2x2", 0): (
+        "ddf43140be608068c3e96ecc62e03a7ad894325b451cc3f14d7de249af1f0569",
+        "1ffdad19d81c8c4590601bce66886ed455bc71d54a6a71b87948f2a802b41c6a",
+    ),
+    ("2x2", 2): (
+        "14206dde1b8984e4f0cc473f53b08e4cba87718c5ad104aac411d16fbb38a6ee",
+        "89a224b4dc39788b330fdbfa2c6cacf6a391582a9a1f615867c7cb1a556b55c8",
+    ),
+    ("3x2", 0): (
+        "0544b9f14100682d8acf2541b0be7907c7321e130ee4b9b59bfcf0ec10d5b7c8",
+        "7eff074271245a052035500b3dfed88ec3a94a664179d3e83fca6a656319ec04",
+    ),
 }
 
 

@@ -19,7 +19,6 @@ from qmatball.field import (
     from_int,
     parse_gauss,
     q_bracket,
-    q_exp_coeffs,
     q_factorial,
     q_pow,
     s_pow,
@@ -36,13 +35,6 @@ def test_q_factorial_two_is_one_plus_qsq():
     assert q_factorial(2) == expected
     assert q_factorial(0) == ONE
     assert q_factorial(1) == ONE
-
-
-def test_q_exp_series_head():
-    c0, c1, c2 = q_exp_coeffs(2)
-    assert c0 == ONE
-    assert c1 == ONE
-    assert c2 == (ONE + q_pow(2)).inverse()
 
 
 def test_s_squared_is_q():

@@ -15,13 +15,13 @@ from qmatball.field import (
     from_fraction,
     from_int,
     q_bracket,
-    q_exp_coeffs,
     q_factorial,
     q_pow,
     s_pow,
 )
 
-_Q_EXP_6 = [
+# 1 / q_factorial(k) for k = 0..6
+_INVERSE_Q_FACTORIALS = [
     ("[0:1]/[0:1]", "1"),
     ("[0:1]/[0:1]", "1"),
     ("[0:1]/[0:1,4:1]", "(1)/(1 + s^4)"),
@@ -45,7 +45,7 @@ _Q_EXP_6 = [
 ]
 
 GOLDEN = [
-    (lambda: q_factorial(5).inverse(), *_Q_EXP_6[5]),
+    (lambda: q_factorial(5).inverse(), *_INVERSE_Q_FACTORIALS[5]),
     (lambda: I / (ONE + S), "[0:i]/[0:1,1:1]", "(i)/(1 + s)"),
     (lambda: from_fraction("-3/4") * q_pow(-2), "[0:-3/4]/[4:1]", "(-3/4)/(s^4)"),
     (
@@ -86,9 +86,9 @@ GOLDEN = [
 ]
 
 
-def test_q_exp_coeffs_golden():
-    got = [(x.to_string(), x.pretty()) for x in q_exp_coeffs(6)]
-    assert got == _Q_EXP_6
+def test_inverse_q_factorials_golden():
+    inverses = [q_factorial(k).inverse() for k in range(7)]
+    assert [(x.to_string(), x.pretty()) for x in inverses] == _INVERSE_Q_FACTORIALS
 
 
 @pytest.mark.parametrize("make, text, pretty", GOLDEN)

@@ -44,7 +44,6 @@ from qmatball.fockrep import (
     rep_letter,
     rep_minor,
     rep_pol_poly,
-    rep_pol_word,
     rep_projector,
     rep_tpoly,
     rules_as_operators_failures,
@@ -57,19 +56,12 @@ from qmatball.fockrep import (
 )
 from qmatball.fockrep import _leading_minors_positive
 from qmatball.ladder import sign_chain, staircase_transpositions
-from qmatball.linalg import mat_det, mat_rank
-from qmatball.qminors import (
-    corner_minor_label,
-    qdet,
-    qminor,
-    star_compact,
-    star_compact_poly,
-    t_gen,
-    volume_element,
-)
+from qmatball.qminors import corner_minor_label, qdet, qminor, volume_element
 from qmatball.words import NCPoly, Presentation, sym
 
 import truncated_arithmetic as ta
+from compact_involution import star_compact, star_compact_poly, t_gen
+from dense_linalg import mat_det, mat_rank
 
 
 class TestWeights:
@@ -100,8 +92,8 @@ def _columns_through(op, cert) -> dict:
 
 class TestOperatorCalculus:
     def test_identity_and_diagonal(self):
-        ident = TruncatedOperator.identity(2, 3)
-        diag = TruncatedOperator.diagonal(2, 3, lambda k: q_pow(-sum(k)))
+        ident = ta.identity(2, 3)
+        diag = ta.diagonal(2, 3, lambda k: q_pow(-sum(k)))
         basis = fock_basis(2, 3)
         assert ident.entries == {(k, k): ONE for k in basis}
         assert diag.entries == {(k, k): q_pow(-sum(k)) for k in basis}
@@ -112,13 +104,13 @@ class TestOperatorCalculus:
             TruncatedOperator(1, -1, {}, 0, 0)
 
     def test_apply_beyond_certificate_rejected(self):
-        ident = TruncatedOperator.identity(1, 2)
+        ident = ta.identity(1, 2)
         with pytest.raises(CutoffError):
             ident.apply({(3,): ONE})
 
     def test_compose_certificate_shrinks_with_raising(self):
         z = rep_coordinate(1, 1, 1, 1, 12)
-        zz = rep_pol_word((sym("z", 1, 1),) * 2, 1, 1, 12)
+        zz = rep_pol_poly(NCPoly.from_word((sym("z", 1, 1),) * 2), 1, 1, 12)
         assert zz.cert == z.cert - 1
         assert zz.entries[((2,), (0,))] == q_pow(1) * q_pow(2)
 
@@ -155,7 +147,7 @@ class TestOperatorCalculus:
         ref = None
         for w, c in words.items():
             f = f + NCPoly.from_word(w, c)
-            piece = ta.scale(rep_pol_word(w, 1, 2, 6), c)
+            piece = ta.scale(rep_pol_poly(NCPoly.from_word(w), 1, 2, 6), c)
             ref = piece if ref is None else ta.add(ref, piece)
         assert _same_operator(rep_pol_poly(f, 1, 2, 6), ref)
 
@@ -179,7 +171,7 @@ def _tpoly_word_by_word(f, m, n, cutoff, through=None):
     right from the (restricted) identity, scaled and summed one by one, with
     the test-side slice arithmetic."""
     legs = m * n
-    ident = TruncatedOperator.identity(legs, cutoff + legs)
+    ident = ta.identity(legs, cutoff + legs)
     budget = None
     if through is not None:
         budget = through + max((len(w) for w in f.terms), default=0)
@@ -298,10 +290,10 @@ def _slice_line(label, build) -> str:
     return f"{label} {op.legs} {op.cert} {op.up} {op.down} {sha}"
 
 
-# sha256 over one _slice_line per input: every z/zs word of length 0..3
-# through rep_pol_word, then the polynomials of _pol_polys through
-# rep_pol_poly.  Recorded while the slices were composed, summed and scaled
-# with truncated arithmetic.
+# sha256 over one _slice_line per input: every z/zs word of length 0..3,
+# then the polynomials of _pol_polys, all through rep_pol_poly.  Recorded
+# while the slices were composed, summed and scaled with truncated
+# arithmetic.
 _POL_SLICE_DIGESTS = {
     ((1, 1), 0): "077ba152669cb5d97b5230a297515bbbef350a447b105fd1077189ef42142beb",
     ((1, 1), 1): "d49102d41784207e1a97611baf085a037d8cf89631587b9cca65d6b0c7bec9b5",
@@ -324,7 +316,8 @@ def test_pol_slices_golden(mn, cutoff):
     for k in range(4):
         for w in product(_pol_letters(*mn), repeat=k):
             label = " ".join(g.token() for g in w)
-            h.update((_slice_line(label, lambda: rep_pol_word(w, *mn, cutoff)) + "\n").encode())
+            f = NCPoly.from_word(w)
+            h.update((_slice_line(label, lambda: rep_pol_poly(f, *mn, cutoff)) + "\n").encode())
     for name, f in _pol_polys(*mn).items():
         h.update((_slice_line(name, lambda: rep_pol_poly(f, *mn, cutoff)) + "\n").encode())
     assert h.hexdigest() == _POL_SLICE_DIGESTS[(mn, cutoff)]
@@ -457,6 +450,17 @@ class TestCertifiedLaws:
         op = rep_minor(1, 2, corner_minor_label(1, 2), 10)
         assert op.entries[((2, 1), (2, 1))] == q_pow(-3)
         assert op.entries == {(k, k): q_pow(-sum(k)) for k in fock_basis(2, op.cert)}
+
+    def test_minor_label_is_a_pair_of_index_sets(self):
+        # the order within each index set does not matter, as for qminor
+        op = rep_minor(1, 2, ((1, 2), (2, 3)), 3)
+        for label in (((2, 1), (3, 2)), ([1, 2], range(2, 4))):
+            same = rep_minor(1, 2, label, 3)
+            assert (same.entries, same.cert, same.up, same.down) == (
+                op.entries, op.cert, op.up, op.down
+            )
+        with pytest.raises(ValueError, match="equal size"):
+            rep_minor(1, 2, ((1, 2), (2,)), 3)
 
     @pytest.mark.parametrize("mn", [(1, 1), (1, 2), (2, 1), (1, 3), (2, 3), (3, 2)])
     def test_rewrite_rules_hold_as_operators(self, mn):
@@ -863,10 +867,10 @@ class TestExport:
 
     def test_pol_word_rejects_foreign_letters(self):
         with pytest.raises(ValueError, match=r"no operator image for letter t\[1,1\]"):
-            rep_pol_word((sym("t", 1, 1),), 1, 1, 12)
+            rep_pol_poly(NCPoly.from_word((sym("t", 1, 1),)), 1, 1, 12)
         # the projector is no q-difference operator, so it is foreign here too
         with pytest.raises(ValueError, match=r"no operator image for letter f0"):
-            rep_pol_word((sym("z", 1, 1), sym("f0")), 1, 1, 12)
+            rep_pol_poly(NCPoly.from_word((sym("z", 1, 1), sym("f0"))), 1, 1, 12)
         with pytest.raises(ValueError, match="no operator image"):
             rep_pol_poly(NCPoly.from_word((sym("f0"),)) + NCPoly.one(), 1, 2, 4)
 

@@ -63,7 +63,7 @@ def _hand_letters(m: int, n: int, cert: int) -> dict:
     factor)."""
     legs = m * n
     N = m + n
-    ident = TruncatedOperator.identity(legs, cert)
+    ident = ta.identity(legs, cert)
     P = {(i, i): ident for i in range(1, N + 1)}
     for r, a in enumerate(staircase_transpositions(m, n)):
         M = {(i, i): ident for i in range(1, N + 1)}
@@ -81,15 +81,15 @@ def _hand_letters(m: int, n: int, cert: int) -> dict:
                     term = ta.compose(left, right)
                 product[(i, j)] = term if (i, j) not in product else ta.add(product[(i, j)], term)
         P = product
-    zero = TruncatedOperator.zero(legs, cert)
+    zero = ta.zero(legs, cert)
     return {(i, j): P.get((i, j), zero) for i in range(1, N + 1) for j in range(1, N + 1)}
 
 
 def _hand_tpoly(f, letters: dict, legs: int, cert: int) -> TruncatedOperator:
     """Every word multiplied out letter by letter, scaled and summed."""
-    acc = TruncatedOperator.zero(legs, cert)
+    acc = ta.zero(legs, cert)
     for word, c in f.terms.items():
-        piece = ta.scale(TruncatedOperator.identity(legs, cert), c)
+        piece = ta.scale(ta.identity(legs, cert), c)
         for g in word:
             piece = ta.compose(piece, letters[(g.row, g.col)])
         acc = ta.add(acc, piece)
@@ -109,7 +109,7 @@ def _images(m, n, degree):
     assert corner.entries == {
         (k, k): q_pow(-sum(k)) for k in fock_basis(legs, corner.cert)
     }
-    inverse = TruncatedOperator.diagonal(legs, corner.cert, lambda k: q_pow(sum(k)))
+    inverse = ta.diagonal(legs, corner.cert, lambda k: q_pow(sum(k)))
     coords = coordinate_images(m, n)
     for a in range(1, n + 1):
         for al in range(1, m + 1):

@@ -1,9 +1,11 @@
-"""Quantum minors, involutions on the ambient matrix letters, labels."""
+"""Quantum minors, the compact involution (a test-side reference), sign
+characters and labels."""
 
 import pytest
 
 from qmatball.field import I, ONE, q_pow
 from qmatball.qminors import (
+    col_sign,
     col_signs,
     coordinate_column_set,
     coordinate_numerator_label,
@@ -12,14 +14,13 @@ from qmatball.qminors import (
     opposite_corner_label,
     qdet,
     qminor,
+    row_sign,
     row_signs,
-    star_compact,
-    star_compact_poly,
-    star_indefinite,
-    t_gen,
     volume_element,
 )
 from qmatball.words import NCPoly, sym
+
+from compact_involution import star_compact, star_compact_poly, t_gen
 
 
 def t(i, j):
@@ -92,10 +93,10 @@ class TestCompactInvolution:
 
 class TestSignedInvolution:
     def test_rank_one_signs(self):
-        assert star_indefinite(1, 1, 1, 1) == -star_compact(1, 1, 2)
-        assert star_indefinite(1, 2, 1, 1) == star_compact(1, 2, 2)
-        assert star_indefinite(2, 1, 1, 1) == star_compact(2, 1, 2)
-        assert star_indefinite(2, 2, 1, 1) == -star_compact(2, 2, 2)
+        # the indefinite involute of t[i,j] is the compact one times
+        # row_sign(i) col_sign(j), as fockrep.type_identity_ok reads it
+        signs = {(i, j): row_sign(i, 1) * col_sign(j, 1) for i in (1, 2) for j in (1, 2)}
+        assert signs == {(1, 1): -1, (1, 2): 1, (2, 1): 1, (2, 2): -1}
 
     def test_sign_sequences(self):
         assert row_signs(2, 2) == (-1, -1, 1, 1)

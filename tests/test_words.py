@@ -205,10 +205,11 @@ def test_qplane_reduction_confluence_and_degree(w):
     pres = q_plane()
     left = pres.reduce_word(w)
     assert left == rightmost.reduce_word(pres, w)
-    # rewriting is degree-preserving here and lands on the sorted word
+    # rewriting is degree-preserving here and lands on the sorted word (both
+    # letters are z letters, ordered by row and column)
     assert len(left) == 1
     ((nw, _),) = left.items()
-    assert list(nw) == sorted(w, key=pres.symbol_key)
+    assert list(nw) == sorted(w, key=lambda g: (g.row, g.col))
 
 
 def test_words_outside_the_alphabet_are_rejected():

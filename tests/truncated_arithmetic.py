@@ -13,11 +13,30 @@ ladder calculus:
 * a sum takes the smaller certificate and the larger shift bounds;
 * an adjoint is certified through cert minus ``down`` and swaps the shifts.
 
-A certificate below zero raises :class:`CutoffError`.
+A certificate below zero raises :class:`CutoffError`.  The zero, identity
+and diagonal slices the references start from are built here too.
 """
 
 from qmatball.field import ONE, add_terms, q_pow
-from qmatball.fockrep import CutoffError, TruncatedOperator
+from qmatball.fockrep import CutoffError, TruncatedOperator, fock_basis
+
+
+def zero(legs, cert):
+    return TruncatedOperator(legs, cert, {}, 0, 0)
+
+
+def identity(legs, cert):
+    return diagonal(legs, cert, lambda k: ONE)
+
+
+def diagonal(legs, cert, eig):
+    """The slice e_k -> eig(k) e_k through degree ``cert``."""
+    entries = {}
+    for k in fock_basis(legs, cert):
+        c = eig(k)
+        if c:
+            entries[(k, k)] = c
+    return TruncatedOperator(legs, cert, entries, 0, 0)
 
 
 def observed_shifts(op) -> tuple:
@@ -61,7 +80,7 @@ def add(a, b):
 
 def scale(op, c):
     if not c:
-        return TruncatedOperator.zero(op.legs, op.cert)
+        return zero(op.legs, op.cert)
     entries = {key: v * c for key, v in op.entries.items()}
     return TruncatedOperator(op.legs, op.cert, entries, op.up, op.down)
 
