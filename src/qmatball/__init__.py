@@ -45,7 +45,6 @@ from .field import (
 from .words import GeneratorSymbol, NCPoly, Presentation, sym
 from .braiding import rhat, rhat_operator, verify_rhat_properties
 from .algebras import (
-    AlgebraPreset,
     PRESET_NAMES,
     differential,
     make_preset,
@@ -138,7 +137,6 @@ __all__ = [
     "rhat",
     "rhat_operator",
     "verify_rhat_properties",
-    "AlgebraPreset",
     "PRESET_NAMES",
     "differential",
     "make_preset",

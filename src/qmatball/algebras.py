@@ -10,9 +10,9 @@ Seven presets share one rewriting engine:
     FunU     Pol extended by the rank-one projection generator
     DU       the finite-function slice of FunU (words through the projection)
 
-Every preset is a termination-checked :class:`~qmatball.words.Presentation`
-plus an involution-availability flag.  Construction is cached per
-(name, m, n).
+A preset is a termination-checked :class:`~qmatball.words.Presentation`,
+built once per (name, m, n) and cached, so the same arguments give the same
+object.  The involution exists on Pol, Omega, FunU and DU only.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .words import NCPoly, Presentation, sym
 
 __all__ = [
     "PRESET_NAMES",
-    "AlgebraPreset",
     "commutation_rules",
     "projection_rules",
     "make_preset",
@@ -140,74 +139,19 @@ def _build_presentation(name: str, m: int, n: int) -> Presentation:
     raise ValueError(f"unknown preset {name!r}; known: {PRESET_NAMES}")
 
 
-class AlgebraPreset:
-    """A named algebra with its rewriting presentation and capabilities.
-
-    Immutable.  Equality, hash and repr use the name and the size, which
-    determine the presentation.
-    """
-
-    __slots__ = ("name", "m", "n", "presentation")
-
-    def __init__(self, name: str, m: int, n: int, presentation: Presentation):
-        for attr, value in zip(self.__slots__, (name, m, n, presentation)):
-            object.__setattr__(self, attr, value)
-
-    def __setattr__(self, attr, value):
-        raise AttributeError(f"cannot assign to field {attr!r} of an AlgebraPreset")
-
-    def __delattr__(self, attr):
-        raise AttributeError(f"cannot delete field {attr!r} of an AlgebraPreset")
-
-    def __reduce__(self):
-        return (self.__class__, tuple(getattr(self, a) for a in self.__slots__))
-
-    @property
-    def has_star(self) -> bool:
-        """Whether the algebra carries the involution :func:`star`."""
-        return self.name in _STAR_PRESETS
-
-    def _key(self) -> tuple:
-        return (self.name, self.m, self.n)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return f"AlgebraPreset(name={self.name!r}, m={self.m!r}, n={self.n!r})"
-
-    def normal_form(self, f: NCPoly) -> NCPoly:
-        return self.presentation.normal_form(f)
-
-    def multiply(self, f: NCPoly, g: NCPoly) -> NCPoly:
-        return self.presentation.multiply(f, g)
-
-    def basis_words(self, counts) -> list:
-        return self.presentation.basis_words(counts)
-
-    def basis_by_total_degree(self, total: int) -> list:
-        return self.presentation.basis_by_total_degree(total)
-
-    def label(self) -> str:
-        return f"{self.name.lower()}:{self.m}x{self.n}"
-
-
 _CANONICAL = {p.lower(): p for p in PRESET_NAMES}
 
 
-def make_preset(name: str, m: int, n: int) -> AlgebraPreset:
+def make_preset(name: str, m: int, n: int) -> Presentation:
+    """The presentation of a preset, one cached object per (name, m, n);
+    the name is matched case-insensitively."""
     canonical = _CANONICAL.get(name.lower())
     if canonical is None:
         raise ValueError(f"unknown preset {name!r}; known: {PRESET_NAMES}")
-    return AlgebraPreset(canonical, m, n, _build_presentation(canonical, m, n))
+    return _build_presentation(canonical, m, n)
 
 
-def parse_preset(text: str) -> AlgebraPreset:
+def parse_preset(text: str) -> Presentation:
     """Resolve a CLI-style preset string such as ``"pol:2x2"``."""
     try:
         name, size = text.split(":")
@@ -238,17 +182,16 @@ def _conjugate_letter(g):
     return sym(kind, g.row, g.col)
 
 
-def star(f: NCPoly, preset: AlgebraPreset) -> NCPoly:
+def star(f: NCPoly, preset: Presentation) -> NCPoly:
     """The antilinear anti-automorphism, reduced to normal form.
 
     A letter of f outside the preset's alphabet raises ValueError naming it.
     """
-    if not preset.has_star:
+    if preset.name not in _STAR_PRESETS:
         raise ValueError(f"preset {preset.name} does not support the involution")
-    pres = preset.presentation
     for w in f.terms:
-        pres._check_word(w)
-    return pres.normal_form(star_words(f))
+        preset._check_word(w)
+    return preset.normal_form(star_words(f))
 
 
 def differential(f: NCPoly) -> NCPoly:

@@ -278,7 +278,7 @@ def cmd_integral(args) -> int:
 
         s0 = _parse_q0(args.q0) if args.q0 else Fraction(1, 2)
         rng = random.Random(args.seed)
-        zs = preset.presentation.symbols("z")
+        zs = preset.symbols("z")
         f0 = sym("f0")
         results = []
         for t in range(args.positivity):

@@ -72,7 +72,7 @@ from .qminors import (
     qminor,
     row_sign,
 )
-from .words import NCPoly, generator_weight, sym, word_tokens
+from .words import NCPoly, compositions, generator_weight, sym, word_tokens
 
 __all__ = [
     "CutoffError",
@@ -148,17 +148,8 @@ def fock_basis(legs: int, maxdeg: int) -> tuple:
     ordered by total degree then lexicographically."""
     out = []
     for d in range(maxdeg + 1):
-        out.extend(_fixed_degree(legs, d))
+        out.extend(compositions(d, legs))
     return tuple(out)
-
-
-def _fixed_degree(legs: int, d: int) -> list:
-    if legs == 1:
-        return [(d,)]
-    out = []
-    for first in range(d + 1):
-        out.extend((first,) + rest for rest in _fixed_degree(legs - 1, d - first))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +495,7 @@ def rules_as_operators_failures(m: int, n: int) -> list:
     Returns the patterns of the rules that fail; empty means every rule
     holds on the whole ladder space.
     """
-    rules = make_preset("Pol", m, n).presentation.rules
+    rules = make_preset("Pol", m, n).rules
     return [
         pat for pat, repl in rules.items()
         if pol_image(NCPoly.from_word(pat), m, n) != pol_image(repl, m, n)
@@ -620,7 +611,7 @@ def gram_matrix(m: int, n: int, k: int):
     (u, r') of the degree k - 1 matrix, since f0 (conjugate of r') zs[a] b_p
     f0 is the sum of L(zs[a], b_p)[u] f0 (conjugate of r') u f0.
     """
-    pres = make_preset("FunU", m, n).presentation
+    pres = make_preset("FunU", m, n)
     return _lowered_block(pres, m, n, k, gram_matrix(m, n, k - 1) if k else None)
 
 
@@ -717,7 +708,7 @@ def projector_pairing_matrix(m: int, n: int, l: int):
     recursion, since the words of zs[a] b_p that the lowering map drops end
     in zs and so have no constant term after any left factor.
     """
-    pres = make_preset("Pol", m, n).presentation
+    pres = make_preset("Pol", m, n)
     below = _transpose(projector_pairing_matrix(m, n, l - 1)) if l else None
     return _transpose(_lowered_block(pres, m, n, l, below))
 
@@ -770,7 +761,7 @@ def equivalence_report(m: int, n: int, through: int) -> dict:
         if gram_matrix(m, n, k) != fock_gram_matrix(m, n, k):
             report["gram"] = False
     pol = make_preset("Pol", m, n)
-    for g in pol.presentation.symbols("z"):
+    for g in pol.symbols("z"):
         zpoly = NCPoly.from_word((g,))
         op = coordinate_image(g, m, n)
         for k in range(through):

@@ -26,11 +26,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebras import AlgebraPreset, make_preset, star
+from .algebras import make_preset, star
 from .field import ONE, Scalar, ZERO, add_terms, s_pow
 from .fockrep import hilbert_basis
 from .uqaction import UqElement, act, antipode, counit
-from .words import NCPoly, sym
+from .words import NCPoly, Presentation, sym
 
 __all__ = [
     "modular_weights",
@@ -63,10 +63,9 @@ def modular_weights(N: int) -> tuple:
     return tuple(d[1:-1])
 
 
-def modular_exponent(word: tuple, preset: AlgebraPreset) -> int:
+def modular_exponent(word: tuple, preset: Presentation) -> int:
     """The integer e with modular factor q^e for a graded monomial."""
-    pres = preset.presentation
-    mu = pres.word_weight(word)
+    mu = preset.word_weight(word)
     d = modular_weights(preset.m + preset.n)
     e = -2 * sum(di * mi for di, mi in zip(d, mu))
     if e.denominator != 1:
@@ -74,17 +73,17 @@ def modular_exponent(word: tuple, preset: AlgebraPreset) -> int:
     return int(e)
 
 
-def modular_factor(word: tuple, preset: AlgebraPreset) -> Scalar:
+def modular_factor(word: tuple, preset: Presentation) -> Scalar:
     """q^(-2 sum d_i mu_i) as an exact scalar."""
     return s_pow(2 * modular_exponent(word, preset))
 
 
-def _require_projector_algebra(preset: AlgebraPreset):
-    if "f0" not in preset.presentation.kinds:
+def _require_projector_algebra(preset: Presentation):
+    if "f0" not in preset.kinds:
         raise ValueError("the integral lives on the projector-bearing algebra")
 
 
-def _validated_normal_form(f: NCPoly, preset: AlgebraPreset) -> NCPoly:
+def _validated_normal_form(f: NCPoly, preset: Presentation) -> NCPoly:
     _require_projector_algebra(preset)
     g = preset.normal_form(f)  # rejects symbols outside the alphabet
     for word in g.terms:
@@ -93,7 +92,7 @@ def _validated_normal_form(f: NCPoly, preset: AlgebraPreset) -> NCPoly:
     return g
 
 
-def integral_nu_trace(f: NCPoly, preset: AlgebraPreset) -> Scalar:
+def integral_nu_trace(f: NCPoly, preset: Presentation) -> Scalar:
     """The invariant integral of f, computed from its defining trace form.
 
     Every term of f must carry the projector letter (such elements act with
@@ -128,7 +127,7 @@ def _sandwich_pairing(m: int, n: int, zspart: tuple, zpart: tuple) -> Scalar:
     lowering map strips one conjugate letter at a time, from the right; then
     f0 u f0 is f0 for the empty word u and 0 otherwise (f0 z = 0).
     """
-    pres = make_preset("FunU", m, n).presentation
+    pres = make_preset("FunU", m, n)
     v = {zpart: ONE}
     for y in reversed(zspart):
         v = add_terms({}, (
@@ -137,7 +136,7 @@ def _sandwich_pairing(m: int, n: int, zspart: tuple, zpart: tuple) -> Scalar:
     return v.get((), ZERO)
 
 
-def integral_nu(f: NCPoly, preset: AlgebraPreset) -> Scalar:
+def integral_nu(f: NCPoly, preset: Presentation) -> Scalar:
     """The invariant integral of f.
 
     Same functional as :func:`integral_nu_trace` (agreement is pinned by the
@@ -170,13 +169,13 @@ def integral_nu(f: NCPoly, preset: AlgebraPreset) -> Scalar:
 # the certifying properties
 
 
-def invariance_defect(xi: UqElement, f: NCPoly, preset: AlgebraPreset) -> Scalar:
+def invariance_defect(xi: UqElement, f: NCPoly, preset: Presentation) -> Scalar:
     """integral(xi acting on f) minus counit(xi) integral(f)."""
     lhs = integral_nu(act(xi, f, preset), preset)
     return lhs - counit(xi) * integral_nu(f, preset)
 
 
-def invariance_ok(f: NCPoly, preset: AlgebraPreset) -> bool:
+def invariance_ok(f: NCPoly, preset: Presentation) -> bool:
     """Invariance under every symmetry generator."""
     N = preset.m + preset.n
     for j in range(1, N):
@@ -186,19 +185,19 @@ def invariance_ok(f: NCPoly, preset: AlgebraPreset) -> bool:
     return True
 
 
-def integral_is_real(f: NCPoly, preset: AlgebraPreset) -> bool:
+def integral_is_real(f: NCPoly, preset: Presentation) -> bool:
     """integral(conjugate of f) equals the conjugate of integral(f)."""
     lhs = integral_nu(star(f, preset), preset)
     return lhs == integral_nu(f, preset).conjugate()
 
 
-def positivity_sample_ok(f: NCPoly, preset: AlgebraPreset, s0: Fraction) -> bool:
+def positivity_sample_ok(f: NCPoly, preset: Presentation, s0: Fraction) -> bool:
     """integral((conjugate f) f) evaluates to a positive rational at s0."""
     v = integral_nu(preset.multiply(star(f, preset), f), preset).eval_at(s0)
     return v.im == 0 and v.re > 0
 
 
-def twisted_trace_ok(a: NCPoly, b: NCPoly, preset: AlgebraPreset) -> bool:
+def twisted_trace_ok(a: NCPoly, b: NCPoly, preset: Presentation) -> bool:
     """integral(a b) = integral(b sigma(a)) with sigma the modular twist.
 
     a must be weight-homogeneous (e.g. a scalar multiple of a monomial);
@@ -216,18 +215,17 @@ def twisted_trace_ok(a: NCPoly, b: NCPoly, preset: AlgebraPreset) -> bool:
     return lhs == rhs
 
 
-def antipode_square_twist_ok(preset: AlgebraPreset, maxdeg: int) -> bool:
+def antipode_square_twist_ok(preset: Presentation, maxdeg: int) -> bool:
     """The antipode square acts like conjugation by the modular weights.
 
     For each symmetry generator xi and graded basis monomial b: acting by
     the antipode square equals acting by xi and rescaling each output
     monomial by the modular factor ratio (output over input).
     """
-    pres = preset.presentation
     N = preset.m + preset.n
     basis = []
     for k in range(maxdeg + 1):
-        basis.extend(pres.basis_by_total_degree(k))
+        basis.extend(preset.basis_by_total_degree(k))
     for j in range(1, N):
         for kind in ("E", "F", "K"):
             xi = UqElement.letter(kind, j)

@@ -28,9 +28,9 @@ from __future__ import annotations
 import functools
 import re
 
-from .algebras import AlgebraPreset, differential, star_words
+from .algebras import differential, star_words
 from .field import ONE, Scalar, ZERO, add_terms, q_pow, s_pow
-from .words import NCPoly, generator_weight, sym
+from .words import NCPoly, Presentation, generator_weight, sym
 
 __all__ = [
     "UqElement",
@@ -238,13 +238,10 @@ def star_sunm(xi: UqElement, n: int) -> UqElement:
 
 @functools.lru_cache(maxsize=None)
 def _z_table(letter: tuple, a: int, al: int, m: int, n: int) -> NCPoly:
-    """Action of one letter on the plain coordinate with indices (a, al)."""
+    """Action of an E or F letter on the plain coordinate with indices (a, al)."""
     kind, j = letter
     N = m + n
     g = sym("z", a, al)
-    if kind in ("K", "Kinv"):
-        mu = generator_weight(g, m, n)[j - 1]
-        return NCPoly.from_word((g,), q_pow(mu if kind == "K" else -mu))
     if kind == "E":
         if j < n:
             if a == j + 1:
@@ -277,10 +274,9 @@ def _z_table(letter: tuple, a: int, al: int, m: int, n: int) -> NCPoly:
 
 @functools.lru_cache(maxsize=None)
 def _f0_table(letter: tuple, m: int, n: int) -> NCPoly:
+    """Action of an E or F letter on the projector."""
     kind, j = letter
     f0 = sym("f0")
-    if kind in ("K", "Kinv"):
-        return NCPoly.from_word((f0,), ONE)
     if j != n:
         return NCPoly.zero()
     if kind == "E":
@@ -292,7 +288,8 @@ def _f0_table(letter: tuple, m: int, n: int) -> NCPoly:
 
 @functools.lru_cache(maxsize=None)
 def _symbol_table(letter: tuple, g_kind: str, a: int, al: int, m: int, n: int) -> NCPoly:
-    """Action of one letter on one generator symbol, as a raw polynomial."""
+    """Action of an E or F letter on one generator symbol, as a raw
+    polynomial; :func:`_letter_terms` scales by the K letters itself."""
     if g_kind == "z":
         return _z_table(letter, a, al, m, n)
     if g_kind == "dz":
@@ -344,7 +341,7 @@ def _act_free(xi: UqElement, f: NCPoly, m: int, n: int) -> NCPoly:
     return NCPoly(acc, _clean=True)
 
 
-def act(xi: UqElement, f: NCPoly, preset: AlgebraPreset) -> NCPoly:
+def act(xi: UqElement, f: NCPoly, preset: Presentation) -> NCPoly:
     """The covariant action, returned in normal form."""
     m, n = preset.m, preset.n
     N = m + n

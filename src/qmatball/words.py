@@ -21,7 +21,8 @@ first.  Confluence is certified, not sampled: with pair patterns and a
 terminating order, Bergman's diamond lemma makes the rewriting confluent iff
 every overlap a b c resolves, and ``Presentation.confluence_violations``
 lists the overlaps that do not.  Rewriting a word that holds a symbol outside
-the presentation's alphabet raises ValueError.
+the presentation's alphabet raises ValueError.  Each named algebra of
+:mod:`qmatball.algebras` is one Presentation, cached per (name, m, n).
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ __all__ = [
     "KIND_RANK",
     "deglex_key",
     "generator_weight",
+    "compositions",
 ]
 
 
@@ -307,6 +309,8 @@ class NCPoly:
 class Presentation:
     """An alphabet with oriented rewriting rules and a termination order.
 
+    * ``name``, ``m`` and ``n`` name the algebra and the size of its
+      matrices; :meth:`label` spells them as the CLI does.
     * ``rules`` maps a pattern, a pair of letters, to its replacement
       polynomial.  A pattern of another length, or a rule with a letter
       outside the alphabet, raises ValueError naming the rule.
@@ -632,7 +636,7 @@ class Presentation:
         """All normal words with ``total`` symbols across the kinds."""
         kinds = sorted(self.kinds, key=KIND_RANK.__getitem__)
         out = []
-        for split in _compositions(total, len(kinds)):
+        for split in compositions(total, len(kinds)):
             counts = dict(zip(kinds, split))
             out.extend(self.basis_words(counts))
         return out
@@ -654,6 +658,10 @@ class Presentation:
     def h0_degree(self, word: tuple) -> int:
         return sum(g.h0_degree for g in word)
 
+    def label(self) -> str:
+        """The CLI spelling of the preset, such as ``"pol:2x2"``."""
+        return f"{self.name.lower()}:{self.m}x{self.n}"
+
     def __repr__(self):
         return (
             f"Presentation({self.name!r}, m={self.m}, n={self.n}, "
@@ -661,10 +669,12 @@ class Presentation:
         )
 
 
-def _compositions(total: int, parts: int):
+def compositions(total: int, parts: int):
+    """Every tuple of ``parts`` nonnegative integers summing to ``total``, in
+    lexicographic order."""
     if parts == 1:
         yield (total,)
         return
     for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
+        for rest in compositions(total - head, parts - 1):
             yield (head,) + rest

@@ -55,7 +55,7 @@ def _letters(m: int, n: int) -> list:
 
 
 def _random_pairs(preset, rng, count: int, maxdeg: int = 3) -> list:
-    alpha = preset.presentation.alphabet()
+    alpha = preset.alphabet()
 
     def draw():
         out = NCPoly.zero()
@@ -89,16 +89,16 @@ def test_criterion_02_confluence():
     ok = True
     for m, n in ((1, 1), (1, 2), (2, 1), (2, 2), (2, 3)):
         for name in PRESET_NAMES:
-            ok = ok and make_preset(name, m, n).presentation.confluence_violations() == []
+            ok = ok and make_preset(name, m, n).confluence_violations() == []
     # the certificate's conclusion, sampled: the reference scan agrees
     rng = random.Random(20240)
     for name in PRESET_NAMES:
         preset = make_preset(name, 2, 2)
-        alpha = preset.presentation.alphabet()
+        alpha = preset.alphabet()
         for _ in range(200):
             w = tuple(rng.choice(alpha) for _ in range(rng.randint(0, 6)))
             f = NCPoly.from_word(w)
-            ok = ok and preset.normal_form(f) == rightmost.normal_form(preset.presentation, f)
+            ok = ok and preset.normal_form(f) == rightmost.normal_form(preset, f)
     _report(2, "every overlap resolves through 2x3; 200 words per preset match the reference", ok)
 
 

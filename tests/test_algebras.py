@@ -1,6 +1,5 @@
 """Algebra presets: rule tables, dimensions, involution, differential."""
 
-import copy
 import hashlib
 import itertools
 import json
@@ -11,9 +10,9 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qmatball
 from qmatball.algebras import (
     PRESET_NAMES,
-    AlgebraPreset,
     commutation_rules,
     differential,
     make_preset,
@@ -86,65 +85,32 @@ class TestPresets:
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_all_presets_construct(self, name):
         preset = make_preset(name, 1, 2)
-        assert preset.presentation.termination_violations() == []
+        assert preset.termination_violations() == []
 
     @pytest.mark.parametrize("mn", [(m, n) for m in range(1, 4) for n in range(1, 4)])
     def test_pruning_certificates_hold(self, mn):
         for name in PRESET_NAMES:
-            pres = make_preset(name, *mn).presentation
+            pres = make_preset(name, *mn)
             assert pres.weight_violations() == ()
             assert pres.lowering_violations() == []
 
-    def test_involution_flags(self):
-        assert not make_preset("CMat", 1, 1).has_star
-        assert not make_preset("Lambda", 1, 1).has_star
-        assert make_preset("Pol", 1, 1).has_star
-        assert make_preset("Omega", 1, 1).has_star
-        assert make_preset("FunU", 1, 1).has_star
-        assert make_preset("DU", 1, 1).has_star
-
     def test_preset_caching_shares_presentation(self):
-        a = make_preset("Pol", 2, 2)
-        b = make_preset("pol", 2, 2)
-        assert a.presentation is b.presentation
+        pol = make_preset("Pol", 2, 2)
+        assert make_preset("pol", 2, 2) is pol
+        assert parse_preset("pol:2x2") is pol
+        pol.normal_form(NCPoly.from_word((sym("zs", 1, 1), sym("z", 1, 1))))
+        assert pol.memo_size() > 0
+        qmatball.clear_caches()
+        fresh = make_preset("Pol", 2, 2)
+        assert fresh is not pol and fresh.rules == pol.rules
+        assert fresh.memo_size() == 0
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_make_preset_fields(self, name):
         preset = make_preset(name.upper(), 2, 3)
-        # the repr leaves the presentation out
-        assert repr(preset) == f"AlgebraPreset(name={name!r}, m=2, n=3)"
-        assert preset.has_star == (name in ("Pol", "Omega", "FunU", "DU"))
-        assert (preset.presentation.name, preset.presentation.m) == (name, 2)
+        assert isinstance(preset, Presentation)
+        assert (preset.name, preset.m, preset.n) == (name, 2, 3)
         assert preset.label() == f"{name.lower()}:2x3"
-
-    def test_equality_and_hash_ignore_the_presentation(self):
-        pol = make_preset("Pol", 2, 2)
-        pres = pol.presentation
-        other = Presentation("other", 2, 2, pres.kinds, dict(pres.rules))
-        twin = AlgebraPreset("Pol", 2, 2, other)
-        assert twin.presentation is not pres
-        assert twin == pol and hash(twin) == hash(pol)
-        assert len({pol, twin}) == 1 and twin.has_star
-        assert AlgebraPreset("CMat", 2, 2, other) != pol
-        assert make_preset("Pol", 2, 1) != pol
-        assert pol != ("Pol", 2, 2)
-
-    @pytest.mark.parametrize(
-        "attr", ["name", "m", "n", "presentation", "has_star", "extra"]
-    )
-    def test_attributes_are_read_only(self, attr):
-        preset = make_preset("Pol", 1, 2)
-        with pytest.raises(AttributeError):
-            setattr(preset, attr, None)
-        with pytest.raises(AttributeError):
-            delattr(preset, attr)
-        assert preset == make_preset("Pol", 1, 2)
-
-    def test_copy_keeps_fields_and_presentation(self):
-        preset = make_preset("Omega", 1, 2)
-        dup = copy.copy(preset)
-        assert dup == preset and dup.presentation is preset.presentation
-        assert preset.__reduce__() == (AlgebraPreset, ("Omega", 1, 2, preset.presentation))
 
     def test_parse_preset_strings(self):
         p = parse_preset("cmat:2x2")
@@ -182,6 +148,14 @@ class TestPresets:
         assert kept == NCPoly.from_word((z, f0, zs))
 
 
+def _star_accepts(preset) -> bool:
+    try:
+        star(NCPoly.one(), preset)
+    except ValueError:
+        return False
+    return True
+
+
 def _preset_digest() -> str:
     """sha256 over every preset's rules, alphabet, degree-2 basis, involution
     flag and label at each size from 1x1 to 3x3."""
@@ -189,14 +163,13 @@ def _preset_digest() -> str:
     for name in PRESET_NAMES:
         for m, n in itertools.product(range(1, 4), repeat=2):
             preset = make_preset(name, m, n)
-            pres = preset.presentation
             record = {
                 "label": preset.label(),
-                "has_star": preset.has_star,
-                "alphabet": word_tokens(pres.alphabet()),
+                "has_star": _star_accepts(preset),
+                "alphabet": word_tokens(preset.alphabet()),
                 "rules": sorted(
                     (word_tokens(pat), repl.to_dict()["terms"])
-                    for pat, repl in pres.rules.items()
+                    for pat, repl in preset.rules.items()
                 ),
                 "basis2": [word_tokens(w) for w in preset.basis_by_total_degree(2)],
             }
@@ -238,12 +211,11 @@ class TestDimensions:
         # basis words must reduce back into the enumerated span
         pol = make_preset("Pol", 2, 1)
         words = pol.basis_by_total_degree(3)
-        P = pol.presentation
-        assert all(P.is_normal(w) for w in words)
+        assert all(pol.is_normal(w) for w in words)
         support = set(pol.basis_by_total_degree(2))
         for w in pol.basis_by_total_degree(1):
             for v in pol.basis_by_total_degree(1):
-                for out in P.reduce_word(w + v).terms:
+                for out in pol.reduce_word(w + v).terms:
                     assert out in support or out == ()
 
 
@@ -272,9 +244,14 @@ class TestStar:
         with pytest.raises(ValueError, match=r"letter t\[1,1\] has no conjugate"):
             star_words(f)
 
-    def test_rejects_preset_without_involution(self):
-        with pytest.raises(ValueError):
-            star(NCPoly.one(), make_preset("CMat", 1, 1))
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_rejects_preset_without_involution(self, name):
+        preset = make_preset(name, 1, 1)
+        if name in ("Pol", "Omega", "FunU", "DU"):
+            assert star(NCPoly.one(), preset) == NCPoly.one()
+        else:
+            with pytest.raises(ValueError, match=f"preset {name} does not support"):
+                star(NCPoly.one(), preset)
 
     @pytest.mark.parametrize(
         "letter", [sym("t", 1, 1), sym("z", 3, 3)], ids=["t11", "z33"]
@@ -297,7 +274,7 @@ class TestStar:
     def test_involution_on_random_elements(self):
         pol = make_preset("Pol", 2, 2)
         rng = random.Random(3)
-        alphabet = pol.presentation.alphabet()
+        alphabet = pol.alphabet()
         for _ in range(25):
             w = tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 4)))
             f = pol.normal_form(NCPoly.from_word(w))
@@ -306,7 +283,7 @@ class TestStar:
     def test_star_commutes_with_reduction(self):
         om = make_preset("Omega", 1, 1)
         rng = random.Random(5)
-        alphabet = om.presentation.alphabet()
+        alphabet = om.alphabet()
         for _ in range(40):
             w = tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 4)))
             raw = NCPoly.from_word(w)
@@ -315,7 +292,7 @@ class TestStar:
     def test_antihomomorphism_on_products(self):
         pol = make_preset("Pol", 2, 1)
         rng = random.Random(9)
-        alphabet = pol.presentation.alphabet()
+        alphabet = pol.alphabet()
         for _ in range(20):
             u = tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 2)))
             v = tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 2)))
@@ -349,7 +326,7 @@ class TestDifferential:
     def test_differential_squares_to_zero(self):
         lam = make_preset("Lambda", 2, 2)
         rng = random.Random(7)
-        alphabet = lam.presentation.alphabet()
+        alphabet = lam.alphabet()
         for _ in range(30):
             w = tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 4)))
             f = lam.normal_form(NCPoly.from_word(w))
@@ -359,7 +336,7 @@ class TestDifferential:
     def test_differential_squares_to_zero_full_calculus(self):
         om = make_preset("Omega", 1, 1)
         rng = random.Random(13)
-        alphabet = om.presentation.alphabet()
+        alphabet = om.alphabet()
         for _ in range(30):
             w = tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 4)))
             f = om.normal_form(NCPoly.from_word(w))
@@ -371,14 +348,14 @@ class TestDifferential:
         # give equal one-forms: this ties the differential exchange rules to
         # the coordinate commutation rules
         lam = make_preset("Lambda", 2, 2)
-        for pat, repl in make_preset("CMat", 2, 2).presentation.rules.items():
+        for pat, repl in make_preset("CMat", 2, 2).rules.items():
             red = lam.normal_form(differential(NCPoly.from_word(pat) - repl))
             assert not red
 
 
 @st.composite
 def preset_words(draw, preset, max_len=4):
-    alphabet = preset.presentation.alphabet()
+    alphabet = preset.alphabet()
     k = draw(st.integers(min_value=1, max_value=max_len))
     return tuple(
         alphabet[draw(st.integers(0, len(alphabet) - 1))] for _ in range(k)
@@ -390,7 +367,7 @@ class TestLoweringMap:
 
     @pytest.mark.parametrize("mn", [(1, 2), (2, 2)])
     def test_matches_whole_word_normal_forms(self, mn):
-        funu, pol = (make_preset(name, *mn).presentation for name in ("FunU", "Pol"))
+        funu, pol = (make_preset(name, *mn) for name in ("FunU", "Pol"))
         f0 = sym("f0")
         for k in range(3):
             for w in make_preset("CMat", *mn).basis_by_total_degree(k):
@@ -410,24 +387,21 @@ class TestConfluence:
     def test_pol_scan_strategies_agree(self, data):
         pol = make_preset("Pol", 2, 2)
         w = data.draw(preset_words(pol))
-        P = pol.presentation
-        assert P.reduce_word(w) == rightmost.reduce_word(P, w)
+        assert pol.reduce_word(w) == rightmost.reduce_word(pol, w)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_omega_scan_strategies_agree(self, data):
         om = make_preset("Omega", 2, 2)
         w = data.draw(preset_words(om))
-        P = om.presentation
-        assert P.reduce_word(w) == rightmost.reduce_word(P, w)
+        assert om.reduce_word(w) == rightmost.reduce_word(om, w)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_funu_scan_strategies_agree(self, data):
         funu = make_preset("FunU", 1, 2)
         w = data.draw(preset_words(funu, max_len=5))
-        P = funu.presentation
-        assert P.reduce_word(w) == rightmost.reduce_word(P, w)
+        assert funu.reduce_word(w) == rightmost.reduce_word(funu, w)
 
     @staticmethod
     def _pol_2x2_rules():
@@ -462,6 +436,5 @@ class TestConfluence:
     def test_reduction_is_idempotent(self, data):
         om = make_preset("Omega", 1, 2)
         w = data.draw(preset_words(om))
-        P = om.presentation
-        nf = P.reduce_word(w)
-        assert P.normal_form(nf) == nf
+        nf = om.reduce_word(w)
+        assert om.normal_form(nf) == nf

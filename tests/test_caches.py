@@ -57,14 +57,14 @@ def test_clear_empties_every_cache_and_keeps_results():
     funu = make_preset("FunU", 1, 2)
     before = _results()
     assert any(qmatball.cache_sizes().values())
-    assert funu.presentation.memo_size() > 0
+    assert funu.memo_size() > 0
     f0 = sym("f0")
 
     qmatball.clear_caches()
 
     assert set(qmatball.cache_sizes().values()) == {0}
     assert all(fn.cache_info().currsize == 0 for fn in _package_lru_caches().values())
-    assert funu.presentation.memo_size() == 0
+    assert funu.memo_size() == 0
     assert parse_symbol("f0") is f0  # interned symbols survive
     assert _results() == before
     # a preset held across the clear still rewrites correctly
@@ -73,7 +73,7 @@ def test_clear_empties_every_cache_and_keeps_results():
 
 
 def test_lowering_memo_is_counted_and_cleared():
-    pres = make_preset("FunU", 1, 2).presentation
+    pres = make_preset("FunU", 1, 2)
     zs, w = sym("zs", 2, 1), (sym("z", 1, 1), sym("z", 2, 1))
     qmatball.clear_caches()
     got = pres.lower(zs, w)

@@ -14,7 +14,7 @@ import pytest
 
 from qmatball import fockrep, integral, ladder
 
-from qmatball.algebras import AlgebraPreset, make_preset, star
+from qmatball.algebras import make_preset, star
 from qmatball.field import GaussRat, I, ONE, Scalar, ZERO, q_pow, s_pow
 from qmatball.fockrep import (
     CutoffError,
@@ -269,7 +269,7 @@ def _pol_letters(m, n):
 
 def _pol_polys(m, n):
     z, zs = sym("z", 1, 1), sym("zs", 1, 1)
-    pat, repl = next(iter(make_preset("Pol", m, n).presentation.rules.items()))
+    pat, repl = next(iter(make_preset("Pol", m, n).rules.items()))
     return {
         "commutator": NCPoly.from_word((zs, z)) - NCPoly.from_word((z, zs)).scale(q_pow(2)),
         "cancelling": NCPoly.from_word(pat) - repl,  # a rewrite rule: zero as an operator
@@ -620,11 +620,9 @@ def _with_planted_rules(monkeypatch, name, extra):
         preset = real(pname, m, n)
         if pname != name:
             return preset
-        pres = preset.presentation
-        rules = {**pres.rules, **extra(pres.rules)}
+        rules = {**preset.rules, **extra(preset.rules)}
         rules = {pat: repl for pat, repl in rules.items() if repl is not None}
-        planted = Presentation("planted", m, n, pres.kinds, rules)
-        return AlgebraPreset(preset.name, m, n, planted)
+        return Presentation(preset.name, m, n, preset.kinds, rules)
 
     monkeypatch.setattr(fockrep, "make_preset", fake)
     monkeypatch.setattr(integral, "make_preset", fake)
@@ -692,7 +690,7 @@ class TestLawsCatchPlantedFaults:
     def test_a_rescaled_rule_fails_as_an_operator(self, monkeypatch):
         _with_planted_rules(monkeypatch, "Pol", _first_rule_scaled_by_s2)
         bad = rules_as_operators_failures(2, 2)
-        assert bad == list(_first_rule_scaled_by_s2(make_preset("Pol", 2, 2).presentation.rules))
+        assert bad == list(_first_rule_scaled_by_s2(make_preset("Pol", 2, 2).rules))
 
     @pytest.fixture
     def phased_letters(self, monkeypatch):

@@ -162,7 +162,7 @@ class TestInvariance:
     def test_sandwiches_invariant(self, mn):
         funu = make_preset("FunU", *mn)
         f0p = poly("f0")
-        for g in funu.presentation.symbols("z"):
+        for g in funu.symbols("z"):
             zp = NCPoly.from_word((g,))
             zsp = NCPoly.from_word((sym("zs", g.row, g.col),))
             f = funu.multiply(funu.multiply(zp, f0p), zsp)

@@ -243,7 +243,7 @@ class TestModuleLaws:
     def setup_method(self):
         self.pol = make_preset("Pol", 2, 2)
         self.rng = random.Random(21)
-        self.alphabet = self.pol.presentation.alphabet()
+        self.alphabet = self.pol.alphabet()
 
     def rand_poly(self, maxlen=3):
         w = tuple(
@@ -301,7 +301,7 @@ class TestModuleLaws:
 
     def test_module_algebra_with_projection(self):
         funu = make_preset("FunU", 1, 1)
-        alphabet = funu.presentation.alphabet()
+        alphabet = funu.alphabet()
         rng = random.Random(5)
         gens = [E(1), F(1), K(1), Kinv(1)]
         for xi in gens:
@@ -338,7 +338,7 @@ class TestModuleLaws:
 
     def test_differential_equivariance(self):
         om = make_preset("Omega", 2, 2)
-        alphabet = om.presentation.alphabet()
+        alphabet = om.alphabet()
         rng = random.Random(77)
         for xi in (E(1), E(2), F(2), F(3), K(2)):
             for _ in range(3):
@@ -369,11 +369,10 @@ class TestModuleLaws:
                         assert lhs == rhs
 
     def test_weight_gradings(self):
-        P = self.pol.presentation
-        assert P.weight(sym("z", 2, 2)) == (-1, 2, -1)
+        assert self.pol.weight(sym("z", 2, 2)) == (-1, 2, -1)
         funu = make_preset("FunU", 2, 2)
-        assert funu.presentation.weight(sym("f0")) == (0, 0, 0)
-        assert P.h0_degree((sym("z", 1, 1), sym("z", 1, 2), sym("zs", 1, 1))) == 1
+        assert funu.weight(sym("f0")) == (0, 0, 0)
+        assert self.pol.h0_degree((sym("z", 1, 1), sym("z", 1, 2), sym("zs", 1, 1))) == 1
 
 
 # sha256 of the concatenated stdout of `qmb act` for every letter on every
@@ -389,7 +388,7 @@ def test_act_tables_golden(capsys):
         for j in range(1, preset.m + preset.n):
             for kind in ("E", "F", "K", "Kinv"):
                 token = letter_token((kind, j))
-                for g in preset.presentation.alphabet():
+                for g in preset.alphabet():
                     raw = json.dumps({"terms": [{"coeff": "1", "word": [g.token()]}]})
                     assert main(["act", token, "--algebra", label, "--input", raw]) == 0
                     out.append(capsys.readouterr().out)
