@@ -17,15 +17,20 @@ The package is organized in layers:
 * :mod:`qmatball.ladder`    -- exact q-difference operators on the ladder
   space, on which every operator law is checked at all degrees,
 * :mod:`qmatball.fockrep`   -- certified slices of the ladder operators (what
-  ``qmb export`` writes), the representation laws and the cyclic-module
-  comparison,
+  ``qmb export`` writes: plain data, built from a polynomial, a minor or the
+  projector, a letter or coordinate being a one-letter polynomial), the
+  representation laws and the cyclic-module comparison,
 * :mod:`qmatball.integral`  -- the invariant positive integral,
 * :mod:`qmatball.cli`       -- the ``qmb`` command-line front end.
 
 Results are memoized (rewriting per presentation, tables and Gram blocks per
-size).  :func:`cache_sizes` reports how much is held and
-:func:`clear_caches` drops all of it, so long-lived use can bound memory.
+size); no operator slice is kept.  :func:`cache_sizes` reports how much is
+held and :func:`clear_caches` drops all of it, so long-lived use can bound
+memory.  Both find every ``functools`` cache defined in a submodule bound on
+the package, and each import below binds its submodule.
 """
+
+from types import ModuleType
 
 from .field import (
     GaussRat,
@@ -58,41 +63,21 @@ from .fockrep import (
     default_cutoff,
     fock_basis,
     gram_matrix,
-    rep_coordinate,
-    rep_coordinate_star,
-    rep_letter,
     rep_pol_poly,
     rep_projector,
 )
 from .integral import integral_nu, invariance_defect, modular_exponent
-# each submodule is registered under its own name only: a second binding
-# (an alias) would be a second package attribute holding the same module
-from . import algebras, fockrep, integral, ladder, uqaction, words
 
-_LRU_CACHES = (
-    words.generator_weight,
-    algebras._build_presentation,
-    fockrep.fock_norm2,
-    fockrep.fock_weight,
-    fockrep.fock_basis,
-    fockrep._letter_headers,
-    fockrep._coordinate_headers,
-    fockrep.rep_letter,
-    fockrep.rep_coordinate,
-    fockrep.rep_coordinate_star,
-    fockrep._weight_blocks,
-    fockrep.gram_matrix,
-    fockrep.projector_pairing_matrix,
-    fockrep.vacuum_orbit,
-    ladder.letter_images,
-    ladder.minor_images,
-    ladder.coordinate_images,
-    integral.modular_weights,
-    integral._sandwich_pairing,
-    uqaction._z_table,
-    uqaction._f0_table,
-    uqaction._symbol_table,
-)
+
+def _memo_tables() -> list:
+    """Every ``functools`` cache defined in a submodule bound on the package."""
+    return [
+        fn
+        for mod in globals().values()
+        if isinstance(mod, ModuleType)
+        for fn in vars(mod).values()
+        if hasattr(fn, "cache_info") and fn.__module__ == mod.__name__
+    ]
 
 
 def cache_sizes() -> dict:
@@ -100,7 +85,7 @@ def cache_sizes() -> dict:
     name) and ``"presentation_memos"`` for every live presentation."""
     out = {
         f"{fn.__module__}.{fn.__qualname__}": fn.cache_info().currsize
-        for fn in _LRU_CACHES
+        for fn in _memo_tables()
     }
     out["presentation_memos"] = sum(p.memo_size() for p in Presentation._live)
     return out
@@ -109,7 +94,7 @@ def cache_sizes() -> dict:
 def clear_caches() -> None:
     """Drop every memoized result.  Interned generator symbols are kept:
     symbol equality is by identity, so they must outlive any cleared cache."""
-    for fn in _LRU_CACHES:
+    for fn in _memo_tables():
         fn.cache_clear()
     for pres in list(Presentation._live):
         pres.clear_memo()
@@ -157,9 +142,6 @@ __all__ = [
     "default_cutoff",
     "fock_basis",
     "gram_matrix",
-    "rep_coordinate",
-    "rep_coordinate_star",
-    "rep_letter",
     "rep_pol_poly",
     "rep_projector",
     "integral_nu",

@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import re
 import sys
 from fractions import Fraction
 from math import isqrt
@@ -47,10 +48,8 @@ from .fockrep import (
     gram_minors_positive,
     operator_csv,
     operator_json,
-    rep_coordinate,
-    rep_coordinate_star,
-    rep_letter,
     rep_minor,
+    rep_pol_poly,
     rep_projector,
     rep_tpoly,
     rules_as_operators_failures,
@@ -59,7 +58,7 @@ from .fockrep import (
 )
 from .integral import integral_nu, invariance_defect, positivity_sample_ok
 from .qminors import corner_minor_label, opposite_corner_label, volume_element
-from .uqaction import E, F, K, Kinv, act, parse_letter
+from .uqaction import UqElement, act, letter_token, parse_letter
 from .words import NCPoly, sym
 
 __all__ = ["main"]
@@ -208,9 +207,6 @@ def cmd_nf(args) -> int:
     return 0
 
 
-_LETTER_MAKERS = {"E": E, "F": F, "K": K, "Kinv": Kinv}
-
-
 def cmd_act(args) -> int:
     preset = parse_preset(args.algebra)
     try:
@@ -224,7 +220,7 @@ def cmd_act(args) -> int:
             f"{preset.m}x{preset.n}"
         )
     f = _read_poly(args.input)
-    g = act(_LETTER_MAKERS[kind](j), f, preset)
+    g = act(UqElement.letter(kind, j), f, preset)
     _emit_json(
         {
             "algebra": preset.label(),
@@ -316,9 +312,8 @@ def cmd_invariance(args) -> int:
     results = []
     for j in range(1, rank + 1):
         for kind in ("E", "F", "K", "Kinv"):
-            defect = invariance_defect(_LETTER_MAKERS[kind](j), f, preset)
-            name = f"K{j}inv" if kind == "Kinv" else f"{kind}{j}"
-            results.append((f"invariance under {name}", defect.is_zero))
+            defect = invariance_defect(UqElement.letter(kind, j), f, preset)
+            results.append((f"invariance under {letter_token((kind, j))}", defect.is_zero))
     return _check_lines(results)
 
 
@@ -355,7 +350,7 @@ def cmd_rmatrix_check(args) -> int:
 
 def _parse_indices(text: str, what: str, count: int) -> tuple:
     parts = text.split(",")
-    if len(parts) != count or not all(p.strip().lstrip("-").isdigit() for p in parts):
+    if len(parts) != count or not all(re.fullmatch(r"-?[0-9]+", p.strip()) for p in parts):
         raise UsageError(
             f"malformed {what} spec {text!r}; expected {count} comma-separated integers"
         )
@@ -370,26 +365,20 @@ def cmd_export(args) -> int:
         head, _, tail = what.partition(":")
     else:
         head, tail = what, ""
-    if head == "coordinate":
-        a, al = _parse_indices(tail, "coordinate", 2)
+    if head in ("coordinate", "coordinate-star"):
+        a, al = _parse_indices(tail, head, 2)
         if not (1 <= a <= n and 1 <= al <= m):
             raise UsageError(
                 f"coordinate ({a},{al}) out of range: rows 1..{n}, columns 1..{m}"
             )
-        op = rep_coordinate(m, n, a, al, cutoff)
-    elif head == "coordinate-star":
-        a, al = _parse_indices(tail, "coordinate-star", 2)
-        if not (1 <= a <= n and 1 <= al <= m):
-            raise UsageError(
-                f"coordinate ({a},{al}) out of range: rows 1..{n}, columns 1..{m}"
-            )
-        op = rep_coordinate_star(m, n, a, al, cutoff)
+        g = sym("z" if head == "coordinate" else "zs", a, al)
+        op = rep_pol_poly(NCPoly.from_word((g,)), m, n, cutoff)
     elif head == "letter":
         i, j = _parse_indices(tail, "letter", 2)
         N = m + n
         if not (1 <= i <= N and 1 <= j <= N):
             raise UsageError(f"letter ({i},{j}) out of range 1..{N}")
-        op = rep_letter(m, n, i, j, cutoff)
+        op = rep_tpoly(NCPoly.from_word((sym("t", i, j),)), m, n, cutoff)
     elif head == "corner":
         op = rep_minor(m, n, corner_minor_label(m, n), cutoff)
     elif head == "opposite-corner":

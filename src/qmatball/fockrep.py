@@ -12,18 +12,18 @@ one leg the 2 x 2 ladder generators act as
 and :mod:`qmatball.ladder` builds every letter, minor, coordinate and
 conjugate coordinate from them as an exact q-difference operator.
 
-The ``rep_*`` builders (behind ``qmb export``) return a read-only
-:class:`TruncatedOperator`: an operator that :mod:`qmatball.ladder` builds
-and caches (a letter, a minor, the volume element, a coordinate or its
-conjugate, or a polynomial in the coordinates and their conjugates)
-evaluated on every e_k with |k| <= cert, with that certificate and
-degree-shift bounds.  The bounds come without entries: the rules of
-multiplying slices entry by entry (products, sums, adjoints) are folded
-over integers along the products that define the operator, the staircase
-product for the letters and the word grouping of
-:func:`qmatball.ladder.word_image` for polynomials (a minor as its
-permutation sum).  So each slice is exact on its recorded degrees, and no
-slice is ever multiplied.
+The ``rep_*`` builders (behind ``qmb export``) return a
+:class:`TruncatedOperator`, plain data: an operator that
+:mod:`qmatball.ladder` builds (a polynomial in the t letters, a minor, or a
+polynomial in the coordinates and their conjugates; a letter or a
+coordinate is a one-letter polynomial) evaluated on every e_k with
+|k| <= cert, with that certificate and degree-shift bounds.  The bounds
+come without entries: the rules of multiplying slices entry by entry
+(products, sums, adjoints) are folded over integers along the products
+that define the operator, the staircase product for the letters and the
+word grouping of :func:`qmatball.ladder.word_image` for polynomials (a
+minor as its permutation sum).  So each slice is exact on its recorded
+degrees, and no slice is ever multiplied or applied.
 
 The laws of the representation (diagonal corner and volume minors, the
 vacuum modulus, the type identity, the determinant, the rewrite rules as
@@ -46,7 +46,7 @@ from functools import lru_cache
 from math import lcm
 
 from .algebras import make_preset
-from .field import ONE, Scalar, ZERO, add_terms, q_pow
+from .field import ONE, Scalar, ZERO, q_pow
 from .ladder import (
     LadderOperator,
     coordinate_image,
@@ -80,11 +80,8 @@ __all__ = [
     "fock_weight",
     "fock_basis",
     "TruncatedOperator",
-    "rep_letter",
     "rep_tpoly",
     "rep_minor",
-    "rep_coordinate",
-    "rep_coordinate_star",
     "rep_projector",
     "rep_pol_poly",
     "vacuum_eigenvalue",
@@ -157,7 +154,7 @@ def fock_basis(legs: int, maxdeg: int) -> tuple:
 
 
 class TruncatedOperator:
-    """A read-only operator slice on the weighted tensor basis.
+    """An operator slice on the weighted tensor basis, as plain data.
 
     ``entries`` maps (out-index, in-index) to a nonzero Scalar.  Columns are
     complete for every input of total degree <= ``cert``, and none beyond it
@@ -165,7 +162,7 @@ class TruncatedOperator:
     including entries beyond the stored slice.
     """
 
-    __slots__ = ("legs", "cert", "entries", "up", "down", "_cols")
+    __slots__ = ("legs", "cert", "entries", "up", "down")
 
     def __init__(self, legs, cert, entries, up, down):
         if cert < 0:
@@ -180,28 +177,6 @@ class TruncatedOperator:
         self.entries = entries
         self.up = up
         self.down = down
-        self._cols = None
-
-    def _column_index(self):
-        cols = self._cols
-        if cols is None:
-            cols = {}
-            for (kout, kin), c in self.entries.items():
-                cols.setdefault(kin, []).append((kout, c))
-            self._cols = cols
-        return cols
-
-    def apply(self, vec: dict) -> dict:
-        """Image of a vector given as {multi-index: Scalar}."""
-        for kin in vec:
-            if sum(kin) > self.cert:
-                raise CutoffError(
-                    f"vector component at degree {sum(kin)} beyond certificate {self.cert}"
-                )
-        cols = self._column_index()
-        return add_terms({}, (
-            (kout, a * c) for kin, c in vec.items() for kout, a in cols.get(kin, ())
-        ))
 
     def __repr__(self):
         return (
@@ -315,14 +290,9 @@ def default_cutoff(m: int, n: int) -> int:
     return {1: 12, 2: 10, 4: 8}.get(m * n, 6)
 
 
-@lru_cache(maxsize=None)
-def rep_letter(m: int, n: int, i: int, j: int, cutoff: int) -> TruncatedOperator:
-    """Operator image of the letter t[i,j]."""
-    return _slice(letter_images(m, n)[(i, j)], _letter_headers(m, n)[(i, j)], cutoff)
-
-
 def rep_tpoly(f: NCPoly, m: int, n: int, cutoff: int) -> TruncatedOperator:
-    """Multiplicative-linear extension to polynomials in the t letters."""
+    """Image of a polynomial in the t letters; a one-letter polynomial
+    gives the letter's own operator and header."""
     return _slice(tpoly_image(f, m, n), _tpoly_header(f, m, n), cutoff)
 
 
@@ -333,20 +303,6 @@ def rep_minor(m: int, n: int, label: tuple, cutoff: int) -> TruncatedOperator:
     return _slice(minor_image(m, n, ascending), h, cutoff)
 
 
-@lru_cache(maxsize=None)
-def rep_coordinate(m: int, n: int, a: int, al: int, cutoff: int) -> TruncatedOperator:
-    """Operator image of z[a,al]: corner inverse times the coordinate minor."""
-    g = sym("z", a, al)
-    return _slice(coordinate_image(g, m, n), _coordinate_headers(m, n)[g], cutoff)
-
-
-@lru_cache(maxsize=None)
-def rep_coordinate_star(m, n, a, al, cutoff) -> TruncatedOperator:
-    """Operator image of zs[a,al], the adjoint of z[a,al]."""
-    g = sym("zs", a, al)
-    return _slice(coordinate_image(g, m, n), _coordinate_headers(m, n)[g], cutoff)
-
-
 def rep_projector(m: int, n: int, cutoff: int) -> TruncatedOperator:
     """Orthogonal projection onto the degree-zero line."""
     legs = m * n
@@ -355,8 +311,9 @@ def rep_projector(m: int, n: int, cutoff: int) -> TruncatedOperator:
 
 
 def rep_pol_poly(f: NCPoly, m: int, n: int, cutoff: int) -> TruncatedOperator:
-    """Image of a polynomial in the coordinate and conjugate letters.  Any
-    other letter, the projector f0 included, raises ValueError."""
+    """Image of a polynomial in the coordinate and conjugate letters; a
+    one-letter polynomial gives the coordinate's own operator and header.
+    Any other letter, the projector f0 included, raises ValueError."""
     headers = _coordinate_headers(m, n)
 
     def letter(g):
@@ -368,9 +325,9 @@ def rep_pol_poly(f: NCPoly, m: int, n: int, cutoff: int) -> TruncatedOperator:
     return _slice(pol_image(f, m, n), h, cutoff)
 
 
-def vacuum_eigenvalue(op) -> Scalar:
-    """Eigenvalue on the vacuum vector of a truncated or ladder operator;
-    raises if the vacuum is not fixed."""
+def vacuum_eigenvalue(op: LadderOperator) -> Scalar:
+    """Eigenvalue on the vacuum vector of a ladder operator; raises if the
+    vacuum is not fixed."""
     zero_idx = (0,) * op.legs
     img = op.apply({zero_idx: ONE})
     if img.keys() - {zero_idx}:
@@ -736,9 +693,8 @@ def pairing_block_theta(f: NCPoly, m: int, n: int, k_in: int, k_out: int):
     return mat_mul(_transpose(T), gram_matrix(m, n, k_out))
 
 
-def pairing_block_fock(op, m: int, n: int, k_in: int, k_out: int):
-    """Same pairings computed on the ladder side for the operator image
-    (a truncated or ladder operator: anything with ``apply``)."""
+def pairing_block_fock(op: LadderOperator, m: int, n: int, k_in: int, k_out: int):
+    """Same pairings computed on the ladder side for the operator image."""
     vout = vacuum_orbit(m, n, k_out)
     images = map(op.apply, vacuum_orbit(m, n, k_in))
     return [[_fock_inner(img, vr) for vr in vout] for img in images]
@@ -752,7 +708,8 @@ def equivalence_report(m: int, n: int, through: int) -> dict:
     * raising/lowering: for every coordinate generator and its conjugate,
       the pairings of the symbolic action against the graded basis equal
       the ladder-side pairings (so the isometry intertwines the actions);
-    * projector: same for the rank-one projector block.
+    * projector: the symbolic projector block on the degree-0 line is
+      ||e_0||^2 = 1, the block of the rank-one projector onto the vacuum.
     Together with the rewrite rules holding as operator identities, this is
     exactly unitary equivalence on the slab of degrees <= through.
     """
@@ -777,12 +734,9 @@ def equivalence_report(m: int, n: int, through: int) -> dict:
                 sop, m, n, k, k - 1
             ):
                 report["lowering"] = False
-    # the projector is no q-difference operator; its block lives on the
-    # vacuum alone, where the one-entry slice is the whole operator
-    f0poly = NCPoly.from_word((sym("f0"),))
-    if pairing_block_theta(f0poly, m, n, 0, 0) != pairing_block_fock(
-        rep_projector(m, n, 0), m, n, 0, 0
-    ):
+    # the projector is no q-difference operator; on the ladder side its
+    # block on the degree-0 line is <P e_0, e_0> = ||e_0||^2 = 1
+    if pairing_block_theta(NCPoly.from_word((sym("f0"),)), m, n, 0, 0) != [[ONE]]:
         report["projector"] = False
     return report
 

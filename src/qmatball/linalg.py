@@ -50,8 +50,8 @@ def mat_mul(A, B):
     return out
 
 
-def mat_identity(n, one=ONE, zero=ZERO):
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+def mat_identity(n):
+    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
 def _eliminate(row, f, pivot_row):
@@ -59,30 +59,31 @@ def _eliminate(row, f, pivot_row):
     return [a - f * b if b else a for a, b in zip(row, pivot_row)]
 
 
-def mat_invert(A, one=ONE, zero=ZERO):
-    """Gauss-Jordan inverse; raises ValueError when A is singular."""
+def mat_invert(A):
+    """Gauss-Jordan inverse, the right half of the reduced row echelon form
+    of [A | I]; raises ValueError when A is singular.  One and zero are
+    taken from an entry of A (a / a and a - a), so the inverse has A's
+    entry type."""
     n = len(A)
-    M = [list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(A)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if M[r][col]:
-                piv = r
-                break
-        if piv is None:
+    a = next((x for row in A for x in row if x), None)
+    if a is None:
+        if n:
             raise ValueError("matrix is singular")
-        M[col], M[piv] = M[piv], M[col]
-        inv = one / M[col][col]
-        M[col] = [x * inv if x else x for x in M[col]]
-        for r in range(n):
-            if r != col and M[r][col]:
-                M[r] = _eliminate(M[r], M[r][col], M[col])
+        return []
+    one, zero = a / a, a - a
+    M, pivots = mat_rref(
+        [list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(A)]
+    )
+    # [A | I] has rank n, so n pivots; A is singular iff one lands past A
+    if pivots[n - 1] >= n:
+        raise ValueError("matrix is singular")
     return [row[n:] for row in M]
 
 
 def mat_rref(A):
     """Reduced row echelon form; returns (rows, pivot_column_indices)."""
     M = [list(row) for row in A]
+    one = next((x / x for row in M for x in row if x), None)
     nrows = len(M)
     ncols = len(M[0]) if M else 0
     pivots = []
@@ -96,8 +97,8 @@ def mat_rref(A):
         if piv is None:
             continue
         M[r], M[piv] = M[piv], M[r]
-        lead = M[r][col]
-        M[r] = [x / lead if x else x for x in M[r]]
+        inv = one / M[r][col]
+        M[r] = [x * inv if x else x for x in M[r]]
         for rr in range(nrows):
             if rr != r and M[rr][col]:
                 M[rr] = _eliminate(M[rr], M[rr][col], M[r])

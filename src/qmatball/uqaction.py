@@ -84,26 +84,6 @@ class UqElement(NCPoly):
             raise ValueError("letter index must be >= 1")
         return cls({((kind, j),): ONE}, _clean=True)
 
-    # -- serialization
-
-    def to_dict(self) -> dict:
-        return {
-            "terms": [
-                {"word": [letter_token(l) for l in w], "coeff": c.to_string()}
-                for w, c in sorted(
-                    self.terms.items(), key=lambda kv: (len(kv[0]), kv[0])
-                )
-            ]
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "UqElement":
-        pairs = (
-            (tuple(parse_letter(tok) for tok in t["word"]), Scalar.from_string(t["coeff"]))
-            for t in data["terms"]
-        )
-        return cls(add_terms({}, pairs), _clean=True)
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -236,7 +216,6 @@ def star_sunm(xi: UqElement, n: int) -> UqElement:
 # the action
 
 
-@functools.lru_cache(maxsize=None)
 def _z_table(letter: tuple, a: int, al: int, m: int, n: int) -> NCPoly:
     """Action of an E or F letter on the plain coordinate with indices (a, al)."""
     kind, j = letter
@@ -272,7 +251,6 @@ def _z_table(letter: tuple, a: int, al: int, m: int, n: int) -> NCPoly:
     return NCPoly.zero()
 
 
-@functools.lru_cache(maxsize=None)
 def _f0_table(letter: tuple, m: int, n: int) -> NCPoly:
     """Action of an E or F letter on the projector."""
     kind, j = letter

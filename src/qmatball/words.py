@@ -56,8 +56,6 @@ KIND_RANK = {k: i for i, k in enumerate(KINDS)}
 # how repeated symbols of each kind may appear in a normal word
 _MULTIPLICITY = {"z": "weak", "zs": "weak", "dz": "strict", "dzs": "strict", "f0": "single"}
 
-_H0_DEGREE = {"z": 1, "dz": 1, "f0": 0, "dzs": -1, "zs": -1, "t": 0}
-
 
 class GeneratorSymbol:
     """One interned generator; equality and hashing are by identity."""
@@ -92,10 +90,6 @@ class GeneratorSymbol:
         if self.kind == "f0":
             return "f0"
         return f"{self.kind}[{self.row},{self.col}]"
-
-    @property
-    def h0_degree(self) -> int:
-        return _H0_DEGREE[self.kind]
 
     def __repr__(self):
         return self.token()
@@ -605,9 +599,11 @@ class Presentation:
 
     def basis_words(self, counts: Mapping[str, int]) -> list:
         """All normal words with exactly counts[kind] symbols of each kind."""
-        for kind in counts:
+        for kind, c in counts.items():
             if kind not in self.kinds:
                 raise ValueError(f"kind {kind!r} not in presentation {self.name!r}")
+            if c < 0:
+                raise ValueError(f"negative count {c} of kind {kind!r}")
         blocks = []
         for kind in sorted(self.kinds, key=KIND_RANK.__getitem__):
             c = counts.get(kind, 0)
@@ -654,9 +650,6 @@ class Presentation:
             for j, x in enumerate(self.weight(g)):
                 mu[j] += x
         return tuple(mu)
-
-    def h0_degree(self, word: tuple) -> int:
-        return sum(g.h0_degree for g in word)
 
     def label(self) -> str:
         """The CLI spelling of the preset, such as ``"pol:2x2"``."""

@@ -10,7 +10,7 @@ import pytest
 import qmatball
 from qmatball import fockrep, ladder
 from qmatball.algebras import make_preset
-from qmatball.fockrep import gram_matrix, projector_pairing_rank, rep_coordinate
+from qmatball.fockrep import gram_matrix, projector_pairing_rank
 from qmatball.integral import integral_nu
 from qmatball.uqaction import E, act
 from qmatball.words import NCPoly, parse_symbol, sym, word_from_tokens
@@ -37,20 +37,25 @@ def _results():
         projector_pairing_rank(1, 2, 2, Fraction(1, 2)),
         integral_nu(f, funu).to_string(),
         act(E(1), f, funu).to_json(),
-        len(rep_coordinate(1, 2, 1, 1, 4).entries),
+        len(ta.coordinate("z", 1, 2, 1, 1, 4).entries),
     )
 
 
 def test_every_lru_cache_is_reported():
-    assert set(_package_lru_caches()) <= set(qmatball.cache_sizes())
+    reported = set(qmatball.cache_sizes()) - {"presentation_memos"}
+    assert reported == set(_package_lru_caches())
 
 
 def test_no_module_is_bound_twice_in_the_package():
     # tools that walk the package's module attributes (the bench tracer
-    # wraps each module's classes) would see an aliased module twice
+    # wraps each module's classes, and cache_sizes() reads each module's
+    # caches) would see an aliased module twice and miss an unbound one
     mods = [obj for obj in vars(qmatball).values() if isinstance(obj, types.ModuleType)]
     assert len({id(m) for m in mods}) == len(mods)
-    assert {m.__name__.rpartition(".")[2] for m in mods} >= {"fockrep", "integral", "ladder"}
+    assert {m.__name__.rpartition(".")[2] for m in mods} >= {
+        "algebras", "braiding", "field", "fockrep", "integral",
+        "ladder", "linalg", "qminors", "uqaction", "words",
+    }
 
 
 def test_clear_empties_every_cache_and_keeps_results():
@@ -88,11 +93,10 @@ def test_lowering_memo_is_counted_and_cleared():
 def _slice_snapshot(m, n, cutoff):
     """Entries (in order), certificate and shifts of every letter image and
     every coordinate and conjugate coordinate image."""
-    ops = [fockrep.rep_letter(m, n, i, j, cutoff)
+    ops = [ta.letter(m, n, i, j, cutoff)
            for i in range(1, m + n + 1) for j in range(1, m + n + 1)]
-    ops += [make(m, n, a, al, cutoff)
-            for make in (rep_coordinate, fockrep.rep_coordinate_star)
-            for a in range(1, n + 1) for al in range(1, m + 1)]
+    ops += [ta.coordinate(kind, m, n, a, al, cutoff)
+            for kind in ("z", "zs") for a in range(1, n + 1) for al in range(1, m + 1)]
     return [
         (list(op.entries.items()), op.cert, op.up, op.down, ta.observed_shifts(op))
         for op in ops
@@ -107,7 +111,6 @@ def test_slices_do_not_depend_on_warm_ladder_caches(m, n, cutoff):
     ladder.coordinate_images(m, n)
     # rebuild the slices and their headers, with the ladder images and the
     # basis and weight tables warm
-    for fn in (fockrep._letter_headers, fockrep._coordinate_headers, fockrep.rep_letter,
-               rep_coordinate, fockrep.rep_coordinate_star):
+    for fn in (fockrep._letter_headers, fockrep._coordinate_headers):
         fn.cache_clear()
     assert _slice_snapshot(m, n, cutoff) == cold

@@ -60,6 +60,11 @@ class TestDims:
         assert code == 1
         assert "bidegree" in err
 
+    def test_negative_bidegree_names_the_kind(self, capsys):
+        code, out, err = run(capsys, "dims", "--algebra", "pol:1x2", "--bidegree", "2,-1")
+        assert (code, out) == (1, "")
+        assert err == "error: negative count -1 of kind 'zs'\n"
+
 
 class TestNormalForm:
     def test_reorders_conjugate_past_coordinate(self, capsys):
@@ -492,6 +497,12 @@ class TestExport:
         )
         assert code == 1
         assert "out of range" in err
+
+    @pytest.mark.parametrize("spec", ["letter:--1,1", "letter:\u00b2,1", "coordinate:1,+1"])
+    def test_malformed_index_is_usage_error(self, capsys, spec):
+        code, out, err = run(capsys, "export", "--mn", "1x1", "--what", spec)
+        assert (code, out) == (1, "")
+        assert f"malformed {spec.partition(':')[0]} spec" in err
 
 
 class TestNegativeBounds:

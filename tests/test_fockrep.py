@@ -21,7 +21,6 @@ from qmatball.fockrep import (
     TruncatedOperator,
     apply_coordinate_word,
     corner_adjoint_relation_ok,
-    default_cutoff,
     det_is_identity_ok,
     diagonal_laws_ok,
     equivalence_report,
@@ -39,9 +38,6 @@ from qmatball.fockrep import (
     pairing_block_theta,
     projector_pairing_matrix,
     projector_pairing_rank,
-    rep_coordinate,
-    rep_coordinate_star,
-    rep_letter,
     rep_minor,
     rep_pol_poly,
     rep_projector,
@@ -103,13 +99,8 @@ class TestOperatorCalculus:
         with pytest.raises(CutoffError):
             TruncatedOperator(1, -1, {}, 0, 0)
 
-    def test_apply_beyond_certificate_rejected(self):
-        ident = ta.identity(1, 2)
-        with pytest.raises(CutoffError):
-            ident.apply({(3,): ONE})
-
     def test_compose_certificate_shrinks_with_raising(self):
-        z = rep_coordinate(1, 1, 1, 1, 12)
+        z = ta.coordinate("z", 1, 1, 1, 1, 12)
         zz = rep_pol_poly(NCPoly.from_word((sym("z", 1, 1),) * 2), 1, 1, 12)
         assert zz.cert == z.cert - 1
         assert zz.entries[((2,), (0,))] == q_pow(1) * q_pow(2)
@@ -117,8 +108,8 @@ class TestOperatorCalculus:
     def test_adjoint_involutive_on_slice(self):
         # the star slice is the adjoint of the coordinate slice, so its
         # adjoint gives back the coordinate slice's columns
-        z = rep_coordinate(1, 1, 1, 1, 12)
-        back = ta.adjoint(rep_coordinate_star(1, 1, 1, 1, 12))
+        z = ta.coordinate("z", 1, 1, 1, 1, 12)
+        back = ta.adjoint(ta.coordinate("zs", 1, 1, 1, 1, 12))
         assert back.cert == z.cert - 1
         assert back.entries == _columns_through(z, back.cert)
 
@@ -131,13 +122,10 @@ class TestOperatorCalculus:
         assert _same_operator(lhs, rhs)
 
     def test_smaller_cutoff_keeps_columns(self):
-        z = rep_coordinate(1, 1, 1, 1, 12)
-        small = rep_coordinate(1, 1, 1, 1, 4)
+        z = ta.coordinate("z", 1, 1, 1, 1, 12)
+        small = ta.coordinate("z", 1, 1, 1, 1, 4)
         assert small.cert == 4
         assert small.entries == _columns_through(z, 4)
-        assert small.apply({(4,): ONE}) == z.apply({(4,): ONE})
-        with pytest.raises(CutoffError):
-            small.apply({(5,): ONE})
 
     def test_scalar_linearity(self):
         # a scaled sum of words is the scaled sum of their slices
@@ -176,10 +164,13 @@ def _tpoly_word_by_word(f, m, n, cutoff, through=None):
     if through is not None:
         budget = through + max((len(w) for w in f.terms), default=0)
     acc = None
+    slices = {}
     for word, c in f.terms.items():
         piece = ident if budget is None else ta.restricted(ident, budget)
         for g in word:
-            op = rep_letter(m, n, g.row, g.col, cutoff)
+            if g not in slices:
+                slices[g] = ta.letter(m, n, g.row, g.col, cutoff)
+            op = slices[g]
             if budget is not None:
                 op = ta.restricted(op, budget)
             piece = op if piece is ident else ta.compose(piece, op)
@@ -251,7 +242,7 @@ class TestGroupedWordImages:
         N = sum(mn)
         for i in range(1, N + 1):
             for j in range(1, N + 1):
-                assert ta.observed_shifts(rep_letter(*mn, i, j, cutoff))[0] <= 1
+                assert ta.observed_shifts(ta.letter(*mn, i, j, cutoff))[0] <= 1
 
     def test_empty_and_constant_polynomials(self):
         zero = rep_tpoly(NCPoly.zero(), 1, 2, 4)
@@ -351,12 +342,12 @@ class TestRankOneLadder:
     CUT = 12
 
     def test_coordinate_raises_with_q_powers(self):
-        z = rep_coordinate(1, 1, 1, 1, self.CUT)
+        z = ta.coordinate("z", 1, 1, 1, 1, self.CUT)
         for j in range(5):
             assert z.entries[((j + 1,), (j,))] == q_pow(j + 1)
 
     def test_conjugate_coordinate_entries(self):
-        zs = rep_coordinate_star(1, 1, 1, 1, self.CUT)
+        zs = ta.coordinate("zs", 1, 1, 1, 1, self.CUT)
         for j in range(5):
             assert zs.entries[((j,), (j + 1,))] == q_pow(-j - 1) - q_pow(j + 1)
 
@@ -378,11 +369,11 @@ class TestRankOneLadder:
             rep_pol_poly(f, 1, 1, 0)
 
     def test_letter_images(self):
-        raise_op = rep_letter(1, 1, 1, 1, self.CUT)
+        raise_op = ta.letter(1, 1, 1, 1, self.CUT)
         assert raise_op.entries[((3,), (2,))] == ONE
-        diag = rep_letter(1, 1, 1, 2, self.CUT)
+        diag = ta.letter(1, 1, 1, 2, self.CUT)
         assert diag.entries[((2,), (2,))] == q_pow(-2)
-        low = rep_letter(1, 1, 2, 2, self.CUT)
+        low = ta.letter(1, 1, 2, 2, self.CUT)
         assert low.entries[((1,), (2,))] == ONE - q_pow(-4)
 
     def test_vacuum_eigenvalue_frozen(self):
@@ -391,7 +382,7 @@ class TestRankOneLadder:
 
     def test_vacuum_requires_eigenvector(self):
         with pytest.raises(ValueError):
-            vacuum_eigenvalue(rep_letter(1, 1, 1, 1, self.CUT))
+            vacuum_eigenvalue(ladder.letter_images(1, 1)[(1, 1)])
 
     def test_projector_is_vacuum_projection(self):
         p = rep_projector(1, 1, 6)
@@ -505,7 +496,7 @@ class TestCyclicModuleSide:
 
     def test_pairing_blocks_agree_rank_one(self):
         zpoly = NCPoly.from_word((sym("z", 1, 1),))
-        op = rep_coordinate(1, 1, 1, 1, 12)
+        op = ladder.coordinate_image(sym("z", 1, 1), 1, 1)
         for k in range(3):
             assert pairing_block_theta(zpoly, 1, 1, k, k + 1) == pairing_block_fock(
                 op, 1, 1, k, k + 1
@@ -515,7 +506,7 @@ class TestCyclicModuleSide:
         # the ladder-side pairing is linear in the operator image, conjugate
         # linear in the basis vector it is paired against
         zpoly = NCPoly.from_word((sym("z", 2, 1),), I + q_pow(1))
-        op = rep_pol_poly(zpoly, 1, 2, default_cutoff(1, 2))
+        op = ladder.pol_image(zpoly, 1, 2)
         for k in range(2):
             assert pairing_block_theta(zpoly, 1, 2, k, k + 1) == pairing_block_fock(
                 op, 1, 2, k, k + 1
@@ -843,7 +834,7 @@ class TestSylvesterRule:
 
 class TestExport:
     def test_csv_shape(self):
-        z = rep_coordinate(1, 1, 1, 1, 2)
+        z = ta.coordinate("z", 1, 1, 1, 1, 2)
         text = operator_csv(z)
         lines = text.strip().splitlines()
         assert lines[0].startswith("# legs=1 cert=2")
@@ -854,7 +845,7 @@ class TestExport:
     def test_json_round_trip_fields(self):
         import json as _json
 
-        z = rep_coordinate(1, 1, 1, 1, 2)
+        z = ta.coordinate("z", 1, 1, 1, 1, 2)
         data = _json.loads(operator_json(z))
         assert data["legs"] == 1 and data["cert"] == 2
         assert {"out": [1], "in": [0], "value": q_pow(1).to_string()} in data["entries"]
@@ -873,5 +864,4 @@ class TestExport:
             rep_pol_poly(NCPoly.from_word((sym("f0"),)) + NCPoly.one(), 1, 2, 4)
 
     def test_qdet_vacuum(self):
-        op = rep_tpoly(qdet(2), 1, 1, 12)
-        assert vacuum_eigenvalue(op) == ONE
+        assert vacuum_eigenvalue(ladder.tpoly_image(qdet(2), 1, 1)) == ONE

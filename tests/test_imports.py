@@ -91,9 +91,10 @@ def unreached_functions(sources: dict) -> list:
     that no code of the package reaches, as "module.name".
 
     The code outside public module-level functions (module statements,
-    classes, private functions) and the names the package ``__init__``
-    imports reach what they name; a reached function reaches what its own
-    body names.  Names are matched without their module.
+    classes, private functions), the names the package ``__init__``
+    imports and the functions kept on purpose (``UNREACHED_ALLOWED`` and
+    every ``*_ok``) reach what they name; a reached function reaches what
+    its own body names.  Names are matched without their module.
     """
     bodies, reached = {}, set()
     for mod, source in sources.items():
@@ -105,6 +106,7 @@ def unreached_functions(sources: dict) -> list:
                 reached.update(a.name for a in node.names)
             else:
                 reached |= _names_read(node)
+    reached |= {name for name in bodies if name in UNREACHED_ALLOWED or name.endswith("_ok")}
     todo = list(reached & bodies.keys())
     while todo:
         for _, node in bodies[todo.pop()]:
@@ -114,7 +116,7 @@ def unreached_functions(sources: dict) -> list:
     return sorted(
         f"{mod}.{name}"
         for name, defs in bodies.items()
-        if name not in reached and name not in UNREACHED_ALLOWED and not name.endswith("_ok")
+        if name not in reached
         for mod, _ in defs
     )
 
@@ -134,7 +136,8 @@ def test_reach_checker_follows_calls_and_init_imports():
             "def chained():\n    return dead()\n"
             "def _private():\n    return used_privately\n"
             "def used_privately():\n    pass\n"
-            "def fold_ok():\n    pass\n"
+            "def fold_ok():\n    return checked()\n"
+            "def checked():\n    pass\n"
         ),
         "b": "import a\nx = a.called_by_attribute\n",
         "c": "def called_by_attribute():\n    pass\n",

@@ -125,9 +125,12 @@ def test_truncated_images_are_the_reference(m, n, degree):
     compared = 0
     for name, op, ref in _images(m, n, degree):
         assert ref.cert >= degree, name
+        ref_cols: dict = {}
+        for (kout, kin), c in ref.entries.items():
+            ref_cols.setdefault(kin, {})[kout] = c
         for k in fock_basis(m * n, degree):
             col = op.apply({k: ONE})
-            assert col == ref.apply({k: ONE}), (name, k)
+            assert col == ref_cols.get(k, {}), (name, k)
             compared += len(col)
     assert compared > 0
 

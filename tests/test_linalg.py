@@ -170,10 +170,21 @@ def test_row_updates_with_sparse_rows():
     A = [[Fraction(x) for x in row] for row in rows]
     one, zero = Fraction(1), Fraction(0)
     assert mat_det(A, one=one) == 2 * 5 * (3 * 4 - 1 * 1)
-    inv = mat_invert(A, one=one, zero=zero)
-    assert mat_mul(A, inv) == mat_identity(4, one=one, zero=zero)
+    inv = mat_invert(A)
+    assert mat_mul(A, inv) == [[one if i == j else zero for j in range(4)] for i in range(4)]
     assert mat_rank(A) == 4
     assert mat_rank([row[:] for row in A[:3]] + [[a + b for a, b in zip(A[0], A[1])]]) == 3
+
+
+def test_invert_keeps_the_entry_type_and_rejects_singular_matrices():
+    A = _gauss([[(1, 1), (2, 0)], [(0, 1), (1, 0)]])
+    inv = mat_invert(A)
+    assert all(type(x) is GaussRat for row in inv for x in row)
+    assert mat_mul(A, inv) == [[_ONE, GaussRat(0)], [GaussRat(0), _ONE]]
+    for singular in ([[(1, 0), (2, 0)], [(2, 0), (4, 0)]], [[(0, 0)] * 2] * 2):
+        with pytest.raises(ValueError, match="singular"):
+            mat_invert(_gauss(singular))
+    assert mat_invert([]) == []
 
 
 def test_scalar_invert_roundtrip():

@@ -169,7 +169,6 @@ def test_weights_at_one_one():
     assert pres.weight(z) == (2,)
     assert pres.weight(zs) == (-2,)
     assert pres.word_weight((z, z, zs)) == (2,)
-    assert pres.h0_degree((z, z, zs)) == 1
 
 
 def test_weights_at_two_two():

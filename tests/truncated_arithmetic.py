@@ -1,6 +1,6 @@
 """Entry-by-entry arithmetic of operator slices, as a test-side reference.
 
-The package's :class:`TruncatedOperator` slices are read-only: each is its
+The package's :class:`TruncatedOperator` slices are plain data: each is its
 exact ladder operator evaluated column by column, with a header computed
 without entries.  The functions here multiply, add, scale and adjoint
 slices entry by entry instead, with the certificate rules that header
@@ -14,11 +14,24 @@ ladder calculus:
 * an adjoint is certified through cert minus ``down`` and swaps the shifts.
 
 A certificate below zero raises :class:`CutoffError`.  The zero, identity
-and diagonal slices the references start from are built here too.
+and diagonal slices the references start from are built here too, and so
+are the letter and coordinate slices they multiply: the package's slices
+of one-letter polynomials.
 """
 
 from qmatball.field import ONE, add_terms, q_pow
-from qmatball.fockrep import CutoffError, TruncatedOperator, fock_basis
+from qmatball.fockrep import CutoffError, TruncatedOperator, fock_basis, rep_pol_poly, rep_tpoly
+from qmatball.words import NCPoly, sym
+
+
+def letter(m, n, i, j, cutoff):
+    """The slice of t[i,j]."""
+    return rep_tpoly(NCPoly.from_word((sym("t", i, j),)), m, n, cutoff)
+
+
+def coordinate(kind, m, n, a, al, cutoff):
+    """The slice of z[a,al] (kind "z") or of its conjugate (kind "zs")."""
+    return rep_pol_poly(NCPoly.from_word((sym(kind, a, al),)), m, n, cutoff)
 
 
 def zero(legs, cert):
