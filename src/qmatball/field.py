@@ -18,6 +18,12 @@ input, output and evaluation: the raw constructor accepts ``{exp: GaussRat}``
 dicts, ``eval_at`` returns a ``GaussRat``, and the text forms convert only at
 the boundary.
 
+The ladder operators need only Z[i][s, 1/s], and keep it as integer terms
+{(e, j): c} meaning the sum of c i^j s^e: :func:`to_laurent` and
+:func:`from_laurent` convert at the boundary (a coefficient outside that
+ring raises ValueError), and :func:`laurent_dot` and :func:`laurent_conj`
+are the arithmetic the ladder vectors need.
+
 Conjugation fixes s and sends i to -i (the deformation parameter is real).
 Evaluation at a rational point 0 < s0 < 1 is exact and returns a Gaussian
 rational; ``eval_triple`` returns the same value as a canonical triple, for
@@ -44,6 +50,10 @@ __all__ = [
     "from_fraction",
     "q_bracket",
     "q_factorial",
+    "to_laurent",
+    "from_laurent",
+    "laurent_conj",
+    "laurent_dot",
 ]
 
 
@@ -395,18 +405,28 @@ def _pconj(p: dict) -> dict:
 
 def _peval(p: dict, u: int, v: int) -> tuple:
     """p(u/v) as a triple, not normalised (v > 0)."""
-    top = _pdeg(p)
-    if top < 0:
+    if not p:
         return (0, 0, 1)
-    # sum of c_e * u**e * v**(top - e), over the common denominator v**top
-    re_, im, den = 0, 0, 1
-    for e, (a, b, d) in p.items():
-        w = u**e * v ** (top - e)
+    # sum of c_e * u**e * v**(top - e), over the common denominator v**top,
+    # by Horner's rule from the top exponent down: at exponent e the sum so
+    # far carries u**(prev - e) more and the new term v**(top - e)
+    exps = sorted(p, reverse=True)
+    top = prev = exps[0]
+    re_, im, den, w = 0, 0, 1, 1
+    for e in exps:
+        if prev != e:
+            g = prev - e
+            ug = u**g
+            re_, im, w, prev = re_ * ug, im * ug, w * v**g, e
+        a, b, d = p[e]
         if d == den:
             re_ += a * w
             im += b * w
         else:
             re_, im, den = re_ * d + a * w * den, im * d + b * w * den, den * d
+    if prev:
+        up = u**prev
+        re_, im = re_ * up, im * up
     return (re_, im, den * v**top)
 
 
@@ -699,6 +719,64 @@ def add_terms(acc: dict, pairs) -> dict:
             else:
                 del acc[key]
     return acc
+
+
+# ---------------------------------------------------------------------------
+# Laurent polynomials over Z[i] as integer terms.
+#
+# {(e, j): c} with j in {0, 1} and c a nonzero int stands for the sum of
+# c i^j s^e.  The ladder operators and their vectors keep such terms, so
+# their products cost int operations only; a Scalar is made at the edges.
+
+
+def to_laurent(c: Scalar) -> dict:
+    """The integer terms of c; a c outside Z[i][s, 1/s] raises ValueError
+    naming it (it is never rounded)."""
+    # a canonical denominator is monic, so a one-term one is a power of s
+    if len(c._den) != 1 or any(d != 1 for _, _, d in c._num.values()):
+        raise ValueError(f"coefficient {c.pretty()} is not in Z[i][s, 1/s]")
+    (shift,) = c._den
+    out = {}
+    for e, (a, b, _) in c._num.items():
+        if a:
+            out[(e - shift, 0)] = a
+        if b:
+            out[(e - shift, 1)] = b
+    return out
+
+
+def from_laurent(terms: dict) -> Scalar:
+    """The Scalar of integer terms {(e, j): c}, canonical: num / s^(-low)
+    when the lowest exponent ``low`` is negative."""
+    num: dict = {}
+    for (e, j), c in terms.items():
+        a, b, _ = num.get(e, (0, 0, 1))
+        num[e] = (a, b + c, 1) if j else (a + c, b, 1)
+    num = {e: c for e, c in num.items() if c[0] or c[1]}
+    if not num:
+        return ZERO
+    low = min(num)
+    if low >= 0:
+        return _new(num, _P_ONE)
+    return _new({e - low: c for e, c in num.items()}, {-low: _C1})
+
+
+def laurent_conj(terms: dict) -> dict:
+    """Complex conjugation of integer terms: the i terms change sign."""
+    return {key: -c if key[1] else c for key, c in terms.items()}
+
+
+def laurent_dot(pairs) -> dict:
+    """The sum of p * q over the pairs (p, q) of integer terms (i^2 = -1),
+    with no zero coefficient."""
+    acc: dict = {}
+    get = acc.get
+    for p, q in pairs:
+        for (e, j), c in p.items():
+            for (f, k), d in q.items():
+                key = (e + f, j ^ k)
+                acc[key] = get(key, 0) + (-c * d if j & k else c * d)
+    return {key: c for key, c in acc.items() if c}
 
 
 def _poly_from_gauss(p: dict) -> dict:

@@ -32,9 +32,14 @@ every degree.
 
 On the symbolic side, the same module computes the graded left-multiplication
 blocks on the cyclic module spanned by coordinate monomials times the
-rank-one projector, and the associated Gram matrices; comparing those with
-the ladder-side data realizes the unitary-equivalence and positivity
-certificates of the test suite.
+rank-one projector (letter by letter, through the lowering map), and the
+associated Gram matrices; comparing those with the ladder-side data
+realizes the unitary-equivalence and positivity certificates of the test
+suite.  The ladder side of that comparison runs on integer terms: the
+vacuum orbit vectors hold {(e, j): c} per basis vector (as
+:meth:`qmatball.ladder.LadderOperator.apply_int` gives them), each
+||e_k||^2 is a Laurent polynomial in s over Z, and a Scalar is made once
+per Gram or pairing entry.
 """
 
 from __future__ import annotations
@@ -45,8 +50,18 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .algebras import make_preset
-from .field import ONE, Scalar, ZERO, q_pow
+from .algebras import make_preset, star_words
+from .field import (
+    ONE,
+    Scalar,
+    ZERO,
+    add_terms,
+    from_laurent,
+    laurent_conj,
+    laurent_dot,
+    q_pow,
+    to_laurent,
+)
 from .ladder import (
     LadderOperator,
     coordinate_image,
@@ -62,7 +77,7 @@ from .ladder import (
     tpoly_image,
     word_image,
 )
-from .linalg import bareiss_zi, mat_mul
+from .linalg import bareiss_zi
 from .qminors import (
     col_sign,
     coordinate_numerator_label,
@@ -130,7 +145,6 @@ def fock_norm2(j: int) -> Scalar:
     return fock_norm2(j - 1) * (q_pow(-2 * j) - ONE)
 
 
-@lru_cache(maxsize=None)
 def fock_weight(k: tuple) -> Scalar:
     """Squared length of a tensor basis vector (product over the legs)."""
     out = ONE
@@ -210,7 +224,7 @@ class _Header:
         self.cert, self.up, self.down, self.top = cert, up, down, top
 
     def with_top(self, op: LadderOperator):
-        return _Header(self.cert, self.up, self.down, max([0, *(sum(d) for d, _ in op.terms)]))
+        return _Header(self.cert, self.up, self.down, max([0, *(sum(key[0]) for key in op.terms)]))
 
     def compose(self, right):
         return _Header(
@@ -233,7 +247,7 @@ def _generator_header(op: LadderOperator) -> _Header:
     """A generator's header: the shifts of its own terms, certified through
     cutoff + legs, since a staircase factor lowers the certificate by at
     most one and so every letter stays certified through the cutoff."""
-    shifts = [sum(d) for d, _ in op.terms]
+    shifts = [sum(key[0]) for key in op.terms]
     return _Header(op.legs, max([0, *shifts]), max([0, *(-x for x in shifts)])).with_top(op)
 
 
@@ -336,10 +350,12 @@ def vacuum_eigenvalue(op: LadderOperator) -> Scalar:
 
 
 def apply_coordinate_word(word: tuple, m: int, n: int) -> dict:
-    """The vector (image of the word applied to the vacuum), word read left to right."""
-    vec = {(0,) * (m * n): ONE}
+    """The vector (image of the word applied to the vacuum), word read left
+    to right, as {multi-index: integer terms} (see
+    :meth:`qmatball.ladder.LadderOperator.apply_int`)."""
+    vec = {(0,) * (m * n): {(0, 0): 1}}
     for g in reversed(word):
-        vec = coordinate_image(g, m, n).apply(vec)
+        vec = coordinate_image(g, m, n).apply_int(vec)
     return vec
 
 
@@ -451,12 +467,28 @@ def rules_as_operators_failures(m: int, n: int) -> list:
 
     Returns the patterns of the rules that fail; empty means every rule
     holds on the whole ladder space.
+
+    The image of a starred word is the adjoint of the word's image, since
+    zs[a,al] maps to the adjoint of z[a,al] and the adjoint is antilinear
+    and reverses products.  So where star maps the relation pattern -
+    replacement of a z z rule, word for word, onto a nonzero multiple of
+    that of a zs zs rule, the zs zs identity holds exactly when the z z
+    one does, and its images are not built.
     """
     rules = make_preset("Pol", m, n).rules
-    return [
-        pat for pat, repl in rules.items()
-        if pol_image(NCPoly.from_word(pat), m, n) != pol_image(repl, m, n)
-    ]
+    partner = {}
+    for pat, repl in rules.items():
+        if all(g.kind == "z" for g in pat):
+            starred = star_words(NCPoly.from_word(pat) - repl)
+            for spat, lam in starred.terms.items():
+                if spat in rules and starred == (NCPoly.from_word(spat) - rules[spat]).scale(lam):
+                    partner[spat] = pat
+    fails = {
+        pat: pol_image(NCPoly.from_word(pat), m, n) != pol_image(repl, m, n)
+        for pat, repl in rules.items()
+        if pat not in partner
+    }
+    return [pat for pat in rules if fails[partner.get(pat, pat)]]
 
 
 # ---------------------------------------------------------------------------
@@ -470,26 +502,59 @@ def hilbert_basis(m: int, n: int, k: int) -> list:
 
 def theta_block(f: NCPoly, m: int, n: int, k_in: int, k_out: int):
     """Block of left multiplication by f between graded slices of the
-    cyclic module (coordinate monomials times the projector)."""
+    cyclic module (coordinate monomials times the projector).
+
+    f acts letter by letter from the right (see :func:`_cyclic_action`),
+    which needs the lowering certificate of the FunU preset; a letter
+    outside its alphabet raises ValueError.
+    """
     funu = make_preset("FunU", m, n)
-    f0 = sym("f0")
+    funu.require_lowering()
+    for word in f.terms:
+        funu._check_word(word)
     basis_in = hilbert_basis(m, n, k_in)
-    basis_out = hilbert_basis(m, n, k_out)
-    index = {w: r for r, w in enumerate(basis_out)}
-    block = [[ZERO] * len(basis_in) for _ in basis_out]
+    index = {w: r for r, w in enumerate(hilbert_basis(m, n, k_out))}
+    block = [[ZERO] * len(basis_in) for _ in index]
     for col, psi in enumerate(basis_in):
-        g = funu.multiply(f, NCPoly.from_word(psi + (f0,)))
-        for word, c in g.terms.items():
-            if not word or word[-1].kind != "f0" or any(
-                s.kind != "z" for s in word[:-1]
-            ):
-                raise ArithmeticError(
-                    "left multiplication left the cyclic module span"
-                )
-            row = index.get(word[:-1])
+        for u, c in _cyclic_action(funu, f, psi).items():
+            row = index.get(u)
             if row is not None:
                 block[row][col] = c
     return block
+
+
+def _cyclic_action(funu, f: NCPoly, psi: tuple) -> dict:
+    """{u: c} over normal z-words u with f psi f0 = sum of c u f0, for a
+    normal z-word psi.
+
+    Each word of f acts letter by letter from the right: a z letter x sends
+    u f0 to NF(x u) f0, which is a sum over z-words since the lowering
+    certificate makes every z z replacement a z-word; a zs letter y sends it
+    to the lowering map L(y, u) (:meth:`~qmatball.words.Presentation.lower`),
+    whose memo the Gram matrices share; and f0 keeps only u = 1, since
+    f0 f0 = f0 and f0 z = 0.  This rewrites in another order than the normal
+    form of the whole product, and reaches the same result because the
+    presentation is confluent.
+    """
+    out: dict = {}
+    for word, c in f.terms.items():
+        vec = {psi: c}
+        for g in reversed(word):
+            if g.kind == "z":
+                pairs = (
+                    (w, cu * cw)
+                    for u, cu in vec.items()
+                    for w, cw in funu.reduce_word((g,) + u).terms.items()
+                )
+            elif g.kind == "zs":
+                pairs = (
+                    (w, cu * cw) for u, cu in vec.items() for w, cw in funu.lower(g, u).items()
+                )
+            else:
+                pairs = [((), vec[()])] if () in vec else []
+            vec = add_terms({}, pairs)
+        add_terms(out, vec.items())
+    return out
 
 
 def _require_none(violations, what: str) -> None:
@@ -618,38 +683,45 @@ def _leading_minors_positive(rows) -> bool:
 @lru_cache(maxsize=None)
 def vacuum_orbit(m: int, n: int, k: int) -> tuple:
     """The vacuum orbit vectors of the degree-k monomials, in
-    :func:`hilbert_basis` order.  Shared between callers: do not mutate."""
+    :func:`hilbert_basis` order, as :func:`apply_coordinate_word` gives
+    them.  Shared between callers: do not mutate."""
     return tuple(apply_coordinate_word(w, m, n) for w in hilbert_basis(m, n, k))
+
+
+@lru_cache(maxsize=None)
+def _weight_terms(k: tuple) -> dict:
+    """||e_k||^2 as integer terms: a Laurent polynomial in s over Z."""
+    return to_laurent(fock_weight(k))
+
+
+def _duals(vecs) -> list:
+    """For each vector v, the map k -> conj(v_k) ||e_k||^2, so that the
+    inner product of u with v is the sum of u_k times it."""
+    return [
+        {k: laurent_dot([(laurent_conj(p), _weight_terms(k))]) for k, p in v.items()}
+        for v in vecs
+    ]
+
+
+def _fock_inner(u: dict, dual: dict) -> dict:
+    """The inner product of u with the vector whose :func:`_duals` entry is
+    ``dual``, as integer terms."""
+    return laurent_dot((p, dual[k]) for k, p in u.items() if k in dual)
 
 
 def fock_gram_matrix(m: int, n: int, k: int):
     """Gram matrix of the vacuum orbit vectors of the degree-k monomials."""
-    return _vector_gram(vacuum_orbit(m, n, k))
-
-
-def _vector_gram(vecs):
+    vecs = vacuum_orbit(m, n, k)
+    duals = _duals(vecs)
     d = len(vecs)
     G = [[ZERO] * d for _ in range(d)]
     for p in range(d):
         for r in range(p, d):
-            acc = _fock_inner(vecs[p], vecs[r])
-            G[p][r] = acc
+            acc = _fock_inner(vecs[p], duals[r])
+            G[p][r] = from_laurent(acc)
             if p != r:
-                G[r][p] = acc.conjugate()
+                G[r][p] = from_laurent(laurent_conj(acc))
     return G
-
-
-def _fock_inner(u: dict, v: dict) -> Scalar:
-    """Sum of u_k * conj(v_k) * |e_k|^2 over the ladder basis vectors e_k,
-    walking the smaller of the two vectors."""
-    small, big = (u, v) if len(u) <= len(v) else (v, u)
-    acc = ZERO
-    for idx, c in small.items():
-        o = big.get(idx)
-        if o is not None:
-            a, b = (c, o) if small is u else (o, c)
-            acc = acc + a * b.conjugate() * fock_weight(idx)
-    return acc
 
 
 @lru_cache(maxsize=None)
@@ -688,16 +760,25 @@ def projector_pairing_rank(m: int, n: int, l: int, s0: Fraction) -> int:
 
 def pairing_block_theta(f: NCPoly, m: int, n: int, k_in: int, k_out: int):
     """Matrix of pairings of (f times in-basis vectors) against out-basis
-    vectors: the transposed coefficient block times the Gram matrix."""
+    vectors: the transposed coefficient block times the Gram matrix, row p
+    the sum of T[r][p] times Gram row r over the nonzero T[r][p]."""
     T = theta_block(f, m, n, k_in, k_out)
-    return mat_mul(_transpose(T), gram_matrix(m, n, k_out))
+    G = gram_matrix(m, n, k_out)
+    out = []
+    for col in zip(*T):
+        row = [ZERO] * len(G)
+        for r, c in enumerate(col):
+            if c:
+                row = [x + c * g for x, g in zip(row, G[r])]
+        out.append(row)
+    return out
 
 
 def pairing_block_fock(op: LadderOperator, m: int, n: int, k_in: int, k_out: int):
     """Same pairings computed on the ladder side for the operator image."""
-    vout = vacuum_orbit(m, n, k_out)
-    images = map(op.apply, vacuum_orbit(m, n, k_in))
-    return [[_fock_inner(img, vr) for vr in vout] for img in images]
+    duals = _duals(vacuum_orbit(m, n, k_out))
+    images = map(op.apply_int, vacuum_orbit(m, n, k_in))
+    return [[from_laurent(_fock_inner(img, dual)) for dual in duals] for img in images]
 
 
 def equivalence_report(m: int, n: int, through: int) -> dict:

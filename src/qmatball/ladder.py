@@ -13,12 +13,19 @@ every 2 x 2 ladder generator on leg r is a sum of such terms:
 So is every letter, minor, coordinate and conjugate coordinate built from
 them, since sums, products and adjoints of such sums are again such sums.
 
-A :class:`LadderOperator` keeps its terms as a dict {(d, a): c} with no
-zero coefficient.  For operators that preserve the ladder space, equal
-dicts and equal operators are the same thing: the characters k -> q^(-a.k)
-of distinct exponents a are linearly independent, also on any translated
-orthant of N^L, because q is not a root of unity (Dedekind-Artin).  So an
-identity checked here holds at every degree, with no truncation.
+Every coefficient met on this side lies in Z[i][s, 1/s], and most are
++-s^e.  So a :class:`LadderOperator` keeps its terms as a dict
+{(d, a, e, j): c} of nonzero ints, standing for c i^j s^e X^a T^d with j in
+{0, 1}, and its products, sums and adjoints cost int operations only.  A
+Scalar enters through :meth:`LadderOperator.scale` (the coefficients of a
+polynomial ride on it) and leaves through :meth:`LadderOperator.apply`; a
+coefficient outside Z[i][s, 1/s], such as 1/2 or 1/(1 - q), raises
+ValueError naming it and is never rounded.  For operators that preserve the
+ladder space, equal dicts and equal operators are the same thing: the
+characters k -> q^(-a.k) of distinct exponents a are linearly independent,
+also on any translated orthant of N^L, because q is not a root of unity
+(Dedekind-Artin), and 1, i and the powers of s are independent over Z.  So
+an identity checked here holds at every degree, with no truncation.
 
 The N x N letters come from the staircase product of the 2 x 2 generators
 (see :func:`staircase_product`).  Every polynomial, in the t letters or in
@@ -46,7 +53,7 @@ from functools import lru_cache
 from itertools import combinations
 from operator import add, mul
 
-from .field import ONE, ZERO, Scalar, add_terms, q_pow, s_pow
+from .field import ZERO, Scalar, from_laurent, q_pow, to_laurent
 from .qminors import (
     col_signs,
     coordinate_numerator_label,
@@ -82,17 +89,17 @@ def _dot(u: tuple, v: tuple) -> int:
     return sum(map(mul, u, v))
 
 
-def _times_q(c: Scalar, e: int) -> Scalar:
-    """c * q^e."""
-    return c * q_pow(e) if e else c
+def _nonzero(acc: dict) -> dict:
+    return {key: c for key, c in acc.items() if c}
 
 
 class LadderOperator:
-    """The operator sum of c X^a T^d over ``terms`` = {(d, a): c}.
+    """The operator sum of c i^j s^e X^a T^d over ``terms`` = {(d, a, e, j): c}.
 
-    ``d`` and ``a`` are integer tuples with one entry per leg, and no
-    coefficient is zero, so ``==`` is equality of operators on the whole
-    ladder space (see the module docstring).  Operators are never mutated.
+    ``d`` and ``a`` are integer tuples with one entry per leg, ``e`` is an
+    integer, ``j`` is 0 or 1 and ``c`` a nonzero int, so ``==`` is equality
+    of operators on the whole ladder space (see the module docstring).
+    Operators are never mutated.
     """
 
     __slots__ = ("legs", "terms")
@@ -104,7 +111,7 @@ class LadderOperator:
     @classmethod
     def diagonal(cls, legs: int, a: tuple):
         """The diagonal operator e_k -> q^(-a.k) e_k."""
-        return cls(legs, {((0,) * legs, tuple(a)): ONE})
+        return cls(legs, {((0,) * legs, tuple(a), 0, 0): 1})
 
     @classmethod
     def identity(cls, legs: int):
@@ -121,7 +128,10 @@ class LadderOperator:
 
     def __add__(self, other):
         self._check_legs(other)
-        return LadderOperator(self.legs, add_terms(dict(self.terms), other.terms.items()))
+        acc = dict(self.terms)
+        for key, c in other.terms.items():
+            acc[key] = acc.get(key, 0) + c
+        return LadderOperator(self.legs, _nonzero(acc))
 
     def __neg__(self):
         return LadderOperator(self.legs, {key: -c for key, c in self.terms.items()})
@@ -130,91 +140,138 @@ class LadderOperator:
         return self + (-other)
 
     def scale(self, c: Scalar):
-        if not c:
-            return LadderOperator(self.legs, {})
-        return LadderOperator(self.legs, {key: v * c for key, v in self.terms.items()})
+        """The operator times c; a c outside Z[i][s, 1/s] raises ValueError."""
+        acc: dict = {}
+        for (f, k), v in to_laurent(c).items():
+            for (d, a, e, j), w in self.terms.items():
+                key = (d, a, e + f, j ^ k)
+                acc[key] = acc.get(key, 0) + (-v * w if j & k else v * w)
+        return LadderOperator(self.legs, _nonzero(acc))
 
     def compose(self, other):
         """Operator product self . other (other is applied first):
-        (c X^a T^d)(b X^b' T^e) = c b q^(-a.e) X^(a+b') T^(d+e)."""
+        (c X^a T^d)(b X^b' T^g) = c b q^(-a.g) X^(a+b') T^(d+g)."""
         self._check_legs(other)
-        return LadderOperator(self.legs, add_terms({}, (
-            ((_vadd(d, e), _vadd(a, b)), _times_q(c1 * c2, -_dot(a, e)))
-            for (d, a), c1 in self.terms.items()
-            for (e, b), c2 in other.terms.items()
-        )))
+        # the terms share few distinct shifts and X exponents, so the tuple
+        # sums and dot products are made once per distinct pair
+        shifts: dict = {}
+        diags: dict = {}
+        right = [
+            (shifts.setdefault(g, len(shifts)), diags.setdefault(b, len(diags)), f, k, c)
+            for (g, b, f, k), c in other.terms.items()
+        ]
+        left: dict = {}
+        for (d, a, e, j), c in self.terms.items():
+            left.setdefault((d, a), []).append((e, j, c))
+        acc: dict = {}
+        get = acc.get
+        for (d, a), coeffs in left.items():
+            sums = [_vadd(d, g) for g in shifts]
+            twists = [2 * _dot(a, g) for g in shifts]
+            xs = [_vadd(a, b) for b in diags]
+            for gi, bi, f, k, c2 in right:
+                dg, x, shift = sums[gi], xs[bi], f - twists[gi]
+                for e, j, c1 in coeffs:
+                    key = (dg, x, e + shift, j ^ k)
+                    acc[key] = get(key, 0) + (-c1 * c2 if j & k else c1 * c2)
+        return LadderOperator(self.legs, _nonzero(acc))
 
     def adjoint(self):
         """Adjoint for the ladder weights.
 
-        c X^a T^d becomes conj(c) q^(a.d) X^a T^(-d) times the weight ratio
-        ||e_k||^2 / ||e_(k-d)||^2 of its input e_k, leg by leg: the factor
-        prod_{0<=i<d_l} (q^(2i) X_l^2 - 1) where d_l > 0, and the inverse of
-        prod_{1<=i<=-d_l} (q^(-2i) X_l^2 - 1) where d_l < 0.  The division
-        is exact when the operator preserves the ladder space; otherwise
-        this raises ArithmeticError.
+        c i^j s^e X^a T^d becomes its conjugate (-1)^j c i^j s^e times
+        q^(a.d) X^a T^(-d) and the weight ratio ||e_k||^2 / ||e_(k-d)||^2 of
+        its input e_k, leg by leg: the factor prod_{0<=i<d_l} (q^(2i) X_l^2 - 1)
+        where d_l > 0, and the inverse of prod_{1<=i<=-d_l} (q^(-2i) X_l^2 - 1)
+        where d_l < 0.  The factors have unit coefficients, so the division
+        stays over the integers; it is exact when the operator preserves the
+        ladder space, and otherwise this raises ArithmeticError.
         """
         shifts: dict = {}
-        for (d, a), c in self.terms.items():
-            shifts.setdefault(d, {})[a] = _times_q(c.conjugate(), _dot(a, d))
+        for (d, a, e, j), c in _conjugate(self.terms).items():
+            shifts.setdefault(d, {})[(a, e + 2 * _dot(a, d), j)] = c
         out = {}
         for d, poly in shifts.items():
             for leg, dl in enumerate(d):
                 for i in range(dl):
-                    poly = _times_factor(poly, leg, q_pow(2 * i))
+                    poly = _times_factor(poly, leg, 4 * i)
                 for i in range(1, 1 - dl):
-                    poly = _divide_factor(poly, leg, q_pow(-2 * i))
+                    poly = _divide_factor(poly, leg, -4 * i)
             back = tuple(-x for x in d)
-            out.update(((back, a), c) for a, c in poly.items())
+            out.update(((back, a, e, j), c) for (a, e, j), c in poly.items())
         return LadderOperator(self.legs, out)
 
-    def apply(self, vec: dict) -> dict:
-        """Image of a vector given as {multi-index: Scalar}; raises
+    def apply_int(self, vec: dict) -> dict:
+        """Image of a vector {multi-index: integer terms {(e, j): c}} (see
+        :func:`qmatball.field.to_laurent`), in the same form; raises
         ArithmeticError when a component lands outside N^L."""
-        out = add_terms({}, (
-            (_vadd(k, d), _times_q(c * v, -_dot(a, k)))
-            for k, v in vec.items()
-            for (d, a), c in self.terms.items()
-        ))
+        out: dict = {}
+        for k, poly in vec.items():
+            for (d, a, e, j), c in self.terms.items():
+                acc = out.setdefault(_vadd(k, d), {})
+                shift = e - 2 * _dot(a, k)
+                for (f, l), v in poly.items():
+                    key = (f + shift, j ^ l)
+                    acc[key] = acc.get(key, 0) + (-c * v if j & l else c * v)
+        out = {k: p for k, acc in out.items() if (p := _nonzero(acc))}
         for k in out:
             if min(k) < 0:
                 raise ArithmeticError(f"image leaves the ladder space at index {k}")
         return out
 
+    def apply(self, vec: dict) -> dict:
+        """Image of a vector given as {multi-index: Scalar}, through
+        :meth:`apply_int`; a coefficient outside Z[i][s, 1/s] raises
+        ValueError."""
+        out = self.apply_int({k: to_laurent(v) for k, v in vec.items()})
+        return {k: from_laurent(p) for k, p in out.items()}
+
     def __repr__(self):
         return f"LadderOperator(legs={self.legs}, terms={len(self.terms)})"
 
 
-def _times_factor(poly: dict, leg: int, alpha: Scalar) -> dict:
-    """poly * (alpha X_leg^2 - 1), for poly = {a: c} in the X variables."""
-    return add_terms(
-        {a: -c for a, c in poly.items()},
-        ((a[:leg] + (a[leg] + 2,) + a[leg + 1 :], c * alpha) for a, c in poly.items()),
-    )
+def _conjugate(terms: dict) -> dict:
+    """The terms with conjugated coefficients: the i terms change sign."""
+    return {key: -c if key[3] else c for key, c in terms.items()}
 
 
-def _divide_factor(poly: dict, leg: int, alpha: Scalar) -> dict:
-    """The exact quotient h of poly by (alpha X_leg^2 - 1).
+def _times_factor(poly: dict, leg: int, se: int) -> dict:
+    """poly * (s^se X_leg^2 - 1), for poly = {(a, e, j): c} in the X
+    variables and s."""
+    acc = {key: -c for key, c in poly.items()}
+    for (a, e, j), c in poly.items():
+        key = (a[:leg] + (a[leg] + 2,) + a[leg + 1 :], e + se, j)
+        acc[key] = acc.get(key, 0) + c
+    return _nonzero(acc)
+
+
+def _divide_factor(poly: dict, leg: int, se: int) -> dict:
+    """The exact quotient h of poly by (s^se X_leg^2 - 1).
 
     In each X_leg-coefficient series the quotient solves
-    h_e = alpha h_(e-2) - poly_e from the lowest exponent up; a nonzero
-    remainder raises ArithmeticError.
+    h_x = s^se h_(x-2) - poly_x from the lowest exponent x up, each h_x
+    holding integer terms {(e, j): c}; a nonzero remainder raises
+    ArithmeticError.
     """
     rows: dict = {}
-    for a, c in poly.items():
-        rows.setdefault(a[:leg] + a[leg + 1 :], {})[a[leg]] = c
+    for (a, e, j), c in poly.items():
+        rows.setdefault(a[:leg] + a[leg + 1 :], {}).setdefault(a[leg], {})[(e, j)] = c
     quot = {}
     for rest, row in rows.items():
         h: dict = {}
-        for e in range(min(row), max(row) - 1):
-            c = alpha * h[e - 2] if e - 2 in h else None
-            g = row.get(e)
-            if g is not None:
-                c = -g if c is None else c - g
-            if c:
-                h[e] = c
-        quot.update((rest[:leg] + (e,) + rest[leg:], c) for e, c in h.items())
-    if not quot or _times_factor(quot, leg, alpha) != poly:
+        for x in range(min(row), max(row) - 1):
+            hx = {(e + se, j): c for (e, j), c in h.get(x - 2, {}).items()}
+            for key, c in row.get(x, {}).items():
+                hx[key] = hx.get(key, 0) - c
+            hx = _nonzero(hx)
+            if hx:
+                h[x] = hx
+        quot.update(
+            ((rest[:leg] + (x,) + rest[leg:], e, j), c)
+            for x, hx in h.items()
+            for (e, j), c in hx.items()
+        )
+    if not quot or _times_factor(quot, leg, se) != poly:
         raise ArithmeticError(
             "adjoint leaves the ladder space: a weight ratio does not divide"
         )
@@ -328,14 +385,14 @@ def generator_image(legs: int, leg: int, gen: str) -> LadderOperator:
     zero = (0,) * legs
     e = tuple(1 if l == leg else 0 for l in range(legs))
     if gen == "t11":
-        return LadderOperator(legs, {(e, zero): ONE})
+        return LadderOperator(legs, {(e, zero, 0, 0): 1})
     if gen == "t12":
-        return LadderOperator(legs, {(zero, e): ONE})
+        return LadderOperator(legs, {(zero, e, 0, 0): 1})
     if gen == "t21":
-        return LadderOperator(legs, {(zero, e): -s_pow(-2)})
+        return LadderOperator(legs, {(zero, e, -2, 0): -1})
     if gen == "t22":
         down = tuple(-x for x in e)
-        return LadderOperator(legs, {(down, zero): ONE, (down, _vadd(e, e)): -ONE})
+        return LadderOperator(legs, {(down, zero, 0, 0): 1, (down, _vadd(e, e), 0, 0): -1})
     raise ValueError(f"unknown ladder generator {gen!r}")
 
 

@@ -1,10 +1,12 @@
 """Ground-field sanity: exact arithmetic in Q(i)(s), conjugation, evaluation."""
 
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from qmatball import field
 from qmatball.field import (
     GaussRat,
     I,
@@ -17,11 +19,15 @@ from qmatball.field import (
     format_gauss,
     from_fraction,
     from_int,
+    from_laurent,
+    laurent_conj,
+    laurent_dot,
     parse_gauss,
     q_bracket,
     q_factorial,
     q_pow,
     s_pow,
+    to_laurent,
 )
 
 
@@ -304,3 +310,75 @@ def test_gauss_rat_meets_scalar_from_either_side():
 def test_constructor_rejects_foreign_coefficients():
     with pytest.raises(TypeError, match="cannot coerce float"):
         Scalar({0: 1.5})
+
+
+# ---------------------------------------------------------------------------
+# evaluation and integer Laurent terms
+
+
+def _peval_direct(p, u, v):
+    """Reference: each term's own powers u**e * v**(top - e)."""
+    top = max(p)
+    re_, im, den = 0, 0, 1
+    for e, (a, b, d) in p.items():
+        w = u**e * v ** (top - e)
+        if d == den:
+            re_ += a * w
+            im += b * w
+        else:
+            re_, im, den = re_ * d + a * w * den, im * d + b * w * den, den * d
+    return (re_, im, den * v**top)
+
+
+@settings(max_examples=80, deadline=None)
+@given(scalars(allow_zero=False), st.integers(-5, 5), st.integers(1, 6))
+def test_peval_is_the_direct_sum(a, u, v):
+    # the same value, numerator and denominator alike; the same unnormalised
+    # triple when every coefficient is a Gaussian integer (the common case),
+    # since the common denominator then stays v**top
+    for p in (a._num, a._den):
+        got, want = field._peval(p, u, v), _peval_direct(p, u, v)
+        assert field._cnorm(*got) == field._cnorm(*want)
+        if all(d == 1 for _, _, d in p.values()):
+            assert got == want
+
+
+@st.composite
+def laurent_scalars(draw):
+    terms = draw(st.dictionaries(
+        st.tuples(st.integers(-6, 6), st.integers(0, 1)), st.integers(-3, 3), max_size=5
+    ))
+    return from_laurent({key: c for key, c in terms.items() if c})
+
+
+@settings(max_examples=80, deadline=None)
+@given(laurent_scalars(), laurent_scalars())
+def test_laurent_terms_round_trip_and_multiply(a, b):
+    ta, tb = to_laurent(a), to_laurent(b)
+    assert from_laurent(ta) == a and to_laurent(from_laurent(ta)) == ta
+    assert all(c and j in (0, 1) for (_, j), c in ta.items())
+    assert from_laurent(laurent_dot([(ta, tb)])) == a * b
+    assert from_laurent(laurent_dot([(ta, tb), (tb, tb)])) == a * b + b * b
+    assert from_laurent(laurent_conj(ta)) == a.conjugate()
+
+
+def test_laurent_terms_of_frozen_values():
+    assert to_laurent(q_pow(-1) - I * s_pow(3)) == {(-2, 0): 1, (3, 1): -1}
+    assert to_laurent(ZERO) == {} and from_laurent({}) == ZERO
+    # the canonical form: num / s^2 with a constant term in num
+    assert from_laurent({(-2, 0): 1, (1, 1): 2}).to_string() == "[0:1,3:2i]/[2:1]"
+
+
+@pytest.mark.parametrize(
+    "c",
+    [
+        from_fraction("1/2"),
+        ONE / (ONE - q_pow(1)),
+        s_pow(-1) / from_int(3),
+        Scalar({0: GaussRat(0, Fraction(1, 2))}),
+    ],
+    ids=["1/2", "1/(1-q)", "1/(3s)", "i/2"],
+)
+def test_coefficients_outside_the_laurent_ring_are_named(c):
+    with pytest.raises(ValueError, match=re.escape(f"coefficient {c.pretty()} is not in")):
+        to_laurent(c)

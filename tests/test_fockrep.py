@@ -15,7 +15,7 @@ import pytest
 from qmatball import fockrep, integral, ladder
 
 from qmatball.algebras import make_preset, star
-from qmatball.field import GaussRat, I, ONE, Scalar, ZERO, q_pow, s_pow
+from qmatball.field import GaussRat, I, ONE, Scalar, ZERO, from_laurent, q_pow, s_pow
 from qmatball.fockrep import (
     CutoffError,
     TruncatedOperator,
@@ -392,7 +392,8 @@ class TestRankOneLadder:
     def test_word_operator_matches_vector_orbit(self):
         word = (sym("z", 1, 1), sym("z", 1, 1))
         vec = apply_coordinate_word(word, 1, 1)
-        assert vec == {(2,): q_pow(1) * q_pow(2)}
+        assert vec == {(2,): {(6, 0): 1}}
+        assert {k: from_laurent(p) for k, p in vec.items()} == {(2,): q_pow(1) * q_pow(2)}
 
 
 # the laws hold as identities of exact ladder operators, at every degree
@@ -512,6 +513,27 @@ class TestCyclicModuleSide:
                 op, 1, 2, k, k + 1
             )
 
+    @pytest.mark.parametrize("mn", [(1, 2), (2, 2)])
+    def test_theta_blocks_are_the_whole_word_normal_forms(self, mn):
+        z, zs, f0 = sym("z", 1, 2 if mn == (2, 2) else 1), sym("zs", 1, 1), sym("f0")
+        polys = [
+            NCPoly.from_word((z,)),
+            NCPoly.from_word((zs,)),
+            NCPoly.from_word((f0,)),
+            NCPoly.from_word((zs, z, zs), I) + NCPoly.from_word((z, zs)) + NCPoly.one(),
+            NCPoly.from_word((z, f0, zs), q_pow(1)) + NCPoly.from_word((zs, zs, z)),
+        ]
+        for f in polys:
+            for k_in in range(3):
+                for k_out in range(4):
+                    assert theta_block(f, *mn, k_in, k_out) == _theta_by_whole_words(
+                        f, *mn, k_in, k_out
+                    ), (f, k_in, k_out)
+
+    def test_theta_block_rejects_foreign_letters(self):
+        with pytest.raises(ValueError, match=r"t\[1,1\] is not in the alphabet"):
+            theta_block(NCPoly.from_word((sym("t", 1, 1),)), 1, 1, 0, 1)
+
     @pytest.mark.parametrize("mn,through", [((1, 1), 4), ((1, 2), 3), ((2, 1), 3), ((2, 2), 3)])
     def test_equivalence_report(self, mn, through):
         rep = equivalence_report(*mn, through)
@@ -522,6 +544,16 @@ class TestCyclicModuleSide:
         for l in range(4):
             d = len(hilbert_basis(*mn, l))
             assert projector_pairing_rank(*mn, l, Fraction(1, 2)) == d
+
+
+def _theta_by_whole_words(f, m, n, k_in, k_out):
+    """Oracle: f times each in-basis vector, as the normal form of whole
+    words, read off on the out-basis."""
+    funu = make_preset("FunU", m, n)
+    f0 = (sym("f0"),)
+    basis_out = hilbert_basis(m, n, k_out)
+    cols = [funu.multiply(f, NCPoly.from_word(psi + f0)) for psi in hilbert_basis(m, n, k_in)]
+    return [[g.coeff(u + f0) for g in cols] for u in basis_out]
 
 
 def _gram_by_whole_words(m, n, k):
@@ -683,6 +715,38 @@ class TestLawsCatchPlantedFaults:
         bad = rules_as_operators_failures(2, 2)
         assert bad == list(_first_rule_scaled_by_s2(make_preset("Pol", 2, 2).rules))
 
+    def test_starred_rules_are_checked_by_adjunction(self, monkeypatch):
+        # at 2x2, star maps 5 of the 6 z z rules onto zs zs rules, word for
+        # word up to a factor; those 5 build no images of their own
+        built = []
+        real = fockrep.pol_image
+        monkeypatch.setattr(fockrep, "pol_image", lambda f, m, n: built.append(f) or real(f, m, n))
+        assert rules_as_operators_failures(2, 2) == []
+        assert len(built) == 2 * (len(make_preset("Pol", 2, 2).rules) - 5)
+
+    @pytest.mark.parametrize("which", [0, -1])
+    def test_a_rescaled_starred_rule_is_checked_on_its_own(self, monkeypatch, which):
+        # a zs zs rule scaled by s^2 is no longer the star of its z z rule
+        def scaled(rules):
+            pats = [p for p in rules if p[0].kind == p[1].kind == "zs"]
+            pat = pats[which]
+            return {pat: rules[pat].scale(s_pow(2))}
+
+        _with_planted_rules(monkeypatch, "Pol", scaled)
+        assert rules_as_operators_failures(2, 2) == list(scaled(make_preset("Pol", 2, 2).rules))
+
+    def test_a_failing_rule_fails_with_its_starred_partner(self, monkeypatch):
+        # a z z rule and its star scaled alike stay partners, and both fail
+        def scaled(rules):
+            pat = next(p for p in rules if p[0].kind == p[1].kind == "z")
+            spat = (sym("zs", pat[1].row, pat[1].col), sym("zs", pat[0].row, pat[0].col))
+            if spat not in rules:
+                spat = spat[::-1]
+            return {pat: rules[pat].scale(s_pow(2)), spat: rules[spat].scale(s_pow(-2))}
+
+        _with_planted_rules(monkeypatch, "Pol", scaled)
+        assert rules_as_operators_failures(2, 2) == list(scaled(make_preset("Pol", 2, 2).rules))
+
     @pytest.fixture
     def phased_letters(self, monkeypatch):
         """Letters conjugated by the unitary e_k -> i^(k_0) e_k: leg 0's t11
@@ -706,15 +770,16 @@ class TestLawsCatchPlantedFaults:
 
     @pytest.mark.parametrize("mn", [(1, 1), (2, 2)])
     def test_phased_letters_keep_the_type_identity(self, phased_letters, mn):
-        assert any(c.conjugate() != c for op in ladder.letter_images(*mn).values()
-                   for c in op.terms.values())
+        # some term carries the factor i (j = 1 in its key (d, a, e, j))
+        assert any(key[3] for op in ladder.letter_images(*mn).values() for key in op.terms)
         assert type_identity_ok(*mn)
 
     @pytest.mark.parametrize("mn", [(1, 1), (2, 2)])
     def test_an_adjoint_without_conjugation_fails_the_type_identity(
         self, phased_letters, monkeypatch, mn
     ):
-        monkeypatch.setattr(Scalar, "conjugate", lambda c: c)
+        # the conjugation of the adjoint is the sign of the i terms
+        monkeypatch.setattr(ladder, "_conjugate", lambda terms: terms)
         assert not type_identity_ok(*mn)
 
 

@@ -11,14 +11,15 @@ The minors built as exterior powers of the staircase factors are compared
 with their permutation sums, word by word through the letter images.
 """
 
+import re
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmatball import ladder
-from qmatball.field import I, ONE, q_pow
-from qmatball.fockrep import TruncatedOperator, fock_basis
+from qmatball.field import I, ONE, from_fraction, q_pow
+from qmatball.fockrep import TruncatedOperator, fock_basis, rep_pol_poly
 from qmatball.ladder import (
     LadderOperator,
     coordinate_images,
@@ -138,7 +139,7 @@ def test_truncated_images_are_the_reference(m, n, degree):
 def _shift_down(legs):
     """The bare lowering shift T^(-e_0), which leaves the ladder space."""
     down = (-1,) + (0,) * (legs - 1)
-    return LadderOperator(legs, {(down, (0,) * legs): ONE})
+    return LadderOperator(legs, {(down, (0,) * legs, 0, 0): 1})
 
 
 def test_adjoint_of_a_bare_lowering_shift_raises():
@@ -158,7 +159,7 @@ def test_generator_adjoints_match_the_weights():
     # t11* = (X^2 - 1) T^-e on one leg, that is e_j -> (q^-2j - 1) e_j-1:
     # <t11 e_j-1, e_j> = |e_j|^2 = (q^-2j - 1) |e_j-1|^2
     t11 = letter_images(1, 1)[(1, 1)]
-    assert t11.adjoint() == LadderOperator(1, {((-1,), (0,)): -ONE, ((-1,), (2,)): ONE})
+    assert t11.adjoint() == LadderOperator(1, {((-1,), (0,), 0, 0): -1, ((-1,), (2,), 0, 0): 1})
     assert t11.adjoint().apply({(3,): ONE}) == {(2,): q_pow(-6) - ONE}
 
 
@@ -312,3 +313,46 @@ def test_pol_image_is_the_identity_first_sum(mn):
 
     check()
 
+
+
+# ---------------------------------------------------------------------------
+# integer terms and the boundary of Z[i][s, 1/s]
+
+
+def test_operator_terms_are_integers():
+    ops = list(coordinate_images(2, 2).values()) + list(minor_images(2, 2, 2).values())
+    keys = [(key, c) for op in ops for key, c in op.terms.items()]
+    assert len(keys) > 100
+    for (d, a, e, j), c in keys:
+        assert type(c) is int and c and type(e) is int and j in (0, 1), (d, a, e, j, c)
+
+
+_OUTSIDE = [from_fraction("1/2"), ONE / (ONE - q_pow(1))]
+
+
+@pytest.mark.parametrize("c", _OUTSIDE, ids=["1/2", "1/(1-q)"])
+def test_coefficients_outside_the_ring_raise(c):
+    named = re.escape(f"coefficient {c.pretty()} is not in Z[i][s, 1/s]")
+    z, t = sym("z", 1, 1), sym("t", 1, 2)
+    with pytest.raises(ValueError, match=named):
+        LadderOperator.identity(2).scale(c)
+    with pytest.raises(ValueError, match=named):
+        ladder.pol_image(NCPoly.from_word((z, z), c) + NCPoly.one(), 1, 2)
+    with pytest.raises(ValueError, match=named):
+        ladder.pol_image(NCPoly.from_word((), c), 1, 2)
+    with pytest.raises(ValueError, match=named):
+        tpoly_image(NCPoly.from_word((t,), c), 1, 1)
+    with pytest.raises(ValueError, match=named):
+        rep_pol_poly(NCPoly.from_word((sym("zs", 1, 1),), c), 1, 1, 3)
+
+
+def test_gaussian_coefficients_are_kept():
+    # i rides on the j = 1 terms; q^-2 - i is one term of each kind
+    z = coordinate_images(1, 1)[sym("z", 1, 1)]
+    op = z.scale(q_pow(-2) - I)
+    assert z.terms == {((1,), (-1,), 2, 0): 1}
+    assert op.terms == {((1,), (-1,), -2, 0): 1, ((1,), (-1,), 2, 1): -1}
+    assert op.apply({(0,): ONE}) == {(1,): q_pow(-1) - I * q_pow(1)}
+    assert op.scale(I) == z.scale(I * q_pow(-2) + ONE)  # i (q^-2 - i) = i q^-2 + 1
+    # i times i on a vector term: i (q^-1 - i q) = q + i q^-1
+    assert op.apply({(0,): I}) == {(1,): q_pow(1) + I * q_pow(-1)}
