@@ -30,16 +30,18 @@ vacuum modulus, the type identity, the determinant, the rewrite rules as
 operators) are checked on the ladder operators themselves, and so hold at
 every degree.
 
-On the symbolic side, the same module computes the graded left-multiplication
-blocks on the cyclic module spanned by coordinate monomials times the
+On the symbolic side, the same module computes the sparse action of a
+polynomial on the cyclic module spanned by coordinate monomials times the
 rank-one projector (letter by letter, through the lowering map), and the
-associated Gram matrices; comparing those with the ladder-side data
-realizes the unitary-equivalence and positivity certificates of the test
-suite.  The ladder side of that comparison runs on integer terms: the
-vacuum orbit vectors hold {(e, j): c} per basis vector (as
+Gram matrices of that module.  The unitary-equivalence certificate compares
+those Gram matrices with the ones of the vacuum orbit vectors
+v_b = pi(b) e_0, and the action of each coordinate letter with its ladder
+image, pi(x) v_psi = sum of c_u v_u, as integer vectors.  The vacuum orbit
+vectors hold {(e, j): c} per basis vector (as
 :meth:`qmatball.ladder.LadderOperator.apply_int` gives them), each
 ||e_k||^2 is a Laurent polynomial in s over Z, and a Scalar is made once
-per Gram or pairing entry.
+per ladder-side Gram entry; the ladder side of the vector comparison
+makes none.
 """
 
 from __future__ import annotations
@@ -110,15 +112,14 @@ __all__ = [
     "corner_adjoint_relation_ok",
     "rules_as_operators_failures",
     "hilbert_basis",
-    "theta_block",
+    "cyclic_action",
     "gram_matrix",
     "gram_minors_positive",
     "fock_gram_matrix",
     "vacuum_orbit",
     "projector_pairing_matrix",
     "projector_pairing_rank",
-    "pairing_block_theta",
-    "pairing_block_fock",
+    "intertwines",
     "equivalence_report",
     "operator_rows",
     "operator_csv",
@@ -500,42 +501,26 @@ def hilbert_basis(m: int, n: int, k: int) -> list:
     return make_preset("CMat", m, n).basis_by_total_degree(k)
 
 
-def theta_block(f: NCPoly, m: int, n: int, k_in: int, k_out: int):
-    """Block of left multiplication by f between graded slices of the
+def cyclic_action(f: NCPoly, m: int, n: int, psi: tuple) -> dict:
+    """{u: c} over normal z-words u with f psi f0 = sum of c u f0, for a
+    normal z-word psi: the sparse column of left multiplication by f on the
     cyclic module (coordinate monomials times the projector).
 
-    f acts letter by letter from the right (see :func:`_cyclic_action`),
-    which needs the lowering certificate of the FunU preset; a letter
-    outside its alphabet raises ValueError.
+    It needs the lowering certificate of the FunU preset, and a letter of f
+    outside its alphabet raises ValueError.  Each word of f acts letter by
+    letter from the right: a z letter x sends u f0 to NF(x u) f0, which is a
+    sum over z-words since the lowering certificate makes every z z
+    replacement a z-word; a zs letter y sends it to the lowering map
+    L(y, u) (:meth:`~qmatball.words.Presentation.lower`), whose memo the
+    Gram matrices share; and f0 keeps only u = 1, since f0 f0 = f0 and
+    f0 z = 0.  This rewrites in another order than the normal form of the
+    whole product, and reaches the same result because the presentation is
+    confluent.
     """
     funu = make_preset("FunU", m, n)
     funu.require_lowering()
     for word in f.terms:
         funu._check_word(word)
-    basis_in = hilbert_basis(m, n, k_in)
-    index = {w: r for r, w in enumerate(hilbert_basis(m, n, k_out))}
-    block = [[ZERO] * len(basis_in) for _ in index]
-    for col, psi in enumerate(basis_in):
-        for u, c in _cyclic_action(funu, f, psi).items():
-            row = index.get(u)
-            if row is not None:
-                block[row][col] = c
-    return block
-
-
-def _cyclic_action(funu, f: NCPoly, psi: tuple) -> dict:
-    """{u: c} over normal z-words u with f psi f0 = sum of c u f0, for a
-    normal z-word psi.
-
-    Each word of f acts letter by letter from the right: a z letter x sends
-    u f0 to NF(x u) f0, which is a sum over z-words since the lowering
-    certificate makes every z z replacement a z-word; a zs letter y sends it
-    to the lowering map L(y, u) (:meth:`~qmatball.words.Presentation.lower`),
-    whose memo the Gram matrices share; and f0 keeps only u = 1, since
-    f0 f0 = f0 and f0 z = 0.  This rewrites in another order than the normal
-    form of the whole product, and reaches the same result because the
-    presentation is confluent.
-    """
     out: dict = {}
     for word, c in f.terms.items():
         vec = {psi: c}
@@ -758,66 +743,69 @@ def projector_pairing_rank(m: int, n: int, l: int, s0: Fraction) -> int:
     return sum(bareiss_zi(rows)[1] for rows in blocks)
 
 
-def pairing_block_theta(f: NCPoly, m: int, n: int, k_in: int, k_out: int):
-    """Matrix of pairings of (f times in-basis vectors) against out-basis
-    vectors: the transposed coefficient block times the Gram matrix, row p
-    the sum of T[r][p] times Gram row r over the nonzero T[r][p]."""
-    T = theta_block(f, m, n, k_in, k_out)
-    G = gram_matrix(m, n, k_out)
-    out = []
-    for col in zip(*T):
-        row = [ZERO] * len(G)
-        for r, c in enumerate(col):
-            if c:
-                row = [x + c * g for x, g in zip(row, G[r])]
-        out.append(row)
-    return out
+def intertwines(f: NCPoly, m: int, n: int, k: int) -> bool:
+    """Whether pi(f) v_psi = sum of c_u v_u for every degree-k basis word
+    psi, with {u: c_u} = :func:`cyclic_action` of f on psi and
+    v_b = pi(b) e_0 the vacuum orbit vectors (:func:`vacuum_orbit`).
 
-
-def pairing_block_fock(op: LadderOperator, m: int, n: int, k_in: int, k_out: int):
-    """Same pairings computed on the ladder side for the operator image."""
-    duals = _duals(vacuum_orbit(m, n, k_out))
-    images = map(op.apply_int, vacuum_orbit(m, n, k_in))
-    return [[from_laurent(_fock_inner(img, dual)) for dual in duals] for img in images]
+    Both sides are integer vectors: the ladder side as
+    :meth:`~qmatball.ladder.LadderOperator.apply_int` gives it, the module
+    side summed with :func:`~qmatball.field.laurent_dot`.  A word u outside
+    the basis fails the check.  Every rule coefficient lies in the ring
+    Z[i][s, 1/s], so each c_u does too; one that does not makes
+    :func:`~qmatball.field.to_laurent` raise ValueError naming it, so no
+    verdict ever comes from a rounded value.
+    """
+    op = pol_image(f, m, n)
+    orbits: dict = {}
+    for psi, v in zip(hilbert_basis(m, n, k), vacuum_orbit(m, n, k)):
+        pairs: dict = {}
+        for u, c in cyclic_action(f, m, n, psi).items():
+            cu = to_laurent(c)
+            d = len(u)
+            if d not in orbits:
+                orbits[d] = dict(zip(hilbert_basis(m, n, d), vacuum_orbit(m, n, d)))
+            vu = orbits[d].get(u)
+            if vu is None:
+                return False
+            for key, p in vu.items():
+                pairs.setdefault(key, []).append((cu, p))
+        want = {key: p for key, ps in pairs.items() if (p := laurent_dot(ps))}
+        if op.apply_int(v) != want:
+            return False
+    return True
 
 
 def equivalence_report(m: int, n: int, through: int) -> dict:
-    """Unitary-equivalence certificate between the two module pictures.
+    """Unitary-equivalence certificate between the two module pictures, on
+    the slab of degrees <= through.
 
     * gram: the symbolic Gram matrix equals the ladder-side Gram matrix in
-      every degree <= through (so the vacuum-orbit map is isometric);
-    * raising/lowering: for every coordinate generator and its conjugate,
-      the pairings of the symbolic action against the graded basis equal
-      the ladder-side pairings (so the isometry intertwines the actions);
-    * projector: the symbolic projector block on the degree-0 line is
-      ||e_0||^2 = 1, the block of the rank-one projector onto the vacuum.
-    Together with the rewrite rules holding as operator identities, this is
-    exactly unitary equivalence on the slab of degrees <= through.
+      every degree, so the vacuum-orbit map b f0 -> v_b = pi(b) e_0 is an
+      isometry;
+    * raising/lowering: for every coordinate generator and its conjugate x,
+      pi(x) v_psi equals the image of x psi f0 as integer vectors
+      (:func:`intertwines`), so the map intertwines each letter exactly;
+    * projector: f0 acts on the empty word as 1 (:func:`cyclic_action`
+      drops every other word), as the rank-one projector onto the vacuum
+      fixes e_0 = v_1.
+    An isometry that intertwines every letter is a unitary equivalence of
+    the cyclic module with the span of the vacuum orbit.  Comparing
+    pairings <pi(x) v_p, v_r> instead would fix pi(x) v_p only up to
+    vectors orthogonal to every v_r, and so would also need the v_r to span
+    each degree of the ladder space; equal vectors need no such fact.
     """
     report = {"gram": True, "raising": True, "lowering": True, "projector": True}
     for k in range(through + 1):
         if gram_matrix(m, n, k) != fock_gram_matrix(m, n, k):
             report["gram"] = False
-    pol = make_preset("Pol", m, n)
-    for g in pol.symbols("z"):
-        zpoly = NCPoly.from_word((g,))
-        op = coordinate_image(g, m, n)
-        for k in range(through):
-            if pairing_block_theta(zpoly, m, n, k, k + 1) != pairing_block_fock(
-                op, m, n, k, k + 1
-            ):
-                report["raising"] = False
+    for g in make_preset("Pol", m, n).symbols("z"):
         gs = sym("zs", g.row, g.col)
-        spoly = NCPoly.from_word((gs,))
-        sop = coordinate_image(gs, m, n)
-        for k in range(1, through + 1):
-            if pairing_block_theta(spoly, m, n, k, k - 1) != pairing_block_fock(
-                sop, m, n, k, k - 1
-            ):
-                report["lowering"] = False
-    # the projector is no q-difference operator; on the ladder side its
-    # block on the degree-0 line is <P e_0, e_0> = ||e_0||^2 = 1
-    if pairing_block_theta(NCPoly.from_word((sym("f0"),)), m, n, 0, 0) != [[ONE]]:
+        if not all(intertwines(NCPoly.from_word((g,)), m, n, k) for k in range(through)):
+            report["raising"] = False
+        if not all(intertwines(NCPoly.from_word((gs,)), m, n, k) for k in range(1, through + 1)):
+            report["lowering"] = False
+    if cyclic_action(NCPoly.from_word((sym("f0"),)), m, n, ()) != {(): ONE}:
         report["projector"] = False
     return report
 

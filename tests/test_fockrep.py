@@ -12,15 +12,27 @@ from itertools import product
 
 import pytest
 
-from qmatball import fockrep, integral, ladder
+from qmatball import cli, fockrep, integral, ladder
 
 from qmatball.algebras import make_preset, star
-from qmatball.field import GaussRat, I, ONE, Scalar, ZERO, from_laurent, q_pow, s_pow
+from qmatball.field import (
+    GaussRat,
+    I,
+    ONE,
+    Scalar,
+    ZERO,
+    from_fraction,
+    from_laurent,
+    q_pow,
+    s_pow,
+    to_laurent,
+)
 from qmatball.fockrep import (
     CutoffError,
     TruncatedOperator,
     apply_coordinate_word,
     corner_adjoint_relation_ok,
+    cyclic_action,
     det_is_identity_ok,
     diagonal_laws_ok,
     equivalence_report,
@@ -31,11 +43,10 @@ from qmatball.fockrep import (
     gram_matrix,
     gram_minors_positive,
     hilbert_basis,
+    intertwines,
     minor_conjugation_ok,
     operator_csv,
     operator_json,
-    pairing_block_fock,
-    pairing_block_theta,
     projector_pairing_matrix,
     projector_pairing_rank,
     rep_minor,
@@ -43,7 +54,6 @@ from qmatball.fockrep import (
     rep_projector,
     rep_tpoly,
     rules_as_operators_failures,
-    theta_block,
     type_identity_ok,
     vacuum_eigenvalue,
     vacuum_modulus_ok,
@@ -460,15 +470,17 @@ class TestCertifiedLaws:
 
 
 class TestCyclicModuleSide:
-    def test_theta_raising_block_rank_one(self):
-        zpoly = NCPoly.from_word((sym("z", 1, 1),))
+    def test_raising_action_rank_one(self):
+        z = sym("z", 1, 1)
+        zpoly = NCPoly.from_word((z,))
         for k in range(4):
-            assert theta_block(zpoly, 1, 1, k, k + 1) == [[ONE]]
+            assert cyclic_action(zpoly, 1, 1, (z,) * k) == {(z,) * (k + 1): ONE}
 
-    def test_theta_lowering_block_rank_one(self):
+    def test_lowering_action_rank_one(self):
+        z = sym("z", 1, 1)
         spoly = NCPoly.from_word((sym("zs", 1, 1),))
         for k in range(1, 4):
-            assert theta_block(spoly, 1, 1, k, k - 1) == [[ONE - q_pow(2 * k)]]
+            assert cyclic_action(spoly, 1, 1, (z,) * k) == {(z,) * (k - 1): ONE - q_pow(2 * k)}
 
     def test_gram_rank_one_frozen(self):
         for k in range(1, 5):
@@ -495,26 +507,22 @@ class TestCyclicModuleSide:
             for r in range(len(G)):
                 assert G[p][r] == G[r][p].conjugate()
 
-    def test_pairing_blocks_agree_rank_one(self):
+    def test_intertwines_rank_one(self):
         zpoly = NCPoly.from_word((sym("z", 1, 1),))
-        op = ladder.coordinate_image(sym("z", 1, 1), 1, 1)
-        for k in range(3):
-            assert pairing_block_theta(zpoly, 1, 1, k, k + 1) == pairing_block_fock(
-                op, 1, 1, k, k + 1
-            )
+        spoly = NCPoly.from_word((sym("zs", 1, 1),))
+        for k in range(4):
+            assert intertwines(zpoly, 1, 1, k)
+            assert intertwines(spoly, 1, 1, k)
 
-    def test_pairing_blocks_agree_for_a_complex_multiple(self):
-        # the ladder-side pairing is linear in the operator image, conjugate
-        # linear in the basis vector it is paired against
+    def test_intertwines_a_complex_multiple(self):
+        # both sides are linear in f, with the coefficient (I + q) carried
+        # as integer terms
         zpoly = NCPoly.from_word((sym("z", 2, 1),), I + q_pow(1))
-        op = ladder.pol_image(zpoly, 1, 2)
-        for k in range(2):
-            assert pairing_block_theta(zpoly, 1, 2, k, k + 1) == pairing_block_fock(
-                op, 1, 2, k, k + 1
-            )
+        for k in range(3):
+            assert intertwines(zpoly, 1, 2, k)
 
     @pytest.mark.parametrize("mn", [(1, 2), (2, 2)])
-    def test_theta_blocks_are_the_whole_word_normal_forms(self, mn):
+    def test_action_is_the_whole_word_normal_form(self, mn):
         z, zs, f0 = sym("z", 1, 2 if mn == (2, 2) else 1), sym("zs", 1, 1), sym("f0")
         polys = [
             NCPoly.from_word((z,)),
@@ -525,19 +533,31 @@ class TestCyclicModuleSide:
         ]
         for f in polys:
             for k_in in range(3):
-                for k_out in range(4):
-                    assert theta_block(f, *mn, k_in, k_out) == _theta_by_whole_words(
-                        f, *mn, k_in, k_out
-                    ), (f, k_in, k_out)
+                for psi in hilbert_basis(*mn, k_in):
+                    assert cyclic_action(f, *mn, psi) == _action_by_whole_words(
+                        f, *mn, psi
+                    ), (f, psi)
 
-    def test_theta_block_rejects_foreign_letters(self):
+    def test_action_rejects_foreign_letters(self):
         with pytest.raises(ValueError, match=r"t\[1,1\] is not in the alphabet"):
-            theta_block(NCPoly.from_word((sym("t", 1, 1),)), 1, 1, 0, 1)
+            cyclic_action(NCPoly.from_word((sym("t", 1, 1),)), 1, 1, ())
 
-    @pytest.mark.parametrize("mn,through", [((1, 1), 4), ((1, 2), 3), ((2, 1), 3), ((2, 2), 3)])
+    @pytest.mark.parametrize(
+        "mn,through",
+        [((1, 1), 4), ((1, 2), 3), ((2, 1), 3), ((2, 2), 3), ((2, 3), 2), ((3, 2), 2)],
+    )
     def test_equivalence_report(self, mn, through):
         rep = equivalence_report(*mn, through)
         assert all(rep.values()), rep
+
+    @pytest.mark.parametrize("mn", [(1, 1), (2, 2), (3, 3)])
+    def test_rule_coefficients_are_laurent_polynomials(self, mn):
+        # the action's coefficients are sums of products of these, so they
+        # lie in Z[i][s, 1/s] too, which the vector check reads them in
+        for name in ("Pol", "FunU"):
+            for repl in make_preset(name, *mn).rules.values():
+                for c in repl.terms.values():
+                    assert from_laurent(to_laurent(c)) == c
 
     @pytest.mark.parametrize("mn", [(1, 1), (1, 2), (2, 1)])
     def test_projector_pairing_full_rank(self, mn):
@@ -546,14 +566,97 @@ class TestCyclicModuleSide:
             assert projector_pairing_rank(*mn, l, Fraction(1, 2)) == d
 
 
-def _theta_by_whole_words(f, m, n, k_in, k_out):
-    """Oracle: f times each in-basis vector, as the normal form of whole
-    words, read off on the out-basis."""
+def _action_by_whole_words(f, m, n, psi):
+    """Oracle: f psi f0 as the normal form of whole words, each a z-word
+    times f0, read off as {z-word: coefficient}."""
     funu = make_preset("FunU", m, n)
     f0 = (sym("f0"),)
-    basis_out = hilbert_basis(m, n, k_out)
-    cols = [funu.multiply(f, NCPoly.from_word(psi + f0)) for psi in hilbert_basis(m, n, k_in)]
-    return [[g.coeff(u + f0) for g in cols] for u in basis_out]
+    out = {}
+    for w, c in funu.multiply(f, NCPoly.from_word(psi + f0)).terms.items():
+        assert w[-1:] == f0 and all(g.kind == "z" for g in w[:-1]), w
+        out[w[:-1]] = c
+    return out
+
+
+def _failing_keys(m, n, through):
+    return [key for key, ok in equivalence_report(m, n, through).items() if not ok]
+
+
+def _plant_in_action(monkeypatch, target, change):
+    """Let the report see ``change(psi, column)`` as the action of the
+    polynomial ``target`` on psi; every other action is left as it is."""
+    real = fockrep.cyclic_action
+
+    def planted(f, m, n, psi):
+        col = real(f, m, n, psi)
+        return change(psi, col) if f == target else col
+
+    monkeypatch.setattr(fockrep, "cyclic_action", planted)
+
+
+def _first_scaled_by_q(psi, col):
+    if not col:
+        return col
+    u = next(iter(col))
+    return {**col, u: col[u] * q_pow(1)}
+
+
+class TestCyclicMatchCatchesPlantedFaults:
+    @pytest.mark.parametrize("kind,key", [("z", "raising"), ("zs", "lowering")])
+    def test_a_rescaled_ladder_image(self, monkeypatch, kind, key):
+        # only the image the check applies is scaled; the vacuum orbit, and
+        # so the Gram matrices, stay as they are
+        target = NCPoly.from_word((sym(kind, 2, 1),))
+        real = fockrep.pol_image
+
+        def planted(f, m, n):
+            img = real(f, m, n)
+            return img.scale(q_pow(1)) if f == target else img
+
+        monkeypatch.setattr(fockrep, "pol_image", planted)
+        assert _failing_keys(2, 2, 2) == [key]
+
+    @pytest.mark.parametrize("kind,key", [("z", "raising"), ("zs", "lowering")])
+    def test_a_rescaled_action_coefficient(self, monkeypatch, kind, key):
+        # the ladder side is intact, and the Gram matrices come from the
+        # lowering map, not from the action, so the gram key cannot catch it
+        _plant_in_action(monkeypatch, NCPoly.from_word((sym(kind, 2, 1),)), _first_scaled_by_q)
+        assert _failing_keys(2, 2, 2) == [key]
+
+    def test_an_action_word_outside_the_basis_fails(self, monkeypatch):
+        # a dense block indexed by the basis would drop the stray word and pass
+        z11 = sym("z", 1, 1)
+        basis = hilbert_basis(2, 2, 2)
+        letters = make_preset("Pol", 2, 2).symbols("z")
+        stray = next(w for w in product(letters, repeat=2) if w not in basis)
+        target = NCPoly.from_word((z11,))
+        _plant_in_action(
+            monkeypatch, target, lambda psi, col: {**col, stray: ONE} if len(psi) == 1 else col
+        )
+        assert intertwines(target, 2, 2, 0)
+        assert not intertwines(target, 2, 2, 1)
+        assert _failing_keys(2, 2, 2) == ["raising"]
+
+    def test_a_planted_projector_action_fails(self, monkeypatch):
+        _plant_in_action(monkeypatch, NCPoly.from_word((sym("f0"),)), _first_scaled_by_q)
+        assert _failing_keys(1, 2, 1) == ["projector"]
+
+    def test_a_coefficient_outside_the_ring_raises(self, monkeypatch, capsys):
+        # the check reads every coefficient as integer terms; a 1/2 must
+        # stop it with an error naming the value, never give a verdict
+        half = from_fraction(Fraction(1, 2))
+        _plant_in_action(
+            monkeypatch,
+            NCPoly.from_word((sym("z", 1, 1),)),
+            lambda psi, col: {u: c * half for u, c in col.items()},
+        )
+        message = r"coefficient 1/2 is not in Z\[i\]\[s, 1/s\]"
+        with pytest.raises(ValueError, match=message):
+            equivalence_report(1, 1, 2)
+        assert cli.main(["rep-check", "--mn", "1x1", "--max-degree", "2"]) == 1
+        out, err = capsys.readouterr()
+        assert "checks passed" not in out
+        assert "coefficient 1/2 is not in" in err
 
 
 def _gram_by_whole_words(m, n, k):
