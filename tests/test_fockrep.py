@@ -550,7 +550,7 @@ class TestCyclicModuleSide:
         rep = equivalence_report(*mn, through)
         assert all(rep.values()), rep
 
-    @pytest.mark.parametrize("mn", [(1, 1), (2, 2), (3, 3)])
+    @pytest.mark.parametrize("mn", list(product(range(1, 4), repeat=2)))
     def test_rule_coefficients_are_laurent_polynomials(self, mn):
         # the action's coefficients are sums of products of these, so they
         # lie in Z[i][s, 1/s] too, which the vector check reads them in
