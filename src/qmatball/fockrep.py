@@ -33,15 +33,18 @@ every degree.
 On the symbolic side, the same module computes the sparse action of a
 polynomial on the cyclic module spanned by coordinate monomials times the
 rank-one projector (letter by letter, through the lowering map), and the
-Gram matrices of that module.  The unitary-equivalence certificate compares
+Gram matrices of that module; the constant-term pairing of the coordinate
+*-algebra is their transpose.  The unitary-equivalence certificate compares
 those Gram matrices with the ones of the vacuum orbit vectors
 v_b = pi(b) e_0, and the action of each coordinate letter with its ladder
 image, pi(x) v_psi = sum of c_u v_u, as integer vectors.  The vacuum orbit
 vectors hold {(e, j): c} per basis vector (as
-:meth:`qmatball.ladder.LadderOperator.apply_int` gives them), each
-||e_k||^2 is a Laurent polynomial in s over Z, and a Scalar is made once
-per ladder-side Gram entry; the ladder side of the vector comparison
-makes none.
+:meth:`qmatball.ladder.LadderOperator.apply_int` gives them) and each
+||e_k||^2 is a Laurent polynomial in s over Z.  Two vectors pair only
+through the ladder indices they share, so the ladder-side Gram matrix is
+built index by index, from the pairs that share one, and a Scalar is made
+once per nonzero entry; the ladder side of the vector comparison makes
+none.
 """
 
 from __future__ import annotations
@@ -93,8 +96,6 @@ from .words import NCPoly, compositions, generator_weight, sym, word_tokens
 
 __all__ = [
     "CutoffError",
-    "fock_norm2",
-    "fock_weight",
     "fock_basis",
     "TruncatedOperator",
     "rep_tpoly",
@@ -115,7 +116,7 @@ __all__ = [
     "cyclic_action",
     "gram_matrix",
     "gram_minors_positive",
-    "fock_gram_matrix",
+    "fock_gram_entries",
     "vacuum_orbit",
     "projector_pairing_matrix",
     "projector_pairing_rank",
@@ -134,24 +135,6 @@ class CutoffError(ValueError):
 
 # ---------------------------------------------------------------------------
 # weighted basis bookkeeping
-
-
-@lru_cache(maxsize=None)
-def fock_norm2(j: int) -> Scalar:
-    """Squared length of the j-th ladder vector: prod_{i<=j} (q^-2i - 1)."""
-    if j < 0:
-        raise ValueError("ladder index must be nonnegative")
-    if j == 0:
-        return ONE
-    return fock_norm2(j - 1) * (q_pow(-2 * j) - ONE)
-
-
-def fock_weight(k: tuple) -> Scalar:
-    """Squared length of a tensor basis vector (product over the legs)."""
-    out = ONE
-    for j in k:
-        out = out * fock_norm2(j)
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -295,8 +278,8 @@ def _slice(op: LadderOperator, h: _Header, cutoff: int) -> TruncatedOperator:
     cert = cutoff + h.cert
     entries = {}
     for k in fock_basis(op.legs, cert):
-        for kout, c in op.apply({k: ONE}).items():
-            entries[(kout, k)] = c
+        for kout, p in op.apply_int({k: {(0, 0): 1}}).items():
+            entries[(kout, k)] = from_laurent(p)
     return TruncatedOperator(op.legs, cert, entries, h.up, h.down)
 
 
@@ -344,10 +327,10 @@ def vacuum_eigenvalue(op: LadderOperator) -> Scalar:
     """Eigenvalue on the vacuum vector of a ladder operator; raises if the
     vacuum is not fixed."""
     zero_idx = (0,) * op.legs
-    img = op.apply({zero_idx: ONE})
+    img = op.apply_int({zero_idx: {(0, 0): 1}})
     if img.keys() - {zero_idx}:
         raise ValueError("vacuum vector is not an eigenvector")
-    return img.get(zero_idx, ZERO)
+    return from_laurent(img.get(zero_idx, {}))
 
 
 def apply_coordinate_word(word: tuple, m: int, n: int) -> dict:
@@ -560,7 +543,7 @@ def _weight_blocks(m: int, n: int, k: int) -> tuple:
     first position.
 
     Weights depend on the generators alone.  Whether rewriting keeps them
-    depends on the rules, which :func:`_lowered_block` checks: only then
+    depends on the rules, which :func:`gram_matrix` checks: only then
     does a Gram-type entry between words of different weights vanish, the
     entry being the weight-zero coefficient of a normal form of weight equal
     to their difference.
@@ -572,24 +555,31 @@ def _weight_blocks(m: int, n: int, k: int) -> tuple:
     return tuple(map(tuple, blocks.values()))
 
 
-def _lowered_block(pres, m: int, n: int, k: int, below) -> list:
-    """The degree-k block B[p][r] = sum over u of L(zs[a], b_p)[u] below[u][r'],
-    where b_r = z[a] r', L is ``pres.lower`` and ``below`` is the block of
-    degree k - 1.
+@lru_cache(maxsize=None)
+def gram_matrix(m: int, n: int, k: int):
+    """Exact Gram matrix of the degree-k monomials in the cyclic module.
+
+    Entry (p, r) is the pairing of the p-th and r-th basis vectors: the
+    projector coefficient of f0 (conjugate of b_r) b_p f0.  With
+    b_r = z[a] r' it is the sum over u of L(zs[a], b_p)[u] times entry
+    (u, r') of the degree k - 1 matrix, where L is the lowering map of the
+    FunU preset, since f0 (conjugate of r') zs[a] b_p f0 is the sum of
+    L(zs[a], b_p)[u] f0 (conjugate of r') u f0.
 
     Only pairs in one weight block are computed; every other entry is zero,
-    which needs every rule of ``pres`` to be weight-homogeneous (else
-    ArithmeticError).  B is Hermitian, so B[r][p] is the conjugate of
-    B[p][r].
+    which needs every rule to be weight-homogeneous (else ArithmeticError).
+    The matrix is Hermitian, so entry (r, p) is the conjugate of (p, r).
     """
-    _require_none(pres.weight_violations(), "is not weight-homogeneous")
-    pres.require_lowering()  # the degree-0 block [[1]] needs f0 f0 -> f0 too
+    funu = make_preset("FunU", m, n)
+    _require_none(funu.weight_violations(), "is not weight-homogeneous")
+    funu.require_lowering()  # the degree-0 block [[1]] needs f0 f0 -> f0 too
     basis = hilbert_basis(m, n, k)
     d = len(basis)
-    B = [[ZERO] * d for _ in range(d)]
+    G = [[ZERO] * d for _ in range(d)]
     if k == 0:
-        B[0][0] = ONE
-        return B
+        G[0][0] = ONE
+        return G
+    below = gram_matrix(m, n, k - 1)
     index = {w: i for i, w in enumerate(hilbert_basis(m, n, k - 1))}
     for block in _weight_blocks(m, n, k):
         for i, r in enumerate(block):
@@ -598,28 +588,14 @@ def _lowered_block(pres, m: int, n: int, k: int, below) -> list:
             y = sym("zs", br[0].row, br[0].col)
             for p in block[i:]:
                 val = ZERO
-                for u, c in pres.lower(y, basis[p]).items():
+                for u, c in funu.lower(y, basis[p]).items():
                     e = below[index[u]][col]
                     if e:
                         val = val + c * e
-                B[p][r] = val
+                G[p][r] = val
                 if p != r:
-                    B[r][p] = val.conjugate()
-    return B
-
-
-@lru_cache(maxsize=None)
-def gram_matrix(m: int, n: int, k: int):
-    """Exact Gram matrix of the degree-k monomials in the cyclic module.
-
-    Entry (p, r) is the pairing of the p-th and r-th basis vectors: the
-    projector coefficient of f0 (conjugate of b_r) b_p f0.  With
-    b_r = z[a] r' it is the sum over u of L(zs[a], b_p)[u] times entry
-    (u, r') of the degree k - 1 matrix, since f0 (conjugate of r') zs[a] b_p
-    f0 is the sum of L(zs[a], b_p)[u] f0 (conjugate of r') u f0.
-    """
-    pres = make_preset("FunU", m, n)
-    return _lowered_block(pres, m, n, k, gram_matrix(m, n, k - 1) if k else None)
+                    G[r][p] = val.conjugate()
+    return G
 
 
 def gram_minors_positive(m: int, n: int, k: int, s0: Fraction) -> bool:
@@ -675,41 +651,39 @@ def vacuum_orbit(m: int, n: int, k: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _weight_terms(k: tuple) -> dict:
-    """||e_k||^2 as integer terms: a Laurent polynomial in s over Z."""
-    return to_laurent(fock_weight(k))
+    """||e_k||^2 = prod over legs l and 1 <= i <= k_l of (s^-4i - 1), as
+    integer terms: a Laurent polynomial in s over Z."""
+    out = {(0, 0): 1}
+    for j in k:
+        for i in range(1, j + 1):
+            out = laurent_dot([(out, {(-4 * i, 0): 1, (0, 0): -1})])
+    return out
 
 
-def _duals(vecs) -> list:
-    """For each vector v, the map k -> conj(v_k) ||e_k||^2, so that the
-    inner product of u with v is the sum of u_k times it."""
-    return [
-        {k: laurent_dot([(laurent_conj(p), _weight_terms(k))]) for k, p in v.items()}
-        for v in vecs
-    ]
+def fock_gram_entries(m: int, n: int, k: int) -> dict:
+    """The Gram matrix of the vacuum orbit vectors of the degree-k
+    monomials, as {(p, r): integer terms of <v_p, v_r>} over p <= r, zero
+    entries left out.
+
+    <v_p, v_r> is the sum of v_p[K] conj(v_r[K]) ||e_K||^2 over the ladder
+    indices K that both vectors reach, so the vectors are grouped by index
+    and only pairs within a group are formed.  Entry (r, p) is the
+    conjugate of entry (p, r).
+    """
+    by_index: dict = {}
+    for p, v in enumerate(vacuum_orbit(m, n, k)):
+        for key, terms in v.items():
+            by_index.setdefault(key, []).append((p, terms))
+    pairs: dict = {}
+    for key, column in by_index.items():
+        weight = _weight_terms(key)
+        for i, (r, vr) in enumerate(column):
+            dual = laurent_dot([(laurent_conj(vr), weight)])
+            for p, vp in column[: i + 1]:
+                pairs.setdefault((p, r), []).append((vp, dual))
+    return {pr: acc for pr, ps in pairs.items() if (acc := laurent_dot(ps))}
 
 
-def _fock_inner(u: dict, dual: dict) -> dict:
-    """The inner product of u with the vector whose :func:`_duals` entry is
-    ``dual``, as integer terms."""
-    return laurent_dot((p, dual[k]) for k, p in u.items() if k in dual)
-
-
-def fock_gram_matrix(m: int, n: int, k: int):
-    """Gram matrix of the vacuum orbit vectors of the degree-k monomials."""
-    vecs = vacuum_orbit(m, n, k)
-    duals = _duals(vecs)
-    d = len(vecs)
-    G = [[ZERO] * d for _ in range(d)]
-    for p in range(d):
-        for r in range(p, d):
-            acc = _fock_inner(vecs[p], duals[r])
-            G[p][r] = from_laurent(acc)
-            if p != r:
-                G[r][p] = from_laurent(laurent_conj(acc))
-    return G
-
-
-@lru_cache(maxsize=None)
 def projector_pairing_matrix(m: int, n: int, l: int):
     """Constant-term pairings of conjugated degree-l monomials against
     degree-l monomials in the coordinate *-algebra (no projector involved).
@@ -718,17 +692,22 @@ def projector_pairing_matrix(m: int, n: int, l: int):
     degree-l monomial acts on the cyclic module by (vector) times (this
     pairing); the block of all such operators between the graded slices has
     full rank exactly when this matrix is invertible.  Entry (r, p) is the
-    constant term of (conjugate of b_r) b_p; its transpose follows the Gram
-    recursion, since the words of zs[a] b_p that the lowering map drops end
-    in zs and so have no constant term after any left factor.
+    constant term of X = (conjugate of b_r) b_p, and this is the transpose
+    of :func:`gram_matrix`, whose entry (p, r) is the projector coefficient
+    of f0 X f0:
+
+    * every rule of the Pol preset is a rule of FunU with the same
+      replacement, so X rewrites in FunU to its Pol normal form, the
+      constant term c plus normal Pol words;
+    * every zs z pair is a Pol pattern, so a nonempty normal Pol word is
+      z...z zs...zs: it starts with z or ends with zs, and f0 z = 0,
+      zs f0 = 0 in FunU, while f0 f0 = f0;
+    * so f0 X f0 rewrites to c f0, and FunU's rewriting is certified
+      confluent, so c f0 is its normal form.
+    The test suite checks the first two facts at every size from 1x1
+    through 3x3.
     """
-    pres = make_preset("Pol", m, n)
-    below = _transpose(projector_pairing_matrix(m, n, l - 1)) if l else None
-    return _transpose(_lowered_block(pres, m, n, l, below))
-
-
-def _transpose(M) -> list:
-    return [list(col) for col in zip(*M)]
+    return [list(col) for col in zip(*gram_matrix(m, n, l))]
 
 
 def projector_pairing_rank(m: int, n: int, l: int, s0: Fraction) -> int:
@@ -780,9 +759,11 @@ def equivalence_report(m: int, n: int, through: int) -> dict:
     """Unitary-equivalence certificate between the two module pictures, on
     the slab of degrees <= through.
 
-    * gram: the symbolic Gram matrix equals the ladder-side Gram matrix in
-      every degree, so the vacuum-orbit map b f0 -> v_b = pi(b) e_0 is an
-      isometry;
+    * gram: the symbolic Gram matrix equals the ladder-side one
+      (:func:`fock_gram_entries`) in every degree, so the vacuum-orbit map
+      b f0 -> v_b = pi(b) e_0 is an isometry; the nonzero entries on and
+      above the diagonal are compared, across the whole triangle, and each
+      side's other entries are their conjugates;
     * raising/lowering: for every coordinate generator and its conjugate x,
       pi(x) v_psi equals the image of x psi f0 as integer vectors
       (:func:`intertwines`), so the map intertwines each letter exactly;
@@ -797,7 +778,10 @@ def equivalence_report(m: int, n: int, through: int) -> dict:
     """
     report = {"gram": True, "raising": True, "lowering": True, "projector": True}
     for k in range(through + 1):
-        if gram_matrix(m, n, k) != fock_gram_matrix(m, n, k):
+        G = gram_matrix(m, n, k)
+        upper = {(p, r): c for p, row in enumerate(G) for r, c in enumerate(row[p:], p) if c}
+        ladder = {pr: from_laurent(terms) for pr, terms in fock_gram_entries(m, n, k).items()}
+        if upper != ladder:
             report["gram"] = False
     for g in make_preset("Pol", m, n).symbols("z"):
         gs = sym("zs", g.row, g.col)

@@ -26,9 +26,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebras import make_preset, star
-from .field import ONE, Scalar, ZERO, add_terms, s_pow
-from .fockrep import hilbert_basis
+from .algebras import star
+from .field import Scalar, ZERO, add_terms, s_pow
+from .fockrep import cyclic_action, hilbert_basis
 from .uqaction import UqElement, act, antipode, counit
 from .words import NCPoly, Presentation, sym
 
@@ -123,17 +123,14 @@ def _sandwich_pairing(m: int, n: int, zspart: tuple, zpart: tuple) -> Scalar:
     """Projector coefficient of (projector, conjugate block, block, projector).
 
     This is the only matrix element a sandwich reaches on the diagonal of the
-    cyclic module, so it carries the whole trace of left multiplication.  The
-    lowering map strips one conjugate letter at a time, from the right; then
-    f0 u f0 is f0 for the empty word u and 0 otherwise (f0 z = 0).
+    cyclic module, so it carries the whole trace of left multiplication.  It
+    is the coefficient of the empty word in the action of the conjugate
+    block on the block (:func:`~qmatball.fockrep.cyclic_action`, which
+    strips one conjugate letter at a time, from the right, through the
+    lowering map), since f0 u f0 is f0 for the empty word u and 0 otherwise
+    (f0 z = 0).
     """
-    pres = make_preset("FunU", m, n)
-    v = {zpart: ONE}
-    for y in reversed(zspart):
-        v = add_terms({}, (
-            (u2, c * c2) for u, c in v.items() for u2, c2 in pres.lower(y, u).items()
-        ))
-    return v.get((), ZERO)
+    return cyclic_action(NCPoly.from_word(zspart), m, n, zpart).get((), ZERO)
 
 
 def integral_nu(f: NCPoly, preset: Presentation) -> Scalar:

@@ -2,7 +2,8 @@
 
 The ladder space has the basis e_k, k in N^L, one index per tensor leg
 (L = mn legs for the (m, n) block split), with the weights
-||e_k||^2 = prod_l fock_norm2(k_l) of :mod:`qmatball.fockrep`.  Write X_l
+||e_k||^2 = prod over legs l of (q^-2 - 1)(q^-4 - 1)...(q^-2k_l - 1), as in
+:mod:`qmatball.fockrep`.  Write X_l
 for the diagonal operator e_k -> q^(-k_l) e_k and T^d for the shift
 e_k -> e_(k+d).  The term c X^a T^d sends e_k to c q^(-a.k) e_(k+d), and
 every 2 x 2 ladder generator on leg r is a sum of such terms:
@@ -18,9 +19,11 @@ Every coefficient met on this side lies in Z[i][s, 1/s], and most are
 {(d, a, e, j): c} of nonzero ints, standing for c i^j s^e X^a T^d with j in
 {0, 1}, and its products, sums and adjoints cost int operations only.  A
 Scalar enters through :meth:`LadderOperator.scale` (the coefficients of a
-polynomial ride on it) and leaves through :meth:`LadderOperator.apply`; a
-coefficient outside Z[i][s, 1/s], such as 1/2 or 1/(1 - q), raises
-ValueError naming it and is never rounded.  For operators that preserve the
+polynomial ride on it), and a coefficient outside Z[i][s, 1/s], such as 1/2
+or 1/(1 - q), raises ValueError naming it and is never rounded; no Scalar
+leaves: :meth:`LadderOperator.apply_int` maps integer terms to integer
+terms, which :func:`qmatball.field.from_laurent` turns into a Scalar where
+one is wanted.  For operators that preserve the
 ladder space, equal dicts and equal operators are the same thing: the
 characters k -> q^(-a.k) of distinct exponents a are linearly independent,
 also on any translated orthant of N^L, because q is not a root of unity
@@ -53,7 +56,7 @@ from functools import lru_cache
 from itertools import combinations
 from operator import add, mul
 
-from .field import ZERO, Scalar, from_laurent, q_pow, to_laurent
+from .field import ZERO, Scalar, q_pow, to_laurent
 from .qminors import (
     col_signs,
     coordinate_numerator_label,
@@ -218,13 +221,6 @@ class LadderOperator:
             if min(k) < 0:
                 raise ArithmeticError(f"image leaves the ladder space at index {k}")
         return out
-
-    def apply(self, vec: dict) -> dict:
-        """Image of a vector given as {multi-index: Scalar}, through
-        :meth:`apply_int`; a coefficient outside Z[i][s, 1/s] raises
-        ValueError."""
-        out = self.apply_int({k: to_laurent(v) for k, v in vec.items()})
-        return {k: from_laurent(p) for k, p in out.items()}
 
     def __repr__(self):
         return f"LadderOperator(legs={self.legs}, terms={len(self.terms)})"

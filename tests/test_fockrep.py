@@ -23,6 +23,8 @@ from qmatball.field import (
     ZERO,
     from_fraction,
     from_laurent,
+    laurent_conj,
+    laurent_dot,
     q_pow,
     s_pow,
     to_laurent,
@@ -37,9 +39,7 @@ from qmatball.fockrep import (
     diagonal_laws_ok,
     equivalence_report,
     fock_basis,
-    fock_gram_matrix,
-    fock_norm2,
-    fock_weight,
+    fock_gram_entries,
     gram_matrix,
     gram_minors_positive,
     hilbert_basis,
@@ -60,7 +60,7 @@ from qmatball.fockrep import (
     vacuum_modulus_value,
     vacuum_orbit,
 )
-from qmatball.fockrep import _leading_minors_positive
+from qmatball.fockrep import _leading_minors_positive, _weight_terms
 from qmatball.ladder import sign_chain, staircase_transpositions
 from qmatball.qminors import corner_minor_label, qdet, qminor, volume_element
 from qmatball.words import NCPoly, Presentation, sym
@@ -70,21 +70,26 @@ from compact_involution import star_compact, star_compact_poly, t_gen
 from dense_linalg import mat_det, mat_rank
 
 
+def _norm2(k: tuple):
+    return from_laurent(_weight_terms(k))
+
+
 class TestWeights:
     def test_norm_squares(self):
-        assert fock_norm2(0) == ONE
-        assert fock_norm2(1) == q_pow(-2) - ONE
-        assert fock_norm2(2) == (q_pow(-2) - ONE) * (q_pow(-4) - ONE)
+        assert _norm2((0,)) == ONE
+        assert _norm2((1,)) == q_pow(-2) - ONE
+        assert _norm2((2,)) == (q_pow(-2) - ONE) * (q_pow(-4) - ONE)
 
     def test_norms_positive_at_sample_points(self):
         # 0 < q < 1 makes every factor q^-2i - 1 positive
         for j in range(1, 7):
             for s0 in (Fraction(1, 2), Fraction(9, 10)):
-                v = fock_norm2(j).eval_at(s0)
+                v = _norm2((j,)).eval_at(s0)
                 assert v.im == 0 and v.re > 0
 
     def test_weight_is_leg_product(self):
-        assert fock_weight((2, 1)) == fock_norm2(2) * fock_norm2(1)
+        assert _norm2((2, 1)) == _norm2((2,)) * _norm2((1,))
+        assert _norm2((0, 3, 0)) == _norm2((3,))
 
     def test_basis_enumeration(self):
         assert fock_basis(2, 2) == ((0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0))
@@ -490,9 +495,17 @@ class TestCyclicModuleSide:
             assert gram_matrix(1, 1, k) == [[expect]]
 
     def test_gram_matches_ladder_side(self):
+        # the sparse entries, with the lower triangle filled by conjugation,
+        # are the whole symbolic matrix
         for mn in [(1, 1), (1, 2), (2, 1)]:
             for k in range(4):
-                assert gram_matrix(*mn, k) == fock_gram_matrix(*mn, k)
+                G = gram_matrix(*mn, k)
+                dense = [[ZERO] * len(G) for _ in G]
+                for (p, r), terms in fock_gram_entries(*mn, k).items():
+                    assert p <= r and terms
+                    dense[p][r] = from_laurent(terms)
+                    dense[r][p] = from_laurent(laurent_conj(terms))
+                assert dense == G
 
     def test_vacuum_orbit_is_built_once_per_degree(self):
         orbit = vacuum_orbit(2, 2, 2)
@@ -641,6 +654,36 @@ class TestCyclicMatchCatchesPlantedFaults:
         _plant_in_action(monkeypatch, NCPoly.from_word((sym("f0"),)), _first_scaled_by_q)
         assert _failing_keys(1, 2, 1) == ["projector"]
 
+    def test_a_rescaled_ladder_weight(self, monkeypatch):
+        # ||e_K||^2 times q at one index K that a degree-1 vector reaches;
+        # the intertwining keys compare vectors and never read a weight
+        real = fockrep._weight_terms
+        scaled = next(iter(vacuum_orbit(2, 2, 1)[0]))
+
+        def planted(key):
+            terms = real(key)
+            return laurent_dot([(terms, {(2, 0): 1})]) if key == scaled else terms
+
+        monkeypatch.setattr(fockrep, "_weight_terms", planted)
+        assert _failing_keys(2, 2, 2) == ["gram"]
+
+    def test_an_off_block_symbolic_gram_entry(self, monkeypatch):
+        # one Hermitian pair of entries between two weight blocks set to 1:
+        # the ladder side leaves the pair out, and the whole triangle is read
+        real = fockrep.gram_matrix
+        (p, *_), (r, *_) = fockrep._weight_blocks(2, 2, 2)[:2]
+
+        def planted(m, n, k):
+            G = real(m, n, k)
+            if (m, n, k) != (2, 2, 2):
+                return G
+            G = [list(row) for row in G]
+            G[p][r] = G[r][p] = ONE
+            return G
+
+        monkeypatch.setattr(fockrep, "gram_matrix", planted)
+        assert _failing_keys(2, 2, 2) == ["gram"]
+
     def test_a_coefficient_outside_the_ring_raises(self, monkeypatch, capsys):
         # the check reads every coefficient as integer terms; a 1/2 must
         # stop it with an error naming the value, never give a verdict
@@ -686,6 +729,28 @@ def _pairing_by_whole_words(m, n, l):
     ]
 
 
+def _pairing_by_pol_lowering(m, n, l):
+    """Oracle: entry (r, p) strips the letters of (conjugate of b_r) from
+    b_p one at a time, from the right, through the lowering map of Pol,
+    and reads the constant term; the words that map drops end in zs, so
+    they have no constant term after any left factor."""
+    pol = make_preset("Pol", m, n)
+    basis = hilbert_basis(m, n, l)
+
+    def pair(br, bp):
+        v = {bp: ONE}
+        for g in br:
+            y = sym("zs", g.row, g.col)
+            acc = {}
+            for u, c in v.items():
+                for u2, c2 in pol.lower(y, u).items():
+                    acc[u2] = acc.get(u2, ZERO) + c * c2
+            v = acc
+        return v.get((), ZERO)
+
+    return [[pair(br, bp) for bp in basis] for br in basis]
+
+
 def _minors_positive_by_determinants(G):
     """Oracle: one determinant per leading principal minor."""
     for t in range(1, len(G) + 1):
@@ -714,8 +779,8 @@ class TestPrefixSharedBlocks:
     def test_gram_equals_whole_word_normal_forms_larger(self, mn, k):
         assert gram_matrix(*mn, k) == _gram_by_whole_words(*mn, k)
 
-    # the pairing oracle at 2x2 in degree 4 takes about 10 s; the transpose
-    # test below ties that block to the Gram oracle instead
+    # the pairing oracle at 2x2 in degree 4 takes about 10 s; the test
+    # against Pol's lowering chains below reaches that block instead
     @pytest.mark.parametrize("l", range(3))
     def test_pairing_equals_whole_word_normal_forms_rectangular(self, l):
         assert projector_pairing_matrix(2, 3, l) == _pairing_by_whole_words(2, 3, l)
@@ -732,14 +797,24 @@ class TestPrefixSharedBlocks:
         + [((2, 3), l) for l in range(4)],
     )
     def test_pairing_is_gram_transposed(self, mn, l):
-        # f0 X f0 = (constant term of X) f0, so both read the same pairing
-        G = gram_matrix(*mn, l)
-        assert projector_pairing_matrix(*mn, l) == [list(col) for col in zip(*G)]
+        # the pairing is defined as the transposed Gram matrix, read through
+        # FunU; the oracle reads the constant terms through Pol's own rules
+        assert projector_pairing_matrix(*mn, l) == _pairing_by_pol_lowering(*mn, l)
+
+    @pytest.mark.parametrize("mn", list(product(range(1, 4), repeat=2)))
+    def test_pol_rules_are_funu_rules(self, mn):
+        # the two facts behind the pairing as the transposed Gram matrix:
+        # every Pol rule rewrites alike in FunU, and every zs z pair is a Pol
+        # pattern, so a nonempty normal Pol word starts with z or ends in zs
+        pol, funu = make_preset("Pol", *mn), make_preset("FunU", *mn)
+        assert all(funu.rules.get(pat) == repl for pat, repl in pol.rules.items())
+        assert pol.lowering_violations() == []
 
 
 def _with_planted_rules(monkeypatch, name, extra):
-    """Let fockrep and integral see preset ``name`` with ``extra`` rules laid
-    over its own; a rule mapped to None is taken out."""
+    """Let fockrep (and so the integral's pairing, which goes through
+    :func:`fockrep.cyclic_action`) see preset ``name`` with ``extra`` rules
+    laid over its own; a rule mapped to None is taken out."""
     real = fockrep.make_preset
 
     def fake(pname, m, n):
@@ -751,7 +826,6 @@ def _with_planted_rules(monkeypatch, name, extra):
         return Presentation(preset.name, m, n, preset.kinds, rules)
 
     monkeypatch.setattr(fockrep, "make_preset", fake)
-    monkeypatch.setattr(integral, "make_preset", fake)
 
 
 def _off_weight_term(rules):
@@ -776,19 +850,14 @@ class TestFailedCertificatesRaise:
         with pytest.raises(ArithmeticError, match=r"z\[2,1\].*weight.*z\[1,1\]"):
             fockrep.gram_matrix.__wrapped__(1, 2, 2)
 
-    def test_pairing_needs_weight_homogeneous_rules(self, monkeypatch):
-        _with_planted_rules(monkeypatch, "Pol", _off_weight_term)
-        with pytest.raises(ArithmeticError, match="weight-homogeneous"):
-            fockrep.projector_pairing_matrix.__wrapped__(1, 2, 2)
-
     def test_pairing_needs_z_to_stay_in_front(self, monkeypatch):
         # z zs -> 1 makes the (z, zs) replacement word of zs z a pattern
         z, zs = sym("z", 1, 1), sym("zs", 1, 1)
-        _with_planted_rules(monkeypatch, "Pol", lambda rules: {(z, zs): NCPoly.one()})
+        _with_planted_rules(monkeypatch, "FunU", lambda rules: {(z, zs): NCPoly.one()})
         with pytest.raises(
             ArithmeticError, match=r"zs\[1,1\].*z\[1,1\].*normal \(z, zs\) pair.*lowering"
         ):
-            fockrep.projector_pairing_matrix.__wrapped__(1, 1, 1)
+            fockrep.gram_matrix.__wrapped__(1, 1, 1)
 
     @pytest.mark.parametrize(
         "extra,message",

@@ -99,7 +99,8 @@ def scale(op, c):
 
 
 def _norm2_ratio(jout: int, jin: int):
-    """fock_norm2(jout) / fock_norm2(jin), factor by factor."""
+    """||e_jout||^2 / ||e_jin||^2 on one leg, with ||e_j||^2 the product
+    of (q^-2i - 1) over 1 <= i <= j, factor by factor."""
     lo, hi = sorted((jout, jin))
     out = ONE
     for i in range(lo + 1, hi + 1):
