@@ -236,13 +236,13 @@ def cmd_act(args) -> int:
 def cmd_gram(args) -> int:
     m, n = _parse_mn(args.mn)
     k = args.max_degree
-    G = gram_matrix(m, n, k)
-    d = len(G)
+    cells = [[c.to_string() for c in row] for row in gram_matrix(m, n, k)]
+    d = len(cells)
     payload = {
         "mn": f"{m}x{n}",
         "degree": k,
         "dimension": d,
-        "entries": [[G[i][j].to_string() for j in range(d)] for i in range(d)],
+        "entries": cells,
     }
     code = 0
     if args.q0 is not None:
@@ -258,9 +258,8 @@ def cmd_gram(args) -> int:
         buf.write(f"# mn={m}x{n} degree={k} dimension={d}\n")
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["row", "col", "value"])
-        for i in range(d):
-            for j in range(d):
-                writer.writerow([i, j, G[i][j].to_string()])
+        for i, row in enumerate(cells):
+            writer.writerows([i, j, cell] for j, cell in enumerate(row))
         _emit(buf.getvalue(), args.out)
     else:
         _emit_json(payload, args.out)

@@ -118,7 +118,6 @@ __all__ = [
     "gram_minors_positive",
     "fock_gram_entries",
     "vacuum_orbit",
-    "projector_pairing_matrix",
     "projector_pairing_rank",
     "intertwines",
     "equivalence_report",
@@ -543,7 +542,7 @@ def _weight_blocks(m: int, n: int, k: int) -> tuple:
     first position.
 
     Weights depend on the generators alone.  Whether rewriting keeps them
-    depends on the rules, which :func:`gram_matrix` checks: only then
+    depends on the rules, which :func:`_gram_entries` checks: only then
     does a Gram-type entry between words of different weights vanish, the
     entry being the weight-zero coefficient of a normal form of weight equal
     to their difference.
@@ -556,8 +555,9 @@ def _weight_blocks(m: int, n: int, k: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def gram_matrix(m: int, n: int, k: int):
-    """Exact Gram matrix of the degree-k monomials in the cyclic module.
+def _gram_entries(m: int, n: int, k: int) -> dict:
+    """Exact Gram matrix of the degree-k monomials in the cyclic module, as
+    its nonzero entries {(p, r): Scalar}.  Shared: do not mutate.
 
     Entry (p, r) is the pairing of the p-th and r-th basis vectors: the
     projector coefficient of f0 (conjugate of b_r) b_p f0.  With
@@ -573,14 +573,12 @@ def gram_matrix(m: int, n: int, k: int):
     funu = make_preset("FunU", m, n)
     _require_none(funu.weight_violations(), "is not weight-homogeneous")
     funu.require_lowering()  # the degree-0 block [[1]] needs f0 f0 -> f0 too
-    basis = hilbert_basis(m, n, k)
-    d = len(basis)
-    G = [[ZERO] * d for _ in range(d)]
     if k == 0:
-        G[0][0] = ONE
-        return G
-    below = gram_matrix(m, n, k - 1)
+        return {(0, 0): ONE}
+    basis = hilbert_basis(m, n, k)
+    below = _gram_entries(m, n, k - 1)
     index = {w: i for i, w in enumerate(hilbert_basis(m, n, k - 1))}
+    out = {}
     for block in _weight_blocks(m, n, k):
         for i, r in enumerate(block):
             br = basis[r]
@@ -589,13 +587,23 @@ def gram_matrix(m: int, n: int, k: int):
             for p in block[i:]:
                 val = ZERO
                 for u, c in funu.lower(y, basis[p]).items():
-                    e = below[index[u]][col]
+                    e = below.get((index[u], col))
                     if e:
                         val = val + c * e
-                G[p][r] = val
-                if p != r:
-                    G[r][p] = val.conjugate()
-    return G
+                if val:
+                    out[p, r] = val
+                    if p != r:
+                        out[r, p] = val.conjugate()
+    return out
+
+
+def gram_matrix(m: int, n: int, k: int):
+    """The degree-k Gram matrix as dense rows: :func:`_gram_entries`, and
+    ZERO elsewhere.  Every FunU and Pol rule coefficient is real (the tests
+    check it through 3x3), so the matrix is real symmetric."""
+    entries = _gram_entries(m, n, k)
+    d = len(hilbert_basis(m, n, k))
+    return [[entries.get((p, r), ZERO) for r in range(d)] for p in range(d)]
 
 
 def gram_minors_positive(m: int, n: int, k: int, s0: Fraction) -> bool:
@@ -609,12 +617,13 @@ def gram_minors_positive(m: int, n: int, k: int, s0: Fraction) -> bool:
     (:func:`qmatball.linalg.bareiss_zi`).  ``s0`` is anything
     ``Fraction`` accepts; a pole of an entry at s0 raises ZeroDivisionError.
     """
-    blocks = _zi_blocks(gram_matrix(m, n, k), _weight_blocks(m, n, k), s0)
+    blocks = _zi_blocks(_gram_entries(m, n, k), _weight_blocks(m, n, k), s0)
     return all(_leading_minors_positive(rows) for rows in blocks)
 
 
-def _zi_blocks(M, blocks, s0) -> list:
-    """Each weight block of M at s = s0, as rows of (re, im) int pairs.
+def _zi_blocks(M: dict, blocks, s0) -> list:
+    """Each weight block of the matrix M, given as {(p, r): Scalar} with
+    zero entries left out, at s = s0, as rows of (re, im) int pairs.
 
     Every nonzero entry is evaluated exactly (all of them, before any
     elimination, so a pole raises whatever the verdict), and each row is
@@ -627,8 +636,8 @@ def _zi_blocks(M, blocks, s0) -> list:
     for block in blocks:
         rows = []
         for p in block:
-            row = M[p]
-            vals = [row[r].eval_triple(u, v) if row[r] else (0, 0, 1) for r in block]
+            row = [M.get((p, r)) for r in block]
+            vals = [e.eval_triple(u, v) if e else (0, 0, 1) for e in row]
             scale = lcm(*(d for _, _, d in vals))
             rows.append([(a * (scale // d), b * (scale // d)) for a, b, d in vals])
         out.append(rows)
@@ -684,17 +693,17 @@ def fock_gram_entries(m: int, n: int, k: int) -> dict:
     return {pr: acc for pr, ps in pairs.items() if (acc := laurent_dot(ps))}
 
 
-def projector_pairing_matrix(m: int, n: int, l: int):
-    """Constant-term pairings of conjugated degree-l monomials against
-    degree-l monomials in the coordinate *-algebra (no projector involved).
+def projector_pairing_rank(m: int, n: int, l: int, s0: Fraction) -> int:
+    """Rank of the constant-term pairing matrix at a sample parameter value
+    (a lower bound for the generic rank).
 
     Sandwiching the projector between a degree-k monomial and a conjugated
     degree-l monomial acts on the cyclic module by (vector) times (this
     pairing); the block of all such operators between the graded slices has
-    full rank exactly when this matrix is invertible.  Entry (r, p) is the
-    constant term of X = (conjugate of b_r) b_p, and this is the transpose
-    of :func:`gram_matrix`, whose entry (p, r) is the projector coefficient
-    of f0 X f0:
+    full rank exactly when the matrix is invertible.  Its entry (r, p) is the
+    constant term of X = (conjugate of b_r) b_p in the coordinate *-algebra
+    (no projector involved), so it is the transpose of the Gram matrix,
+    whose entry (p, r) is the projector coefficient of f0 X f0:
 
     * every rule of the Pol preset is a rule of FunU with the same
       replacement, so X rewrites in FunU to its Pol normal form, the
@@ -705,20 +714,12 @@ def projector_pairing_matrix(m: int, n: int, l: int):
     * so f0 X f0 rewrites to c f0, and FunU's rewriting is certified
       confluent, so c f0 is its normal form.
     The test suite checks the first two facts at every size from 1x1
-    through 3x3.
+    through 3x3.  A matrix and its transpose have the same rank, so this is
+    the sum of the ranks of the Gram matrix's weight blocks, each from one
+    fraction-free pass over Z[i] as in :func:`gram_minors_positive`, which
+    also says which ``s0`` are accepted.
     """
-    return [list(col) for col in zip(*gram_matrix(m, n, l))]
-
-
-def projector_pairing_rank(m: int, n: int, l: int, s0: Fraction) -> int:
-    """Rank of the constant-term pairing matrix at a sample parameter value
-    (a lower bound for the generic rank).
-
-    The sum of the ranks of its weight blocks, each from one fraction-free
-    pass over Z[i] as in :func:`gram_minors_positive`, which also says
-    which ``s0`` are accepted.
-    """
-    blocks = _zi_blocks(projector_pairing_matrix(m, n, l), _weight_blocks(m, n, l), s0)
+    blocks = _zi_blocks(_gram_entries(m, n, l), _weight_blocks(m, n, l), s0)
     return sum(bareiss_zi(rows)[1] for rows in blocks)
 
 
@@ -778,8 +779,7 @@ def equivalence_report(m: int, n: int, through: int) -> dict:
     """
     report = {"gram": True, "raising": True, "lowering": True, "projector": True}
     for k in range(through + 1):
-        G = gram_matrix(m, n, k)
-        upper = {(p, r): c for p, row in enumerate(G) for r, c in enumerate(row[p:], p) if c}
+        upper = {pr: c for pr, c in _gram_entries(m, n, k).items() if pr[0] <= pr[1]}
         ladder = {pr: from_laurent(terms) for pr, terms in fock_gram_entries(m, n, k).items()}
         if upper != ladder:
             report["gram"] = False

@@ -162,15 +162,17 @@ class TestGram:
                 assert Scalar.from_string(cell) == G[i][j]
 
     @pytest.mark.parametrize(
-        "mn,k,digest",
+        "mn,k,digest,fmt",
         [
-            ("2x2", "5", "36a07f49f01aec5f527d38037a132b3e17639eb8c0f54da65425ba759ba437b1"),
-            ("2x3", "3", "4a16cbd1c2693e3dcd7eacc879eea362871318706bb827f0835ba205453ad336"),
+            ("2x2", "5", "36a07f49f01aec5f527d38037a132b3e17639eb8c0f54da65425ba759ba437b1", "json"),
+            ("2x3", "3", "4a16cbd1c2693e3dcd7eacc879eea362871318706bb827f0835ba205453ad336", "json"),
+            ("2x3", "3", "b5d12512851f2285300bec3ca50ecf61008c803a1f7377260a953826c2925235", "csv"),
         ],
     )
-    def test_stdout_golden(self, capsys, mn, k, digest):
-        # sha256 of stdout recorded before the Gram blocks skipped off-weight pairs
-        code, out, _ = run(capsys, "gram", "--mn", mn, "--max-degree", k)
+    def test_stdout_golden(self, capsys, mn, k, digest, fmt):
+        # sha256 of stdout recorded before the Gram blocks skipped off-weight
+        # pairs (json), and before the Gram matrix was stored sparse (csv)
+        code, out, _ = run(capsys, "gram", "--mn", mn, "--max-degree", k, "--format", fmt)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 

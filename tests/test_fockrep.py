@@ -47,7 +47,6 @@ from qmatball.fockrep import (
     minor_conjugation_ok,
     operator_csv,
     operator_json,
-    projector_pairing_matrix,
     projector_pairing_rank,
     rep_minor,
     rep_pol_poly,
@@ -519,6 +518,9 @@ class TestCyclicModuleSide:
         for p in range(len(G)):
             for r in range(len(G)):
                 assert G[p][r] == G[r][p].conjugate()
+        # the sparse entries hold both triangles and no zero
+        entries = fockrep._gram_entries(1, 2, 2)
+        assert all(c and entries[r, p] == c.conjugate() for (p, r), c in entries.items())
 
     def test_intertwines_rank_one(self):
         zpoly = NCPoly.from_word((sym("z", 1, 1),))
@@ -670,18 +672,16 @@ class TestCyclicMatchCatchesPlantedFaults:
     def test_an_off_block_symbolic_gram_entry(self, monkeypatch):
         # one Hermitian pair of entries between two weight blocks set to 1:
         # the ladder side leaves the pair out, and the whole triangle is read
-        real = fockrep.gram_matrix
+        real = fockrep._gram_entries
         (p, *_), (r, *_) = fockrep._weight_blocks(2, 2, 2)[:2]
 
         def planted(m, n, k):
-            G = real(m, n, k)
+            entries = real(m, n, k)
             if (m, n, k) != (2, 2, 2):
-                return G
-            G = [list(row) for row in G]
-            G[p][r] = G[r][p] = ONE
-            return G
+                return entries
+            return {**entries, (p, r): ONE, (r, p): ONE}
 
-        monkeypatch.setattr(fockrep, "gram_matrix", planted)
+        monkeypatch.setattr(fockrep, "_gram_entries", planted)
         assert _failing_keys(2, 2, 2) == ["gram"]
 
     def test_a_coefficient_outside_the_ring_raises(self, monkeypatch, capsys):
@@ -715,6 +715,12 @@ def _gram_by_whole_words(m, n, k):
         ]
         for bp in basis
     ]
+
+
+def _pairing_matrix(m, n, l):
+    """The constant-term pairing matrix as :func:`projector_pairing_rank`
+    reads it: the Gram matrix transposed."""
+    return [list(col) for col in zip(*gram_matrix(m, n, l))]
 
 
 def _pairing_by_whole_words(m, n, l):
@@ -769,7 +775,7 @@ class TestPrefixSharedBlocks:
     @pytest.mark.parametrize("mn", [(1, 2), (2, 2)])
     @pytest.mark.parametrize("l", range(4))
     def test_pairing_equals_whole_word_normal_forms(self, mn, l):
-        assert projector_pairing_matrix(*mn, l) == _pairing_by_whole_words(*mn, l)
+        assert _pairing_matrix(*mn, l) == _pairing_by_whole_words(*mn, l)
 
     @pytest.mark.parametrize(
         "mn,k",
@@ -783,12 +789,12 @@ class TestPrefixSharedBlocks:
     # against Pol's lowering chains below reaches that block instead
     @pytest.mark.parametrize("l", range(3))
     def test_pairing_equals_whole_word_normal_forms_rectangular(self, l):
-        assert projector_pairing_matrix(2, 3, l) == _pairing_by_whole_words(2, 3, l)
+        assert _pairing_matrix(2, 3, l) == _pairing_by_whole_words(2, 3, l)
 
     @pytest.mark.parametrize("mn", [(1, 3), (3, 2)])
     @pytest.mark.parametrize("l", range(3))
     def test_pairing_equals_whole_word_normal_forms_more_sizes(self, mn, l):
-        assert projector_pairing_matrix(*mn, l) == _pairing_by_whole_words(*mn, l)
+        assert _pairing_matrix(*mn, l) == _pairing_by_whole_words(*mn, l)
 
     @pytest.mark.parametrize(
         "mn,l",
@@ -799,7 +805,7 @@ class TestPrefixSharedBlocks:
     def test_pairing_is_gram_transposed(self, mn, l):
         # the pairing is defined as the transposed Gram matrix, read through
         # FunU; the oracle reads the constant terms through Pol's own rules
-        assert projector_pairing_matrix(*mn, l) == _pairing_by_pol_lowering(*mn, l)
+        assert _pairing_matrix(*mn, l) == _pairing_by_pol_lowering(*mn, l)
 
     @pytest.mark.parametrize("mn", list(product(range(1, 4), repeat=2)))
     def test_pol_rules_are_funu_rules(self, mn):
@@ -809,6 +815,11 @@ class TestPrefixSharedBlocks:
         pol, funu = make_preset("Pol", *mn), make_preset("FunU", *mn)
         assert all(funu.rules.get(pat) == repl for pat, repl in pol.rules.items())
         assert pol.lowering_violations() == []
+        # every rule coefficient is real, so every Gram matrix is real
+        # symmetric and equals the pairing matrix, its transpose
+        for preset in (pol, funu):
+            for repl in preset.rules.values():
+                assert all(c.conjugate() == c for c in repl.terms.values())
 
 
 def _with_planted_rules(monkeypatch, name, extra):
@@ -848,7 +859,7 @@ class TestFailedCertificatesRaise:
     def test_gram_needs_weight_homogeneous_rules(self, monkeypatch):
         _with_planted_rules(monkeypatch, "FunU", _off_weight_term)
         with pytest.raises(ArithmeticError, match=r"z\[2,1\].*weight.*z\[1,1\]"):
-            fockrep.gram_matrix.__wrapped__(1, 2, 2)
+            fockrep._gram_entries.__wrapped__(1, 2, 2)
 
     def test_pairing_needs_z_to_stay_in_front(self, monkeypatch):
         # z zs -> 1 makes the (z, zs) replacement word of zs z a pattern
@@ -857,7 +868,7 @@ class TestFailedCertificatesRaise:
         with pytest.raises(
             ArithmeticError, match=r"zs\[1,1\].*z\[1,1\].*normal \(z, zs\) pair.*lowering"
         ):
-            fockrep.gram_matrix.__wrapped__(1, 1, 1)
+            fockrep._gram_entries.__wrapped__(1, 1, 1)
 
     @pytest.mark.parametrize(
         "extra,message",
@@ -870,7 +881,7 @@ class TestFailedCertificatesRaise:
     def test_lowering_needs_its_rule_shapes(self, monkeypatch, extra, message):
         _with_planted_rules(monkeypatch, "FunU", extra)
         with pytest.raises(ArithmeticError, match=message):
-            fockrep.gram_matrix.__wrapped__(1, 2, 2)
+            fockrep._gram_entries.__wrapped__(1, 2, 2)
         zs, z = (sym("zs", 2, 1), sym("zs", 1, 1)), (sym("z", 1, 1), sym("z", 2, 1))
         with pytest.raises(ArithmeticError, match=message):
             integral._sandwich_pairing.__wrapped__(1, 2, zs, z)
@@ -1023,7 +1034,7 @@ class TestSylvesterRule:
                 assert ok is _minors_positive_by_determinants(G)
             rank = projector_pairing_rank(*mn, k, point)
             assert rank == (len(hilbert_basis(*mn, k)) if s0 != "1" or k == 0 else 0)
-            assert rank == mat_rank(_evaluated(projector_pairing_matrix(*mn, k), point))
+            assert rank == mat_rank(_evaluated(_pairing_matrix(*mn, k), point))
 
     @pytest.mark.parametrize("check", [gram_minors_positive, projector_pairing_rank])
     def test_pole_at_zero_raises(self, check):
@@ -1045,11 +1056,11 @@ class TestSylvesterRule:
         """Planted blocks: the verdict fails on the last block alone, and a
         block whose first leading minor vanishes still has full rank."""
         monkeypatch.setattr(fockrep, "_weight_blocks", lambda m, n, k: ((0,), (1, 2)))
-        diag = [[ONE, ZERO, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, -ONE]]
-        swap = [[ONE, ZERO, ZERO], [ZERO, ZERO, ONE], [ZERO, ONE, ZERO]]
-        monkeypatch.setattr(fockrep, "gram_matrix", lambda m, n, k: diag)
-        monkeypatch.setattr(fockrep, "projector_pairing_matrix", lambda m, n, l: swap)
+        diag = {(0, 0): ONE, (1, 1): ONE, (2, 2): -ONE}
+        swap = {(0, 0): ONE, (1, 2): ONE, (2, 1): ONE}
+        monkeypatch.setattr(fockrep, "_gram_entries", lambda m, n, k: diag)
         assert not gram_minors_positive(1, 1, 1, Fraction(1, 2))
+        monkeypatch.setattr(fockrep, "_gram_entries", lambda m, n, k: swap)
         assert projector_pairing_rank(1, 1, 1, Fraction(1, 2)) == 3
 
     @pytest.mark.parametrize("mn,largest", [((2, 2), 3), ((2, 3), 4)])
@@ -1062,7 +1073,9 @@ class TestSylvesterRule:
             assert [b[0] for b in blocks] == sorted(b[0] for b in blocks)
             assert sorted(p for b in blocks for p in b) == list(range(len(hilbert_basis(*mn, k))))
             block_of = {p: i for i, b in enumerate(blocks) for p in b}
-            for M in (gram_matrix(*mn, k), projector_pairing_matrix(*mn, k)):
+            # the entries the certificates read, and the dense rows built from them
+            assert all(block_of[p] == block_of[r] for p, r in fockrep._gram_entries(*mn, k))
+            for M in (gram_matrix(*mn, k), _pairing_matrix(*mn, k)):
                 for p, row in enumerate(M):
                     assert all(block_of[p] == block_of[r] for r, c in enumerate(row) if c)
             sizes += map(len, blocks)

@@ -112,7 +112,8 @@ def test_pivots_are_minor_ratios_scalar(seed):
     n = rng.randint(1, 4)
     A = _random_scalar(rng, n, rng.choice([0.6, 1.0]))
     s0 = rng.choice([Fraction(1, 2), Fraction(2, 3), Fraction(-3, 2)])
-    (rows,) = _zi_blocks(A, (tuple(range(n)),), s0)
+    entries = {(p, r): c for p, row in enumerate(A) for r, c in enumerate(row) if c}
+    (rows,) = _zi_blocks(entries, (tuple(range(n)),), s0)
     minors, rank = _check_kernel(rows)
     values = [[c.eval_at(s0) for c in row] for row in A]
     scale = Fraction(1)
