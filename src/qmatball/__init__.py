@@ -17,7 +17,7 @@ The package is organized in layers:
 * :mod:`qmatball.ladder`    -- exact q-difference operators on the ladder
   space, on which every operator law is checked at all degrees,
 * :mod:`qmatball.fockrep`   -- certified slices of the ladder operators (what
-  ``qmb export`` writes: plain data, built from a polynomial, a minor or the
+  ``qmb export`` writes, one column at a time: a polynomial, a minor or the
   projector, a letter or coordinate being a one-letter polynomial), the
   representation laws and the cyclic-module comparison,
 * :mod:`qmatball.integral`  -- the invariant positive integral,
@@ -58,14 +58,7 @@ from .algebras import (
 )
 from .uqaction import E, F, K, Kinv, act, antipode, coproduct, counit
 from .qminors import qdet, qminor, volume_element
-from .fockrep import (
-    TruncatedOperator,
-    default_cutoff,
-    fock_basis,
-    gram_matrix,
-    rep_pol_poly,
-    rep_projector,
-)
+from .fockrep import default_cutoff, gram_matrix, rep_pol_poly, rep_projector
 from .integral import integral_nu, invariance_defect, modular_exponent
 
 
@@ -138,9 +131,7 @@ __all__ = [
     "qdet",
     "qminor",
     "volume_element",
-    "TruncatedOperator",
     "default_cutoff",
-    "fock_basis",
     "gram_matrix",
     "rep_pol_poly",
     "rep_projector",

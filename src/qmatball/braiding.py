@@ -192,6 +192,16 @@ def _full_indices(m: int, n: int):
     ]
 
 
+def _nonzero_columns(table: dict) -> dict:
+    """{unprimed pair: [(primed pair, entry)]} over the nonzero entries of
+    an :func:`rhat` table, the primed pairs in lexicographic order."""
+    cols: dict = {}
+    for (pp, up), c in table.items():
+        if c:
+            cols.setdefault(up, []).append((pp, c))
+    return cols
+
+
 def rules_cross_conj(m: int, n: int, left_kind: str, right_kind: str) -> dict:
     """Rules moving a conjugated-type symbol past a coordinate-type one.
 
@@ -201,8 +211,8 @@ def rules_cross_conj(m: int, n: int, left_kind: str, right_kind: str) -> dict:
     """
     if left_kind not in ("zs", "dzs") or right_kind not in ("z", "dz"):
         raise ValueError("left kind must be conjugated, right kind plain")
-    uu = rhat("barUU", n)
-    vv = rhat("barVV", m)
+    uu = _nonzero_columns(rhat("barUU", n))
+    vv = _nonzero_columns(rhat("barVV", m))
     out_left = {"zs": "z", "dzs": "z"}[left_kind] if right_kind == "z" else "dz"
     out_right = {"zs": "zs", "dzs": "dzs"}[left_kind]
     sign = -ONE if (left_kind, right_kind) == ("dzs", "dz") else ONE
@@ -214,10 +224,10 @@ def rules_cross_conj(m: int, n: int, left_kind: str, right_kind: str) -> dict:
             terms = (
                 (
                     (sym(out_left, ap_, alp), sym(out_right, bp, bep)),
-                    sign * q2 * uu[((bp, ap_), (b, a))] * vv[((bep, alp), (be, al))],
+                    sign * q2 * cu * cv,
                 )
-                for (bp, ap_) in itertools.product(range(1, n + 1), repeat=2)
-                for (bep, alp) in itertools.product(range(1, m + 1), repeat=2)
+                for (bp, ap_), cu in uu.get((b, a), ())
+                for (bep, alp), cv in vv.get((be, al), ())
             )
             repl = NCPoly(add_terms({}, terms), _clean=True)
             if (left_kind, right_kind) == ("zs", "z") and a == b and al == be:

@@ -46,8 +46,6 @@ from .fockrep import (
     equivalence_report,
     gram_matrix,
     gram_minors_positive,
-    operator_csv,
-    operator_json,
     rep_minor,
     rep_pol_poly,
     rep_projector,
@@ -55,6 +53,8 @@ from .fockrep import (
     rules_as_operators_failures,
     type_identity_ok,
     vacuum_modulus_ok,
+    write_csv,
+    write_json,
 )
 from .integral import integral_nu, invariance_defect, positivity_sample_ok
 from .qminors import corner_minor_label, opposite_corner_label, volume_element
@@ -360,10 +360,9 @@ def cmd_export(args) -> int:
     m, n = _parse_mn(args.mn)
     cutoff = args.cutoff if args.cutoff is not None else default_cutoff(m, n)
     what = args.what
-    if ":" in what:
-        head, _, tail = what.partition(":")
-    else:
-        head, tail = what, ""
+    head, colon, tail = what.partition(":")
+    if colon and head in ("corner", "opposite-corner", "volume", "projector"):
+        raise UsageError(f"malformed {head} spec {what!r}; expected no indices")
     if head in ("coordinate", "coordinate-star"):
         a, al = _parse_indices(tail, head, 2)
         if not (1 <= a <= n and 1 <= al <= m):
@@ -392,8 +391,12 @@ def cmd_export(args) -> int:
             "coordinate-star:a,b, letter:i,j, corner, opposite-corner, "
             "volume, or projector"
         )
-    text = operator_csv(op) if args.format == "csv" else operator_json(op)
-    _emit(text, args.out)
+    write = write_csv if args.format == "csv" else write_json
+    if args.out:
+        with open(args.out, "w") as fh:
+            write(op, fh)
+    else:
+        write(op, sys.stdout)
     return 0
 
 

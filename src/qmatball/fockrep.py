@@ -13,17 +13,18 @@ and :mod:`qmatball.ladder` builds every letter, minor, coordinate and
 conjugate coordinate from them as an exact q-difference operator.
 
 The ``rep_*`` builders (behind ``qmb export``) return a
-:class:`TruncatedOperator`, plain data: an operator that
-:mod:`qmatball.ladder` builds (a polynomial in the t letters, a minor, or a
-polynomial in the coordinates and their conjugates; a letter or a
-coordinate is a one-letter polynomial) evaluated on every e_k with
-|k| <= cert, with that certificate and degree-shift bounds.  The bounds
-come without entries: the rules of multiplying slices entry by entry
-(products, sums, adjoints) are folded over integers along the products
-that define the operator, the staircase product for the letters and the
-word grouping of :func:`qmatball.ladder.word_image` for polynomials (a
-minor as its permutation sum).  So each slice is exact on its recorded
-degrees, and no slice is ever multiplied or applied.
+:class:`TruncatedOperator`: an operator that :mod:`qmatball.ladder` builds
+(a polynomial in the t letters, a minor, or a polynomial in the
+coordinates and their conjugates; a letter or a coordinate is a one-letter
+polynomial) with a certificate cert and degree-shift bounds.  Its rows are
+the images of the e_k with |k| <= cert, computed one column at a time in
+output order, so an export holds one column and the operator, never the
+whole slice.  The bounds come without entries: the rules of multiplying
+slices entry by entry (products, sums, adjoints) are folded over integers
+along the products that define the operator, the staircase product for the
+letters and the word grouping of :func:`qmatball.ladder.word_image` for
+polynomials (a minor as its permutation sum).  So each slice is exact on
+its recorded degrees, and no slice is ever multiplied or applied.
 
 The laws of the representation (diagonal corner and volume minors, the
 vacuum modulus, the type identity, the determinant, the rewrite rules as
@@ -49,7 +50,6 @@ none.
 
 from __future__ import annotations
 
-import io
 import json
 from fractions import Fraction
 from functools import lru_cache
@@ -96,7 +96,6 @@ from .words import NCPoly, compositions, generator_weight, sym, word_tokens
 
 __all__ = [
     "CutoffError",
-    "fock_basis",
     "TruncatedOperator",
     "rep_tpoly",
     "rep_minor",
@@ -121,29 +120,14 @@ __all__ = [
     "projector_pairing_rank",
     "intertwines",
     "equivalence_report",
-    "operator_rows",
-    "operator_csv",
-    "operator_json",
+    "write_csv",
+    "write_json",
     "default_cutoff",
 ]
 
 
 class CutoffError(ValueError):
-    """A requested slice exceeds what the stored truncation certifies."""
-
-
-# ---------------------------------------------------------------------------
-# weighted basis bookkeeping
-
-
-@lru_cache(maxsize=None)
-def fock_basis(legs: int, maxdeg: int) -> tuple:
-    """All multi-indices with the given number of legs and total <= maxdeg,
-    ordered by total degree then lexicographically."""
-    out = []
-    for d in range(maxdeg + 1):
-        out.extend(compositions(d, legs))
-    return tuple(out)
+    """A requested slice exceeds what its truncation certifies."""
 
 
 # ---------------------------------------------------------------------------
@@ -151,34 +135,39 @@ def fock_basis(legs: int, maxdeg: int) -> tuple:
 
 
 class TruncatedOperator:
-    """An operator slice on the weighted tensor basis, as plain data.
+    """A ladder operator ``op`` on the columns e_k with |k| <= ``cert``.
 
-    ``entries`` maps (out-index, in-index) to a nonzero Scalar.  Columns are
-    complete for every input of total degree <= ``cert``, and none beyond it
-    is stored.  ``up``/``down`` bound the degree shift of any matrix entry,
-    including entries beyond the stored slice.
+    ``up``/``down`` bound the degree shift of any matrix entry, including
+    entries beyond the slice.  No entry is stored: :meth:`rows` evaluates
+    ``op`` one column at a time.  ``op`` None is the projector onto e_0,
+    whose one entry is 1.
     """
 
-    __slots__ = ("legs", "cert", "entries", "up", "down")
+    __slots__ = ("legs", "cert", "up", "down", "op")
 
-    def __init__(self, legs, cert, entries, up, down):
+    def __init__(self, legs, cert, up, down, op=None):
         if cert < 0:
             raise CutoffError("operator slice is empty (certificate below zero)")
-        for _, kin in entries:
-            if sum(kin) > cert:
-                raise ValueError(
-                    f"stored column at degree {sum(kin)} beyond certificate {cert}"
-                )
-        self.legs = legs
-        self.cert = cert
-        self.entries = entries
-        self.up = up
-        self.down = down
+        self.legs, self.cert, self.up, self.down, self.op = legs, cert, up, down, op
+
+    def rows(self):
+        """(out-index, in-index, Scalar) for every nonzero entry, ordered by
+        in-index, then out-index; only one column is held at a time."""
+        if self.op is None:
+            zero = (0,) * self.legs
+            yield zero, zero, ONE
+            return
+        # k with |k| <= cert, lexicographic: k and a slack part compose cert
+        for padded in compositions(self.cert, self.legs + 1):
+            k = padded[:-1]
+            col = self.op.apply_int({k: {(0, 0): 1}})
+            for kout in sorted(col):
+                yield kout, k, from_laurent(col[kout])
 
     def __repr__(self):
         return (
             f"TruncatedOperator(legs={self.legs}, cert={self.cert}, "
-            f"entries={len(self.entries)}, shift=+{self.up}/-{self.down})"
+            f"shift=+{self.up}/-{self.down})"
         )
 
 
@@ -271,15 +260,10 @@ def _coordinate_headers(m: int, n: int) -> dict:
 
 
 def _slice(op: LadderOperator, h: _Header, cutoff: int) -> TruncatedOperator:
-    """The columns e_k with |k| <= cutoff + h.cert, each the image of e_k,
-    with the header's shift bounds; a certificate below zero raises
+    """``op`` on the columns e_k with |k| <= cutoff + h.cert, with the
+    header's shift bounds; a certificate below zero raises
     :class:`CutoffError`."""
-    cert = cutoff + h.cert
-    entries = {}
-    for k in fock_basis(op.legs, cert):
-        for kout, p in op.apply_int({k: {(0, 0): 1}}).items():
-            entries[(kout, k)] = from_laurent(p)
-    return TruncatedOperator(op.legs, cert, entries, h.up, h.down)
+    return TruncatedOperator(op.legs, cutoff + h.cert, h.up, h.down, op)
 
 
 def default_cutoff(m: int, n: int) -> int:
@@ -302,9 +286,7 @@ def rep_minor(m: int, n: int, label: tuple, cutoff: int) -> TruncatedOperator:
 
 def rep_projector(m: int, n: int, cutoff: int) -> TruncatedOperator:
     """Orthogonal projection onto the degree-zero line."""
-    legs = m * n
-    zero_idx = (0,) * legs
-    return TruncatedOperator(legs, cutoff, {(zero_idx, zero_idx): ONE}, 0, 0)
+    return TruncatedOperator(m * n, cutoff, 0, 0)
 
 
 def rep_pol_poly(f: NCPoly, m: int, n: int, cutoff: int) -> TruncatedOperator:
@@ -798,39 +780,29 @@ def equivalence_report(m: int, n: int, through: int) -> dict:
 # export
 
 
-def operator_rows(op: TruncatedOperator) -> list:
-    rows = [
-        (kout, kin, c.to_string())
-        for (kout, kin), c in op.entries.items()
-    ]
-    rows.sort(key=lambda t: (t[1], t[0]))
-    return rows
-
-
-def operator_csv(op: TruncatedOperator) -> str:
+def write_csv(op: TruncatedOperator, fh) -> None:
+    """Write ``op`` to the text stream ``fh`` as CSV, row by row: a
+    ``# legs=... cert=... shift_up=... shift_down=...`` line, a column
+    header, then one row per entry in :meth:`TruncatedOperator.rows` order."""
     import csv
 
-    buf = io.StringIO()
-    buf.write(
-        f"# legs={op.legs} cert={op.cert} shift_up={op.up} shift_down={op.down}\n"
-    )
-    w = csv.writer(buf)
+    fh.write(f"# legs={op.legs} cert={op.cert} shift_up={op.up} shift_down={op.down}\n")
+    w = csv.writer(fh)
     w.writerow(["out_index", "in_index", "value"])
-    for kout, kin, val in operator_rows(op):
-        w.writerow([" ".join(map(str, kout)), " ".join(map(str, kin)), val])
-    return buf.getvalue()
+    for kout, kin, c in op.rows():
+        w.writerow([" ".join(map(str, kout)), " ".join(map(str, kin)), c.to_string()])
 
 
-def operator_json(op: TruncatedOperator) -> str:
-    return json.dumps(
-        {
-            "legs": op.legs,
-            "cert": op.cert,
-            "shift_up": op.up,
-            "shift_down": op.down,
-            "entries": [
-                {"out": list(kout), "in": list(kin), "value": val}
-                for kout, kin, val in operator_rows(op)
-            ],
-        }
+def write_json(op: TruncatedOperator, fh) -> None:
+    """Write ``op`` to the text stream ``fh`` as one JSON object and a
+    newline, entry by entry: the bytes of ``json.dumps`` on the whole object
+    (keys legs, cert, shift_up, shift_down, entries)."""
+    head = json.dumps(
+        {"legs": op.legs, "cert": op.cert, "shift_up": op.up, "shift_down": op.down, "entries": []}
     )
+    fh.write(head[:-2])  # everything up to the entries' closing "]}"
+    sep = ""
+    for kout, kin, c in op.rows():
+        fh.write(sep + json.dumps({"out": list(kout), "in": list(kin), "value": c.to_string()}))
+        sep = ", "
+    fh.write("]}\n")

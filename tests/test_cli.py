@@ -488,6 +488,16 @@ class TestExport:
                 h.update(f"{what} exit {code}\n{out}".encode())
             assert h.hexdigest() == digest, fmt
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_out_file_holds_the_stdout_bytes(self, capsys, tmp_path, fmt):
+        argv = ("export", "--mn", "2x2", "--what", "coordinate:1,1", "--format", fmt)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        target = tmp_path / f"slice.{fmt}"
+        code, quiet, _ = run(capsys, *argv, "--out", str(target))
+        assert (code, quiet) == (0, "")
+        assert target.read_bytes() == out.encode()
+
     def test_unknown_target(self, capsys):
         code, _, err = run(capsys, "export", "--mn", "1x1", "--what", "nope")
         assert code == 1
@@ -500,7 +510,19 @@ class TestExport:
         assert code == 1
         assert "out of range" in err
 
-    @pytest.mark.parametrize("spec", ["letter:--1,1", "letter:\u00b2,1", "coordinate:1,+1"])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "letter:--1,1",
+            "letter:\u00b2,1",
+            "coordinate:1,+1",
+            # the index-free targets take no tail, not even an empty one
+            "corner:junk",
+            "opposite-corner:1",
+            "volume:",
+            "projector:1,2",
+        ],
+    )
     def test_malformed_index_is_usage_error(self, capsys, spec):
         code, out, err = run(capsys, "export", "--mn", "1x1", "--what", spec)
         assert (code, out) == (1, "")

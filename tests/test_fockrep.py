@@ -7,6 +7,7 @@ agreement) certify the construction on explicit slices.
 """
 
 import hashlib
+import io
 from fractions import Fraction
 from itertools import product
 
@@ -38,15 +39,12 @@ from qmatball.fockrep import (
     det_is_identity_ok,
     diagonal_laws_ok,
     equivalence_report,
-    fock_basis,
     fock_gram_entries,
     gram_matrix,
     gram_minors_positive,
     hilbert_basis,
     intertwines,
     minor_conjugation_ok,
-    operator_csv,
-    operator_json,
     projector_pairing_rank,
     rep_minor,
     rep_pol_poly,
@@ -58,6 +56,8 @@ from qmatball.fockrep import (
     vacuum_modulus_ok,
     vacuum_modulus_value,
     vacuum_orbit,
+    write_csv,
+    write_json,
 )
 from qmatball.fockrep import _leading_minors_positive, _weight_terms
 from qmatball.ladder import sign_chain, staircase_transpositions
@@ -91,8 +91,8 @@ class TestWeights:
         assert _norm2((0, 3, 0)) == _norm2((3,))
 
     def test_basis_enumeration(self):
-        assert fock_basis(2, 2) == ((0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0))
-        assert len(fock_basis(4, 3)) == 35  # C(3 + 4, 4)
+        assert ta.fock_basis(2, 2) == ((0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0))
+        assert len(ta.fock_basis(4, 3)) == 35  # C(3 + 4, 4)
 
 
 def _columns_through(op, cert) -> dict:
@@ -104,18 +104,20 @@ class TestOperatorCalculus:
     def test_identity_and_diagonal(self):
         ident = ta.identity(2, 3)
         diag = ta.diagonal(2, 3, lambda k: q_pow(-sum(k)))
-        basis = fock_basis(2, 3)
+        basis = ta.fock_basis(2, 3)
         assert ident.entries == {(k, k): ONE for k in basis}
         assert diag.entries == {(k, k): q_pow(-sum(k)) for k in basis}
         assert diag.entries != ident.entries
 
     def test_negative_certificate_rejected(self):
         with pytest.raises(CutoffError):
-            TruncatedOperator(1, -1, {}, 0, 0)
+            TruncatedOperator(1, -1, 0, 0)
+        with pytest.raises(CutoffError):
+            ta.Slice(1, -1, {}, 0, 0)
 
     def test_compose_certificate_shrinks_with_raising(self):
         z = ta.coordinate("z", 1, 1, 1, 1, 12)
-        zz = rep_pol_poly(NCPoly.from_word((sym("z", 1, 1),) * 2), 1, 1, 12)
+        zz = ta.collect(rep_pol_poly(NCPoly.from_word((sym("z", 1, 1),) * 2), 1, 1, 12))
         assert zz.cert == z.cert - 1
         assert zz.entries[((2,), (0,))] == q_pow(1) * q_pow(2)
 
@@ -131,8 +133,8 @@ class TestOperatorCalculus:
         # every entry of the ladder images is real, so only a complex
         # multiple tells a conjugated entry from a plain one
         z, zs = sym("z", 2, 1), sym("zs", 2, 1)
-        lhs = ta.adjoint(rep_pol_poly(NCPoly.from_word((z,), I), 1, 2, 6))
-        rhs = rep_pol_poly(NCPoly.from_word((zs,), -I), 1, 2, 6)
+        lhs = ta.adjoint(ta.collect(rep_pol_poly(NCPoly.from_word((z,), I), 1, 2, 6)))
+        rhs = ta.collect(rep_pol_poly(NCPoly.from_word((zs,), -I), 1, 2, 6))
         assert _same_operator(lhs, rhs)
 
     def test_smaller_cutoff_keeps_columns(self):
@@ -149,23 +151,25 @@ class TestOperatorCalculus:
         ref = None
         for w, c in words.items():
             f = f + NCPoly.from_word(w, c)
-            piece = ta.scale(rep_pol_poly(NCPoly.from_word(w), 1, 2, 6), c)
+            piece = ta.scale(ta.collect(rep_pol_poly(NCPoly.from_word(w), 1, 2, 6)), c)
             ref = piece if ref is None else ta.add(ref, piece)
-        assert _same_operator(rep_pol_poly(f, 1, 2, 6), ref)
+        assert _same_operator(ta.collect(rep_pol_poly(f, 1, 2, 6)), ref)
 
     def test_negation_is_scaling_by_minus_one(self):
         z, zs = sym("z", 2, 1), sym("zs", 1, 1)
         f = NCPoly.from_word((z, zs), I) + NCPoly.from_word((zs,))
-        neg, ref = rep_pol_poly(-f, 1, 2, 6), ta.scale(rep_pol_poly(f, 1, 2, 6), -ONE)
+        neg = ta.collect(rep_pol_poly(-f, 1, 2, 6))
+        ref = ta.scale(ta.collect(rep_pol_poly(f, 1, 2, 6)), -ONE)
         assert _same_operator(neg, ref)
 
     def test_column_beyond_certificate_rejected(self):
+        # the test-side slices store their columns, so they check them
         with pytest.raises(ValueError, match="beyond certificate"):
-            TruncatedOperator(1, 1, {((2,), (2,)): ONE}, 0, 0)
+            ta.Slice(1, 1, {((2,), (2,)): ONE}, 0, 0)
         with pytest.raises(ValueError, match="beyond certificate"):
-            TruncatedOperator(2, 2, {((0, 0), (0, 0)): ONE, ((0, 0), (1, 2)): ONE}, 0, 1)
+            ta.Slice(2, 2, {((0, 0), (0, 0)): ONE, ((0, 0), (1, 2)): ONE}, 0, 1)
         # the last column inside the certificate is fine
-        assert TruncatedOperator(1, 2, {((1,), (2,)): ONE}, 0, 1).cert == 2
+        assert ta.Slice(1, 2, {((1,), (2,)): ONE}, 0, 1).cert == 2
 
 
 def _tpoly_word_by_word(f, m, n, cutoff, through=None):
@@ -194,7 +198,9 @@ def _tpoly_word_by_word(f, m, n, cutoff, through=None):
 
 
 def _sliced(op, through):
-    """The image cut to inputs of degree <= through (None keeps it whole)."""
+    """The package slice's entries cut to inputs of degree <= through (None
+    keeps them whole)."""
+    op = ta.collect(op)
     return op if through is None else ta.restricted(op, through)
 
 
@@ -259,7 +265,7 @@ class TestGroupedWordImages:
                 assert ta.observed_shifts(ta.letter(*mn, i, j, cutoff))[0] <= 1
 
     def test_empty_and_constant_polynomials(self):
-        zero = rep_tpoly(NCPoly.zero(), 1, 2, 4)
+        zero = ta.collect(rep_tpoly(NCPoly.zero(), 1, 2, 4))
         assert zero.entries == {} and zero.cert == 4 + 2
         for through in (None, 1):
             c = NCPoly.one().scale(q_pow(2))
@@ -290,7 +296,7 @@ def _slice_line(label, build) -> str:
         op = build()
     except CutoffError:
         return f"{label} CutoffError"
-    text = "\n".join(f"{o} {i} {v}" for o, i, v in fockrep.operator_rows(op))
+    text = "\n".join(f"{o} {i} {v.to_string()}" for o, i, v in op.rows())
     sha = hashlib.sha256(text.encode()).hexdigest()
     return f"{label} {op.legs} {op.cert} {op.up} {op.down} {sha}"
 
@@ -368,17 +374,17 @@ class TestRankOneLadder:
     def test_defining_relation_as_operators(self):
         z, zs = sym("z", 1, 1), sym("zs", 1, 1)
         f = NCPoly.from_word((zs, z)) - NCPoly.from_word((z, zs)).scale(q_pow(2))
-        lhs = rep_pol_poly(f, 1, 1, self.CUT)
-        assert lhs.entries == {(k, k): ONE - q_pow(2) for k in fock_basis(1, lhs.cert)}
+        lhs = ta.collect(rep_pol_poly(f, 1, 1, self.CUT))
+        assert lhs.entries == {(k, k): ONE - q_pow(2) for k in ta.fock_basis(1, lhs.cert)}
 
     def test_pol_poly_commutator_is_a_multiple_of_identity(self):
         # zs z - q^2 z zs = (1 - q^2) 1; the certificate and shift bounds
         # were recorded while the slices were composed entry by entry
         z, zs = sym("z", 1, 1), sym("zs", 1, 1)
         f = NCPoly.from_word((zs, z)) - NCPoly.from_word((z, zs)).scale(q_pow(2))
-        op = rep_pol_poly(f, 1, 1, 4)
+        op = ta.collect(rep_pol_poly(f, 1, 1, 4))
         assert (op.legs, op.cert, op.up, op.down) == (1, 3, 1, 1)
-        assert op.entries == {(k, k): ONE - q_pow(2) for k in fock_basis(1, 3)}
+        assert op.entries == {(k, k): ONE - q_pow(2) for k in ta.fock_basis(1, 3)}
         with pytest.raises(CutoffError):
             rep_pol_poly(f, 1, 1, 0)
 
@@ -399,7 +405,7 @@ class TestRankOneLadder:
             vacuum_eigenvalue(ladder.letter_images(1, 1)[(1, 1)])
 
     def test_projector_is_vacuum_projection(self):
-        p = rep_projector(1, 1, 6)
+        p = ta.collect(rep_projector(1, 1, 6))
         assert p.entries == {((0,), (0,)): ONE}
         assert ta.compose(p, p).entries == p.entries
 
@@ -453,15 +459,15 @@ class TestCertifiedLaws:
         assert minor_conjugation_ok(2, 2, 1)
 
     def test_corner_minor_spectrum(self):
-        op = rep_minor(1, 2, corner_minor_label(1, 2), 10)
+        op = ta.collect(rep_minor(1, 2, corner_minor_label(1, 2), 10))
         assert op.entries[((2, 1), (2, 1))] == q_pow(-3)
-        assert op.entries == {(k, k): q_pow(-sum(k)) for k in fock_basis(2, op.cert)}
+        assert op.entries == {(k, k): q_pow(-sum(k)) for k in ta.fock_basis(2, op.cert)}
 
     def test_minor_label_is_a_pair_of_index_sets(self):
         # the order within each index set does not matter, as for qminor
-        op = rep_minor(1, 2, ((1, 2), (2, 3)), 3)
+        op = ta.collect(rep_minor(1, 2, ((1, 2), (2, 3)), 3))
         for label in (((2, 1), (3, 2)), ([1, 2], range(2, 4))):
-            same = rep_minor(1, 2, label, 3)
+            same = ta.collect(rep_minor(1, 2, label, 3))
             assert (same.entries, same.cert, same.up, same.down) == (
                 op.entries, op.cert, op.up, op.down
             )
@@ -1084,8 +1090,10 @@ class TestSylvesterRule:
 
 class TestExport:
     def test_csv_shape(self):
-        z = ta.coordinate("z", 1, 1, 1, 1, 2)
-        text = operator_csv(z)
+        z = rep_pol_poly(NCPoly.from_word((sym("z", 1, 1),)), 1, 1, 2)
+        buf = io.StringIO()
+        write_csv(z, buf)
+        text = buf.getvalue()
         lines = text.strip().splitlines()
         assert lines[0].startswith("# legs=1 cert=2")
         assert lines[1] == "out_index,in_index,value"
@@ -1095,8 +1103,10 @@ class TestExport:
     def test_json_round_trip_fields(self):
         import json as _json
 
-        z = ta.coordinate("z", 1, 1, 1, 1, 2)
-        data = _json.loads(operator_json(z))
+        z = rep_pol_poly(NCPoly.from_word((sym("z", 1, 1),)), 1, 1, 2)
+        buf = io.StringIO()
+        write_json(z, buf)
+        data = _json.loads(buf.getvalue())
         assert data["legs"] == 1 and data["cert"] == 2
         assert {"out": [1], "in": [0], "value": q_pow(1).to_string()} in data["entries"]
 

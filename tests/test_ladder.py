@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from qmatball import ladder
 from qmatball.field import I, ONE, from_fraction, from_laurent, q_pow, to_laurent
-from qmatball.fockrep import TruncatedOperator, fock_basis, rep_pol_poly
+from qmatball.fockrep import rep_pol_poly
 from qmatball.ladder import (
     LadderOperator,
     coordinate_images,
@@ -37,12 +37,12 @@ from qmatball.words import NCPoly, sym
 import truncated_arithmetic as ta
 
 
-def _hand_generator(legs: int, leg: int, gen: str, cert: int) -> TruncatedOperator:
+def _hand_generator(legs: int, leg: int, gen: str, cert: int) -> ta.Slice:
     """One 2 x 2 ladder generator on a single tensor leg, from its table:
     t11 e_j = e_(j+1), t12 e_j = q^-j e_j, t21 e_j = -q^-(j+1) e_j and
     t22 e_j = (1 - q^-2j) e_(j-1)."""
     entries = {}
-    for k in fock_basis(legs, cert):
+    for k in ta.fock_basis(legs, cert):
         j = k[leg]
         if gen == "t11":
             entries[(k[:leg] + (j + 1,) + k[leg + 1 :], k)] = ONE
@@ -53,7 +53,7 @@ def _hand_generator(legs: int, leg: int, gen: str, cert: int) -> TruncatedOperat
         elif j:
             entries[(k[:leg] + (j - 1,) + k[leg + 1 :], k)] = ONE - q_pow(-2 * j)
     up, down = {"t11": (1, 0), "t22": (0, 1)}.get(gen, (0, 0))
-    return TruncatedOperator(legs, cert, entries, up, down)
+    return ta.Slice(legs, cert, entries, up, down)
 
 
 def _hand_letters(m: int, n: int, cert: int) -> dict:
@@ -86,7 +86,7 @@ def _hand_letters(m: int, n: int, cert: int) -> dict:
     return {(i, j): P.get((i, j), zero) for i in range(1, N + 1) for j in range(1, N + 1)}
 
 
-def _hand_tpoly(f, letters: dict, legs: int, cert: int) -> TruncatedOperator:
+def _hand_tpoly(f, letters: dict, legs: int, cert: int) -> ta.Slice:
     """Every word multiplied out letter by letter, scaled and summed."""
     acc = ta.zero(legs, cert)
     for word, c in f.terms.items():
@@ -108,7 +108,7 @@ def _images(m, n, degree):
     ]
     corner = _hand_tpoly(qminor(*corner_minor_label(m, n)), letters, legs, cert)
     assert corner.entries == {
-        (k, k): q_pow(-sum(k)) for k in fock_basis(legs, corner.cert)
+        (k, k): q_pow(-sum(k)) for k in ta.fock_basis(legs, corner.cert)
     }
     inverse = ta.diagonal(legs, corner.cert, lambda k: q_pow(sum(k)))
     coords = coordinate_images(m, n)
@@ -129,7 +129,7 @@ def test_truncated_images_are_the_reference(m, n, degree):
         ref_cols: dict = {}
         for (kout, kin), c in ref.entries.items():
             ref_cols.setdefault(kin, {})[kout] = c
-        for k in fock_basis(m * n, degree):
+        for k in ta.fock_basis(m * n, degree):
             col = _image(op, k)
             assert col == ref_cols.get(k, {}), (name, k)
             compared += len(col)

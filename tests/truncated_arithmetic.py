@@ -1,10 +1,11 @@
 """Entry-by-entry arithmetic of operator slices, as a test-side reference.
 
-The package's :class:`TruncatedOperator` slices are plain data: each is its
-exact ladder operator evaluated column by column, with a header computed
-without entries.  The functions here multiply, add, scale and adjoint
-slices entry by entry instead, with the certificate rules that header
-follows.  The tests build references with them that do not go through the
+The package's :class:`~qmatball.fockrep.TruncatedOperator` stores no
+entries: its rows are its exact ladder operator evaluated column by column,
+with a header computed without entries.  Here a slice is plain data
+(:class:`Slice`, with :func:`collect` gathering a package slice's rows into
+one), and the functions multiply, add, scale and adjoint slices entry by
+entry instead, with the certificate rules that header follows.  The tests build references with them that do not go through the
 ladder calculus:
 
 * a product is certified through min(right cert, left cert minus the
@@ -20,22 +21,59 @@ of one-letter polynomials.
 """
 
 from qmatball.field import ONE, add_terms, q_pow
-from qmatball.fockrep import CutoffError, TruncatedOperator, fock_basis, rep_pol_poly, rep_tpoly
-from qmatball.words import NCPoly, sym
+from qmatball.fockrep import CutoffError, rep_pol_poly, rep_tpoly
+from qmatball.words import NCPoly, compositions, sym
+
+
+class Slice:
+    """An operator slice on the weighted tensor basis, as plain data.
+
+    ``entries`` maps (out-index, in-index) to a nonzero Scalar.  Columns are
+    complete for every input of total degree <= ``cert``, and none beyond it
+    is stored.  ``up``/``down`` bound the degree shift of any matrix entry,
+    including entries beyond the stored slice.
+    """
+
+    __slots__ = ("legs", "cert", "entries", "up", "down")
+
+    def __init__(self, legs, cert, entries, up, down):
+        if cert < 0:
+            raise CutoffError("operator slice is empty (certificate below zero)")
+        for _, kin in entries:
+            if sum(kin) > cert:
+                raise ValueError(f"stored column at degree {sum(kin)} beyond certificate {cert}")
+        self.legs = legs
+        self.cert = cert
+        self.entries = entries
+        self.up = up
+        self.down = down
+
+
+def fock_basis(legs: int, maxdeg: int) -> tuple:
+    """All multi-indices with the given number of legs and total <= maxdeg,
+    ordered by total degree then lexicographically."""
+    return tuple(k for d in range(maxdeg + 1) for k in compositions(d, legs))
+
+
+def collect(op) -> Slice:
+    """A package slice (what the ``rep_*`` builders return) with its rows
+    gathered into a :class:`Slice`."""
+    entries = {(kout, kin): c for kout, kin, c in op.rows()}
+    return Slice(op.legs, op.cert, entries, op.up, op.down)
 
 
 def letter(m, n, i, j, cutoff):
     """The slice of t[i,j]."""
-    return rep_tpoly(NCPoly.from_word((sym("t", i, j),)), m, n, cutoff)
+    return collect(rep_tpoly(NCPoly.from_word((sym("t", i, j),)), m, n, cutoff))
 
 
 def coordinate(kind, m, n, a, al, cutoff):
     """The slice of z[a,al] (kind "z") or of its conjugate (kind "zs")."""
-    return rep_pol_poly(NCPoly.from_word((sym(kind, a, al),)), m, n, cutoff)
+    return collect(rep_pol_poly(NCPoly.from_word((sym(kind, a, al),)), m, n, cutoff))
 
 
 def zero(legs, cert):
-    return TruncatedOperator(legs, cert, {}, 0, 0)
+    return Slice(legs, cert, {}, 0, 0)
 
 
 def identity(legs, cert):
@@ -49,7 +87,7 @@ def diagonal(legs, cert, eig):
         c = eig(k)
         if c:
             entries[(k, k)] = c
-    return TruncatedOperator(legs, cert, entries, 0, 0)
+    return Slice(legs, cert, entries, 0, 0)
 
 
 def observed_shifts(op) -> tuple:
@@ -65,7 +103,7 @@ def restricted(op, cert):
     if cert >= op.cert:
         return op
     entries = {key: c for key, c in op.entries.items() if sum(key[1]) <= cert}
-    return TruncatedOperator(op.legs, cert, entries, op.up, op.down)
+    return Slice(op.legs, cert, entries, op.up, op.down)
 
 
 def compose(a, b):
@@ -81,21 +119,21 @@ def compose(a, b):
         for (mid, kin), c2 in restricted(b, cert).entries.items()
         for kout, c1 in cols.get(mid, ())
     ))
-    return TruncatedOperator(a.legs, cert, acc, a.up + b.up, a.down + b.down)
+    return Slice(a.legs, cert, acc, a.up + b.up, a.down + b.down)
 
 
 def add(a, b):
     cert = min(a.cert, b.cert)
     acc = dict(restricted(a, cert).entries)
     add_terms(acc, restricted(b, cert).entries.items())
-    return TruncatedOperator(a.legs, cert, acc, max(a.up, b.up), max(a.down, b.down))
+    return Slice(a.legs, cert, acc, max(a.up, b.up), max(a.down, b.down))
 
 
 def scale(op, c):
     if not c:
         return zero(op.legs, op.cert)
     entries = {key: v * c for key, v in op.entries.items()}
-    return TruncatedOperator(op.legs, op.cert, entries, op.up, op.down)
+    return Slice(op.legs, op.cert, entries, op.up, op.down)
 
 
 def _norm2_ratio(jout: int, jin: int):
@@ -122,4 +160,4 @@ def adjoint(op):
                 if a != b:
                     ratio = ratio * _norm2_ratio(a, b)
             entries[(kin, kout)] = c.conjugate() * ratio
-    return TruncatedOperator(op.legs, cert, entries, op.down, op.up)
+    return Slice(op.legs, cert, entries, op.down, op.up)
