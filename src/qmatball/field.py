@@ -13,10 +13,10 @@ entries.  The common coefficient is a Gaussian integer (``d == 1``), which
 costs a few int operations and no gcd.  The common scalar is a Laurent
 polynomial, whose canonical denominator is a bare power s^e: a product or
 sum of two of them works on the numerators alone, and its only
-cancellation is a power of s.  :class:`GaussRat` is the type of
-input, output and evaluation: the raw constructor accepts ``{exp: GaussRat}``
-dicts, ``eval_at`` returns a ``GaussRat``, and the text forms convert only at
-the boundary.
+cancellation is a power of s.  :class:`Scalar` is the only number type
+with arithmetic: an int, a Fraction or a :class:`GaussRat` operand or
+coefficient is coerced to a constant Scalar, and a GaussRat is only the
+plain value ``eval_at`` returns.  The text forms read ASCII numerals only.
 
 The ladder operators need only Z[i][s, 1/s], and keep it as integer terms
 {(e, j): c} meaning the sum of c i^j s^e: :func:`to_laurent` and
@@ -62,7 +62,9 @@ __all__ = [
 
 
 class GaussRat:
-    """A Gaussian rational a + b*i with exact Fraction parts."""
+    """A Gaussian rational a + b*i with exact Fraction parts, the value
+    :meth:`Scalar.eval_at` returns.  It has no arithmetic, and compares and
+    hashes like the equal constant Scalar."""
 
     __slots__ = ("re", "im")
 
@@ -88,80 +90,11 @@ class GaussRat:
             return hash(self.re)
         return hash((self.re, self.im))
 
-    def __add__(self, other):
-        other = _as_gauss(other)
-        if other is None:
-            return NotImplemented
-        return GaussRat(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GaussRat(-self.re, -self.im)
-
-    def __sub__(self, other):
-        other = _as_gauss(other)
-        if other is None:
-            return NotImplemented
-        return GaussRat(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
-    def __mul__(self, other):
-        other = _as_gauss(other)
-        if other is None:
-            return NotImplemented
-        return GaussRat(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _as_gauss(other)
-        if other is None:
-            return NotImplemented
-        n2 = other.re * other.re + other.im * other.im
-        if n2 == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussRat(
-            (self.re * other.re + self.im * other.im) / n2,
-            (self.im * other.re - self.re * other.im) / n2,
-        )
-
-    def __rtruediv__(self, other):
-        other = _as_gauss(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
-    def conjugate(self):
-        return GaussRat(self.re, -self.im)
-
     def __repr__(self):
         return f"GaussRat({self.re!r}, {self.im!r})"
 
     def __str__(self):
         return format_gauss(self)
-
-
-def _as_gauss(x):
-    """x as a GaussRat, or None for a type GaussRat does not know: its
-    operators then return NotImplemented, so the other operand's method runs."""
-    if isinstance(x, GaussRat):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return GaussRat(x)
-    return None
-
-
-def _coerce_gauss(x) -> GaussRat:
-    g = _as_gauss(x)
-    if g is None:
-        raise TypeError(f"cannot coerce {type(x).__name__} to GaussRat")
-    return g
 
 
 def format_gauss(c: GaussRat) -> str:
@@ -186,11 +119,13 @@ def _format_triple(c: tuple) -> str:
     return f"{_ratstr(a, d)}{'+' if b > 0 else ''}{ipart}"
 
 
+# ASCII numerals only, and a denominator is never zero
+_RAT = r"[0-9]+(?:/0*[1-9][0-9]*)?"
 _GAUSS_RE = _re.compile(
-    r"""^\s*
-        (?:(?P<re>[+-]?\d+(?:/\d+)?)(?=\s*$|\s*[+-]))?   # real part
+    rf"""^\s*
+        (?:(?P<re>[+-]?{_RAT})(?=\s*$|\s*[+-]))?   # real part
         \s*
-        (?:(?P<im>[+-]?(?:\d+(?:/\d+)?)?)\s*i)?          # imaginary part
+        (?:(?P<im>[+-]?(?:{_RAT})?)\s*i)?           # imaginary part
         \s*$""",
     _re.VERBOSE,
 )
@@ -262,11 +197,14 @@ def _cinv(x: tuple) -> tuple:
 
 
 def _from_gauss(c) -> tuple:
-    """Triple of a GaussRat, Fraction or int."""
-    c = _coerce_gauss(c)
-    re_, im = c.re, c.im
-    d = lcm(re_.denominator, im.denominator)
-    return (re_.numerator * (d // re_.denominator), im.numerator * (d // im.denominator), d)
+    """Triple of an int, a Fraction or a GaussRat (TypeError otherwise)."""
+    if isinstance(c, (int, Fraction)):
+        return (c.numerator, 0, c.denominator)
+    if isinstance(c, GaussRat):
+        re_, im = c.re, c.im
+        d = lcm(re_.denominator, im.denominator)
+        return (re_.numerator * (d // re_.denominator), im.numerator * (d // im.denominator), d)
+    raise TypeError(f"cannot coerce {type(c).__name__} to a Gaussian rational")
 
 
 def _to_gauss(c: tuple) -> GaussRat:
@@ -633,14 +571,17 @@ class Scalar:
 
     @staticmethod
     def from_string(text: str) -> "Scalar":
-        """Parse the canonical text form, or a bare Gaussian literal like '1'."""
+        """Parse the canonical text form, or a bare Gaussian literal like '1';
+        a malformed literal raises ValueError naming it."""
         text = text.strip()
         if "]/[" in text:
+            if text.count("]/[") > 1:
+                raise ValueError(f"bad scalar literal: {text!r}")
             ntxt, dtxt = text.split("]/[")
             num = _pparse(ntxt + "]")
             den = _pparse("[" + dtxt)
             if not den:
-                raise ZeroDivisionError("zero denominator in Scalar")
+                raise ValueError(f"zero denominator in scalar literal: {text!r}")
         elif text.startswith("["):
             num = _pparse(text)
             den = _P_ONE
@@ -796,9 +737,7 @@ def _reduce(num: dict, den: dict):
 def _coerce(x):
     if isinstance(x, Scalar):
         return x
-    if isinstance(x, int):
-        return _new({0: (x, 0, 1)}, _P_ONE) if x else ZERO
-    if isinstance(x, (Fraction, GaussRat)):
+    if isinstance(x, (int, Fraction, GaussRat)):
         c = _from_gauss(x)
         return _new({0: c}, _P_ONE) if c[0] or c[1] else ZERO
     return NotImplemented
@@ -820,12 +759,11 @@ def _pparse(text: str) -> dict:
         return {}
     out: dict = {}
     for chunk in body.split(","):
-        etxt, _, ctxt = chunk.partition(":")
-        if not _:
+        etxt, colon, ctxt = chunk.partition(":")
+        etxt = etxt.strip()
+        if not (colon and etxt.isascii() and etxt.isdigit()):
             raise ValueError(f"bad term {chunk!r} in {text!r}")
         e = int(etxt)
-        if e < 0:
-            raise ValueError(f"negative exponent in {text!r}")
         c = _from_gauss(parse_gauss(ctxt))
         if c[0] or c[1]:
             out[e] = _cadd(out[e], c) if e in out else c

@@ -360,9 +360,9 @@ def vacuum_modulus_ok(m, n, s0_list=(Fraction(1, 2), Fraction(9, 10))):
     cc = c * c.conjugate()
     if cc != q_pow(-2 * m * n):
         return False
-    for s0 in s0_list:
-        got = cc.eval_at(s0)
-        if got.im != 0 or got.re != Fraction(s0) ** (-4 * m * n):
+    for s0 in map(Fraction, s0_list):
+        a, b, d = cc.eval_triple(s0.numerator, s0.denominator)
+        if b or Fraction(a, d) != s0 ** (-4 * m * n):
             return False
     return True
 

@@ -190,8 +190,10 @@ def integral_is_real(f: NCPoly, preset: Presentation) -> bool:
 
 def positivity_sample_ok(f: NCPoly, preset: Presentation, s0: Fraction) -> bool:
     """integral((conjugate f) f) evaluates to a positive rational at s0."""
-    v = integral_nu(preset.multiply(star(f, preset), f), preset).eval_at(s0)
-    return v.im == 0 and v.re > 0
+    s0 = Fraction(s0)
+    v = integral_nu(preset.multiply(star(f, preset), f), preset)
+    a, b, _ = v.eval_triple(s0.numerator, s0.denominator)  # denominator > 0
+    return b == 0 and a > 0
 
 
 def twisted_trace_ok(a: NCPoly, b: NCPoly, preset: Presentation) -> bool:

@@ -3,7 +3,7 @@ inverses and reduced row echelon forms, for the braiding tables), and one
 fraction-free kernel over the Gaussian integers.
 
 Matrices are lists of lists.  Entries only need +, -, *, / and truthiness
-(empty == zero), which both Scalar and GaussRat provide.  Sizes here are tiny
+(empty == zero), which Scalar and Fraction provide.  Sizes here are tiny
 (at most a few hundred rows), so plain Gaussian elimination with exact field
 operations is the right tool.  Every row update skips zero entries of the
 pivot row, because exact products and differences are the cost here.

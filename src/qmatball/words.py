@@ -106,8 +106,8 @@ def parse_symbol(token: str) -> GeneratorSymbol:
     if "[" not in token or not token.endswith("]"):
         raise ValueError(f"bad generator token {token!r}")
     kind, rest = token.split("[", 1)
-    parts = rest[:-1].split(",")
-    if len(parts) != 2:
+    parts = [p.strip() for p in rest[:-1].split(",")]
+    if len(parts) != 2 or not all(p.isascii() and p.isdigit() for p in parts):
         raise ValueError(f"bad generator token {token!r}")
     return sym(kind.strip(), int(parts[0]), int(parts[1]))
 

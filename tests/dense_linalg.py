@@ -4,7 +4,7 @@ reference.
 The package's only determinants and ranks come from the fraction-free
 kernel :func:`qmatball.linalg.bareiss_zi`, which works on Gaussian
 integers.  The functions here eliminate over any field-like entries
-(Scalar, GaussRat, Fraction) with exact division instead, so the tests can
+(Scalar or Fraction) with exact division instead, so the tests can
 check that kernel, and the Gram and pairing certificates built on it,
 against an independent computation.
 """

@@ -104,6 +104,24 @@ class TestNormalForm:
         assert code == 1
         assert "malformed polynomial" in err
 
+    @pytest.mark.parametrize(
+        "coeff,token,bad",
+        [
+            ("1/0", "z[1,1]", "'1/0'"),
+            ("[0:1]/[0:1]/[0:1]", "z[1,1]", "'[0:1]/[0:1]/[0:1]'"),
+            ("[0:1]/[]", "z[1,1]", "'[0:1]/[]'"),
+            ("[1_0:1]", "z[1,1]", "'[1_0:1]'"),
+            ("\u0663", "z[1,1]", "'\u0663'"),
+            ("1", "z[\u0661,\u0661]", "'z[\u0661,\u0661]'"),
+        ],
+    )
+    def test_malformed_literal(self, capsys, coeff, token, bad):
+        raw = json.dumps({"terms": [{"coeff": coeff, "word": [token]}]})
+        code, out, err = run(capsys, "nf", "--algebra", "pol:1x1", "--input", raw)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: malformed polynomial JSON: ")
+        assert bad in err
+
     def test_writes_out_file(self, capsys, tmp_path):
         target = tmp_path / "result.json"
         code, out, _ = run(
@@ -226,6 +244,35 @@ class TestIntegral:
         assert Scalar.from_string(payload["value"]) == q_pow(-2) * (ONE - q_pow(2))
         assert payload["value_at_q0"] == "15"
 
+    @pytest.mark.parametrize(
+        "coeff,value",
+        [
+            ("-1/7+3i", "-65/112+195/16i"),
+            ("-2/3-i", "-65/24-65/16i"),
+            ("5/4i", "325/64i"),
+            ("-8/65+16/65i", "-1/2+1i"),
+            ("-16/65i", "-1i"),
+        ],
+    )
+    def test_value_at_q0_golden(self, capsys, coeff, value):
+        # stdout recorded before GaussRat lost its arithmetic; a unit
+        # imaginary part keeps its "1" here, unlike the canonical text
+        word = '["z[1,1]","f0[0,0]","zs[1,1]"]'
+        code, out, _ = run(
+            capsys, "integral", "--algebra", "funu:1x1", "--q0", "4/9",
+            "--input", f'{{"terms":[{{"coeff":"{coeff}","word":{word}}}]}}',
+        )
+        assert code == 0
+        assert json.loads(out)["value_at_q0"] == value
+        if coeff == "-1/7+3i":
+            assert out == (
+                '{\n  "algebra": "funu:1x1",\n'
+                '  "pretty": "(-1/7+3i + (1/7-3i)*s^4)/(s^4)",\n'
+                '  "q0": "4/9",\n'
+                '  "value": "[0:-1/7+3i,4:1/7-3i]/[4:1]",\n'
+                '  "value_at_q0": "-65/112+195/16i"\n}\n'
+            )
+
     def test_projector_integrates_to_one(self, capsys):
         code, out, _ = run(
             capsys, "integral", "--algebra", "funu:2x2",
@@ -265,7 +312,10 @@ class TestIntegral:
             capsys, "integral", "--algebra", "funu:1x2",
             "--positivity", "3", "--seed", "5", "--q0", "81/100",
         )
-        assert first == second
+        # stdout recorded before GaussRat lost its arithmetic
+        assert first == second == "".join(
+            f"PASS  positivity sample {t} (seed 5)\n" for t in range(3)
+        ) + "3/3 checks passed\n"
 
 
 class TestInvariance:

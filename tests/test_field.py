@@ -97,6 +97,27 @@ def test_gauss_literal_round_trip():
         parse_gauss("zzz")
 
 
+# (parser, text, the literal the error names)
+_MALFORMED = {
+    "non-ASCII digit": (parse_gauss, "\u0663", "'\u0663'"),
+    "zero denominator": (parse_gauss, "1/0", "'1/0'"),
+    "zero imaginary denominator": (parse_gauss, "1+2/00i", "'1+2/00i'"),
+    "underscore exponent": (Scalar.from_string, "[1_0:1]", "'[1_0:1]'"),
+    "non-ASCII exponent": (Scalar.from_string, "[\u0663:1]", "'[\u0663:1]'"),
+    "signed exponent": (Scalar.from_string, "[-1:1]", "'[-1:1]'"),
+    "zero denominator coefficient": (Scalar.from_string, "[0:1/0]", "'1/0'"),
+    "two slashes": (Scalar.from_string, "[0:1]/[0:1]/[0:1]", "'[0:1]/[0:1]/[0:1]'"),
+    "empty denominator": (Scalar.from_string, "[0:1]/[]", "'[0:1]/[]'"),
+    "zero denominator polynomial": (Scalar.from_string, "[0:1]/[0:0]", "'[0:1]/[0:0]'"),
+}
+
+
+@pytest.mark.parametrize("parse, text, named", list(_MALFORMED.values()), ids=list(_MALFORMED))
+def test_malformed_literal_is_named(parse, text, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        parse(text)
+
+
 def test_reduced_form_is_canonical():
     # (1-q^4)/(1-q^2) and (1+q^2)/1 must be the *same* dict representation
     a = (ONE - q_pow(2)) / (ONE - q_pow(1))
@@ -180,8 +201,10 @@ def test_eval_is_ring_map(a, b):
     except ZeroDivisionError:
         assume(False)
         return
-    assert vs == va + vb
-    assert vp == va * vb
+    # the values meet again as constant Scalars, the one arithmetic type
+    ca, cb = Scalar({0: va}), Scalar({0: vb})
+    assert vs == ca + cb
+    assert vp == ca * cb
 
 
 @settings(max_examples=60, deadline=None)
@@ -206,6 +229,11 @@ def test_string_round_trip(a):
         (I, GaussRat(0, 1)),
         (from_fraction("7/2"), GaussRat(Fraction(7, 2))),
         (from_int(2) + I * from_fraction("1/3"), GaussRat(2, Fraction(1, 3))),
+        # values returned by eval_at
+        (ZERO, (ONE - Q).eval_at(1)),
+        (from_int(4), q_pow(-1).eval_at(Fraction(1, 2))),
+        (from_fraction("17/16"), q_bracket(2).eval_at(Fraction(1, 2))),
+        (I * from_fraction("2/3"), (I * S / (S + 1)).eval_at(2)),
     ],
 )
 def test_constant_hashes_like_equal_number(x, v):
@@ -227,6 +255,8 @@ def test_equality_fast_paths_keep_the_contract():
         (from_int(-3), -3),
         (from_fraction("-3/4"), Fraction(-3, 4)),
         (I * from_fraction("1/3"), GaussRat(0, Fraction(1, 3))),
+        (I * from_fraction("1/3"), (I * S / 3).eval_at(1)),
+        (from_fraction("-1/2") + I / 4, (S + I * Q).eval_at(Fraction(-1, 2))),
     ]:
         assert c == v and v == c and not c != v
         assert hash(c) == hash(v)
@@ -305,6 +335,17 @@ def test_gauss_rat_meets_scalar_from_either_side():
     assert GaussRat(1) - ONE == ZERO
     assert GaussRat(3) * ONE == from_int(3)
     assert GaussRat(1) / S == s_pow(-1)
+
+
+def test_gauss_rat_is_a_plain_value():
+    """The value eval_at returns: no arithmetic of its own, falsy at zero."""
+    assert not GaussRat(0) and not (ONE - Q).eval_at(1)
+    assert GaussRat(0, 1) and GaussRat(Fraction(-1, 2))
+    ops = ("add", "sub", "mul", "truediv", "neg", "pow")
+    for name in [f"__{op}__" for op in ops] + [f"__r{op}__" for op in ops] + ["conjugate"]:
+        assert not hasattr(GaussRat, name), name
+    with pytest.raises(AttributeError, match="immutable"):
+        GaussRat(1).re = 2
 
 
 def test_constructor_rejects_foreign_coefficients():

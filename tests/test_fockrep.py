@@ -17,12 +17,12 @@ from qmatball import cli, fockrep, integral, ladder
 
 from qmatball.algebras import make_preset, star
 from qmatball.field import (
-    GaussRat,
     I,
     ONE,
     Scalar,
     ZERO,
     from_fraction,
+    from_int,
     from_laurent,
     laurent_conj,
     laurent_dot,
@@ -763,11 +763,18 @@ def _pairing_by_pol_lowering(m, n, l):
     return [[pair(br, bp) for bp in basis] for br in basis]
 
 
-def _minors_positive_by_determinants(G):
-    """Oracle: one determinant per leading principal minor."""
+def _minors_positive_by_determinants(G, one=Fraction(1)):
+    """Oracle: one determinant per leading principal minor, each a positive
+    rational.  G holds Fractions, or constant Scalars (``one=ONE``) where an
+    entry is complex; a Scalar minor is read through its value."""
     for t in range(1, len(G) + 1):
-        d = mat_det([row[:t] for row in G[:t]], one=GaussRat(1))
-        if d.im != 0 or d.re <= 0:
+        d = mat_det([row[:t] for row in G[:t]], one=one)
+        if isinstance(d, Scalar):
+            v = d.eval_at(1)
+            if v.im:
+                return False
+            d = v.re
+        if d <= 0:
             return False
     return True
 
@@ -977,12 +984,15 @@ def _zi_matrix(rows):
 
 
 def _evaluated(M, s0):
-    """The whole matrix at s = s0 over GaussRat, for the dense oracles."""
-    return [[c.eval_at(s0) if c else GaussRat(0) for c in row] for row in M]
+    """The whole matrix at s = s0 over Fraction, for the dense oracles: the
+    Gram and pairing blocks are real at a real point."""
+    out = [[c.eval_at(s0) for c in row] for row in M]
+    assert not any(v.im for row in out for v in row)
+    return [[v.re for v in row] for row in out]
 
 
-# Recorded at the parent commit, before the certificates were read per
-# weight block: its dense elimination over GaussRat gave these verdicts
+# Recorded before the certificates were read per weight block: a dense
+# elimination of the whole evaluated matrix gave these verdicts
 # for k = 0..4 at 1x2, 2x1, 2x2 and 2x3 alike, and the pairing ranks were
 # the block dimensions except at s0 = 1, where they were 1, 0, 0, 0, 0.
 _RECORDED_GRAM = {
@@ -1012,8 +1022,8 @@ class TestSylvesterRule:
     )
     def test_pivot_rule_matches_determinant_rule(self, rows, expect):
         rows = _zi_matrix(rows)
-        G = [[GaussRat(*c) for c in row] for row in rows]
-        assert _minors_positive_by_determinants(G) is expect
+        G = [[from_int(a) + I * b for a, b in row] for row in rows]
+        assert _minors_positive_by_determinants(G, one=ONE) is expect
         assert _leading_minors_positive(rows) is expect
 
     @pytest.mark.parametrize("mn", [(1, 2), (2, 1), (2, 2)])
@@ -1027,7 +1037,7 @@ class TestSylvesterRule:
     @pytest.mark.parametrize("s0", list(_RECORDED_GRAM))
     def test_certificates_match_dense_oracles(self, mn, s0):
         """Per weight block over Z[i], against the whole evaluated matrix
-        over GaussRat and against the verdicts recorded before the change.
+        over Fraction and against the verdicts recorded before the change.
         One determinant per leading minor of the 126 x 126 matrix (2x3 in
         degree 4) takes about 0.8 s, so there the recorded verdict stands
         alone."""

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from qmatball import integral
 from qmatball.algebras import make_preset, star
 from qmatball.field import I, ONE, ZERO, from_int, q_pow
 from qmatball.fockrep import hilbert_basis
@@ -220,6 +221,20 @@ class TestPositivityAndReality:
                 assert positivity_sample_ok(f, funu, s0)
             checked += 1
         assert checked >= 8
+
+    @pytest.mark.parametrize(
+        "value",
+        [ONE - 8 * q_pow(1), ONE - 4 * q_pow(1), ONE + I * q_pow(1)],
+        ids=["negative", "zero", "not real"],
+    )
+    def test_positivity_sample_planted_faults(self, monkeypatch, value):
+        """Planted integrals with a positive constant term: at s0 = 1/2
+        (q = 1/4) they are -1, 0 and 1 + i/4, and each fails the sample."""
+        funu = make_preset("FunU", 1, 1)
+        f, half = poly("f0"), Fraction(1, 2)
+        assert positivity_sample_ok(f, funu, half)
+        monkeypatch.setattr(integral, "integral_nu", lambda g, preset: value)
+        assert not positivity_sample_ok(f, funu, half)
 
 
 class TestTwistedTrace:

@@ -1,6 +1,7 @@
 """Word/rewriting engine on small hand-built presentations."""
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +33,13 @@ def test_symbols_intern_and_parse():
         parse_symbol("w[1,2]")
     with pytest.raises(ValueError):
         sym("z", 0, 1)
+
+
+@pytest.mark.parametrize("token", ["z[\u0661,\u0661]", "z[1_0,1]", "z[+1,1]", "z[1,-1]", "z[1,]"])
+def test_symbol_indices_are_ascii_numerals(token):
+    with pytest.raises(ValueError, match=re.escape(f"bad generator token {token!r}")):
+        parse_symbol(token)
+    assert parse_symbol(" z[ 1 , 2 ] ") is sym("z", 1, 2)
 
 
 def test_symbols_hash_and_compare_by_identity():
