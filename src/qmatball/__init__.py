@@ -19,7 +19,8 @@ The package is organized in layers:
 * :mod:`qmatball.fockrep`   -- certified slices of the ladder operators (what
   ``qmb export`` writes, one column at a time: a polynomial, a minor or the
   projector, a letter or coordinate being a one-letter polynomial), the
-  representation laws and the cyclic-module comparison,
+  representation laws, the *-representation certificate, and the cyclic
+  module's action and Gram matrices,
 * :mod:`qmatball.integral`  -- the invariant positive integral,
 * :mod:`qmatball.cli`       -- the ``qmb`` command-line front end.
 

@@ -154,6 +154,8 @@ def make_preset(name: str, m: int, n: int) -> Presentation:
 def parse_preset(text: str) -> Presentation:
     """Resolve a CLI-style preset string such as ``"pol:2x2"``."""
     try:
+        if not text.isascii():  # int() would read other scripts' digits
+            raise ValueError("not ASCII")
         name, size = text.split(":")
         ms, ns = size.lower().split("x")
         m, n = int(ms), int(ns)

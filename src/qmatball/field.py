@@ -21,8 +21,7 @@ plain value ``eval_at`` returns.  The text forms read ASCII numerals only.
 The ladder operators need only Z[i][s, 1/s], and keep it as integer terms
 {(e, j): c} meaning the sum of c i^j s^e: :func:`to_laurent` and
 :func:`from_laurent` convert at the boundary (a coefficient outside that
-ring raises ValueError), and :func:`laurent_dot` and :func:`laurent_conj`
-are the arithmetic the ladder vectors need.
+ring raises ValueError).
 
 Conjugation fixes s and sends i to -i (the deformation parameter is real).
 Evaluation at a rational point 0 < s0 < 1 is exact and returns a Gaussian
@@ -52,8 +51,6 @@ __all__ = [
     "q_factorial",
     "to_laurent",
     "from_laurent",
-    "laurent_conj",
-    "laurent_dot",
 ]
 
 
@@ -700,24 +697,6 @@ def from_laurent(terms: dict) -> Scalar:
     if low >= 0:
         return _new(num, _P_ONE)
     return _new({e - low: c for e, c in num.items()}, {-low: _C1})
-
-
-def laurent_conj(terms: dict) -> dict:
-    """Complex conjugation of integer terms: the i terms change sign."""
-    return {key: -c if key[1] else c for key, c in terms.items()}
-
-
-def laurent_dot(pairs) -> dict:
-    """The sum of p * q over the pairs (p, q) of integer terms (i^2 = -1),
-    with no zero coefficient."""
-    acc: dict = {}
-    get = acc.get
-    for p, q in pairs:
-        for (e, j), c in p.items():
-            for (f, k), d in q.items():
-                key = (e + f, j ^ k)
-                acc[key] = get(key, 0) + (-c * d if j & k else c * d)
-    return {key: c for key, c in acc.items() if c}
 
 
 def _poly_from_gauss(p: dict) -> dict:

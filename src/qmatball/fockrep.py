@@ -1,5 +1,5 @@
 """Operator slices on the weighted ladder basis, the representation laws,
-and the cyclic-module comparison.
+and the cyclic module.
 
 The ladder space has the basis e_k, k in N^L (one index per tensor leg,
 L = mn for the (m, n) block split), with the weighted inner product
@@ -29,23 +29,16 @@ its recorded degrees, and no slice is ever multiplied or applied.
 The laws of the representation (diagonal corner and volume minors, the
 vacuum modulus, the type identity, the determinant, the rewrite rules as
 operators) are checked on the ladder operators themselves, and so hold at
-every degree.
+every degree.  With them, :func:`star_representation_ok` is a finite proof
+that the ladder operators are a *-representation of FunU, and so that the
+cyclic module (coordinate monomials times the rank-one projector) is
+unitarily equivalent to the span of the vacuum orbit at every degree.
 
-On the symbolic side, the same module computes the sparse action of a
-polynomial on the cyclic module spanned by coordinate monomials times the
-rank-one projector (letter by letter, through the lowering map), and the
-Gram matrices of that module; the constant-term pairing of the coordinate
-*-algebra is their transpose.  The unitary-equivalence certificate compares
-those Gram matrices with the ones of the vacuum orbit vectors
-v_b = pi(b) e_0, and the action of each coordinate letter with its ladder
-image, pi(x) v_psi = sum of c_u v_u, as integer vectors.  The vacuum orbit
-vectors hold {(e, j): c} per basis vector (as
-:meth:`qmatball.ladder.LadderOperator.apply_int` gives them) and each
-||e_k||^2 is a Laurent polynomial in s over Z.  Two vectors pair only
-through the ladder indices they share, so the ladder-side Gram matrix is
-built index by index, from the pairs that share one, and a Scalar is made
-once per nonzero entry; the ladder side of the vector comparison makes
-none.
+The same module computes the sparse action of a polynomial on that cyclic
+module (letter by letter, through the lowering map) and its Gram matrices;
+the constant-term pairing of the coordinate *-algebra is their transpose.
+The degree-bounded comparison of the two pictures, vector by vector, is a
+test-side oracle of the rewriting engine, not part of the package.
 """
 
 from __future__ import annotations
@@ -55,21 +48,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .algebras import make_preset, star_words
-from .field import (
-    ONE,
-    Scalar,
-    ZERO,
-    add_terms,
-    from_laurent,
-    laurent_conj,
-    laurent_dot,
-    q_pow,
-    to_laurent,
-)
+from .algebras import make_preset, projection_rules, star_words
+from .field import ONE, Scalar, ZERO, add_terms, from_laurent, q_pow
 from .ladder import (
     LadderOperator,
-    coordinate_image,
     coordinate_images,
     corner_image,
     generator_image,
@@ -102,7 +84,6 @@ __all__ = [
     "rep_projector",
     "rep_pol_poly",
     "vacuum_eigenvalue",
-    "apply_coordinate_word",
     "diagonal_laws_ok",
     "vacuum_modulus_value",
     "vacuum_modulus_ok",
@@ -111,15 +92,12 @@ __all__ = [
     "minor_conjugation_ok",
     "corner_adjoint_relation_ok",
     "rules_as_operators_failures",
+    "star_representation_ok",
     "hilbert_basis",
     "cyclic_action",
     "gram_matrix",
     "gram_minors_positive",
-    "fock_gram_entries",
-    "vacuum_orbit",
     "projector_pairing_rank",
-    "intertwines",
-    "equivalence_report",
     "write_csv",
     "write_json",
     "default_cutoff",
@@ -314,16 +292,6 @@ def vacuum_eigenvalue(op: LadderOperator) -> Scalar:
     return from_laurent(img.get(zero_idx, {}))
 
 
-def apply_coordinate_word(word: tuple, m: int, n: int) -> dict:
-    """The vector (image of the word applied to the vacuum), word read left
-    to right, as {multi-index: integer terms} (see
-    :meth:`qmatball.ladder.LadderOperator.apply_int`)."""
-    vec = {(0,) * (m * n): {(0, 0): 1}}
-    for g in reversed(word):
-        vec = coordinate_image(g, m, n).apply_int(vec)
-    return vec
-
-
 # ---------------------------------------------------------------------------
 # laws of the representation, as identities of ladder operators
 #
@@ -454,6 +422,58 @@ def rules_as_operators_failures(m: int, n: int) -> list:
         if pat not in partner
     }
     return [pat for pat in rules if fails[partner.get(pat, pat)]]
+
+
+def star_representation_ok(m: int, n: int) -> bool:
+    """Whether the ladder operators, with f0 sent to P = |e_0><e_0|, are a
+    *-representation of FunU: a finite certificate that, together with
+    :func:`rules_as_operators_failures` returning [], proves the cyclic
+    module picture and the ladder picture agree at every degree.
+
+    It checks three facts, and the argument needs nothing else:
+
+    1. FunU's rules are exactly Pol's rules plus
+       :func:`~qmatball.algebras.projection_rules` (f0 f0 -> f0, f0 z -> 0,
+       zs f0 -> 0), read from the presets, not assumed;
+    2. FunU's lowering certificate holds
+       (:meth:`~qmatball.words.Presentation.lowering_violations` is empty),
+       so x psi f0 is a sum of c_u u f0 over normal z-words u for every
+       letter x and z-word psi;
+    3. pi(zs[a,al]) e_0 = 0 for every coordinate.
+
+    The argument:
+
+    * P is a projection, since ||e_0||^2 = 1, so f0 f0 -> f0 holds.
+    * Every Pol rule holds as an operator identity at every degree (the
+      rules verdict).
+    * pi(zs) P = |pi(zs) e_0><e_0| and P pi(z) = |e_0><pi(z)^dagger e_0|,
+      where pi(z)^dagger = pi(zs) by construction
+      (:func:`qmatball.ladder.coordinate_images`).  So zs f0 -> 0 and
+      f0 z -> 0 hold iff pi(zs) e_0 = 0.
+    * So pi is a *-representation of FunU: every rewriting step is an
+      equality in FunU, and so an equality of operators, in whatever order
+      the engine takes it.
+    * Hence the four keys of the cyclic-module match hold at every degree,
+      with v_b = pi(b) e_0:
+      - raising and lowering: x psi f0 = sum of c_u u f0 gives
+        pi(x) pi(psi) P = sum of c_u pi(u) P, and on e_0
+        pi(x) v_psi = sum of c_u v_u;
+      - gram: f0 star(b_r) b_p f0 = G_pr f0 gives <v_r, v_p> = G_pr, since
+        pi(star(b)) = pi(b)^dagger;
+      - projector: P e_0 = e_0.
+
+    The proof assumes that the engine rewrites correctly.  A bug in the
+    lowering map, ``reduce_word`` or the Gram recursion is caught by the
+    degree-bounded comparison the test suite keeps as an oracle, not here.
+    """
+    pol, funu = make_preset("Pol", m, n), make_preset("FunU", m, n)
+    if funu.rules != {**pol.rules, **projection_rules(m, n)}:
+        return False
+    if funu.lowering_violations():
+        return False
+    images = coordinate_images(m, n)
+    vacuum = {(0,) * (m * n): {(0, 0): 1}}
+    return all(images[g].apply_int(vacuum) == {} for g in pol.symbols("zs"))
 
 
 # ---------------------------------------------------------------------------
@@ -632,49 +652,6 @@ def _leading_minors_positive(rows) -> bool:
     return all(b == 0 and a > 0 for a, b in bareiss_zi(rows)[0])
 
 
-@lru_cache(maxsize=None)
-def vacuum_orbit(m: int, n: int, k: int) -> tuple:
-    """The vacuum orbit vectors of the degree-k monomials, in
-    :func:`hilbert_basis` order, as :func:`apply_coordinate_word` gives
-    them.  Shared between callers: do not mutate."""
-    return tuple(apply_coordinate_word(w, m, n) for w in hilbert_basis(m, n, k))
-
-
-@lru_cache(maxsize=None)
-def _weight_terms(k: tuple) -> dict:
-    """||e_k||^2 = prod over legs l and 1 <= i <= k_l of (s^-4i - 1), as
-    integer terms: a Laurent polynomial in s over Z."""
-    out = {(0, 0): 1}
-    for j in k:
-        for i in range(1, j + 1):
-            out = laurent_dot([(out, {(-4 * i, 0): 1, (0, 0): -1})])
-    return out
-
-
-def fock_gram_entries(m: int, n: int, k: int) -> dict:
-    """The Gram matrix of the vacuum orbit vectors of the degree-k
-    monomials, as {(p, r): integer terms of <v_p, v_r>} over p <= r, zero
-    entries left out.
-
-    <v_p, v_r> is the sum of v_p[K] conj(v_r[K]) ||e_K||^2 over the ladder
-    indices K that both vectors reach, so the vectors are grouped by index
-    and only pairs within a group are formed.  Entry (r, p) is the
-    conjugate of entry (p, r).
-    """
-    by_index: dict = {}
-    for p, v in enumerate(vacuum_orbit(m, n, k)):
-        for key, terms in v.items():
-            by_index.setdefault(key, []).append((p, terms))
-    pairs: dict = {}
-    for key, column in by_index.items():
-        weight = _weight_terms(key)
-        for i, (r, vr) in enumerate(column):
-            dual = laurent_dot([(laurent_conj(vr), weight)])
-            for p, vp in column[: i + 1]:
-                pairs.setdefault((p, r), []).append((vp, dual))
-    return {pr: acc for pr, ps in pairs.items() if (acc := laurent_dot(ps))}
-
-
 def projector_pairing_rank(m: int, n: int, l: int, s0: Fraction) -> int:
     """Rank of the constant-term pairing matrix at a sample parameter value
     (a lower bound for the generic rank).
@@ -703,77 +680,6 @@ def projector_pairing_rank(m: int, n: int, l: int, s0: Fraction) -> int:
     """
     blocks = _zi_blocks(_gram_entries(m, n, l), _weight_blocks(m, n, l), s0)
     return sum(bareiss_zi(rows)[1] for rows in blocks)
-
-
-def intertwines(f: NCPoly, m: int, n: int, k: int) -> bool:
-    """Whether pi(f) v_psi = sum of c_u v_u for every degree-k basis word
-    psi, with {u: c_u} = :func:`cyclic_action` of f on psi and
-    v_b = pi(b) e_0 the vacuum orbit vectors (:func:`vacuum_orbit`).
-
-    Both sides are integer vectors: the ladder side as
-    :meth:`~qmatball.ladder.LadderOperator.apply_int` gives it, the module
-    side summed with :func:`~qmatball.field.laurent_dot`.  A word u outside
-    the basis fails the check.  Every rule coefficient lies in the ring
-    Z[i][s, 1/s], so each c_u does too; one that does not makes
-    :func:`~qmatball.field.to_laurent` raise ValueError naming it, so no
-    verdict ever comes from a rounded value.
-    """
-    op = pol_image(f, m, n)
-    orbits: dict = {}
-    for psi, v in zip(hilbert_basis(m, n, k), vacuum_orbit(m, n, k)):
-        pairs: dict = {}
-        for u, c in cyclic_action(f, m, n, psi).items():
-            cu = to_laurent(c)
-            d = len(u)
-            if d not in orbits:
-                orbits[d] = dict(zip(hilbert_basis(m, n, d), vacuum_orbit(m, n, d)))
-            vu = orbits[d].get(u)
-            if vu is None:
-                return False
-            for key, p in vu.items():
-                pairs.setdefault(key, []).append((cu, p))
-        want = {key: p for key, ps in pairs.items() if (p := laurent_dot(ps))}
-        if op.apply_int(v) != want:
-            return False
-    return True
-
-
-def equivalence_report(m: int, n: int, through: int) -> dict:
-    """Unitary-equivalence certificate between the two module pictures, on
-    the slab of degrees <= through.
-
-    * gram: the symbolic Gram matrix equals the ladder-side one
-      (:func:`fock_gram_entries`) in every degree, so the vacuum-orbit map
-      b f0 -> v_b = pi(b) e_0 is an isometry; the nonzero entries on and
-      above the diagonal are compared, across the whole triangle, and each
-      side's other entries are their conjugates;
-    * raising/lowering: for every coordinate generator and its conjugate x,
-      pi(x) v_psi equals the image of x psi f0 as integer vectors
-      (:func:`intertwines`), so the map intertwines each letter exactly;
-    * projector: f0 acts on the empty word as 1 (:func:`cyclic_action`
-      drops every other word), as the rank-one projector onto the vacuum
-      fixes e_0 = v_1.
-    An isometry that intertwines every letter is a unitary equivalence of
-    the cyclic module with the span of the vacuum orbit.  Comparing
-    pairings <pi(x) v_p, v_r> instead would fix pi(x) v_p only up to
-    vectors orthogonal to every v_r, and so would also need the v_r to span
-    each degree of the ladder space; equal vectors need no such fact.
-    """
-    report = {"gram": True, "raising": True, "lowering": True, "projector": True}
-    for k in range(through + 1):
-        upper = {pr: c for pr, c in _gram_entries(m, n, k).items() if pr[0] <= pr[1]}
-        ladder = {pr: from_laurent(terms) for pr, terms in fock_gram_entries(m, n, k).items()}
-        if upper != ladder:
-            report["gram"] = False
-    for g in make_preset("Pol", m, n).symbols("z"):
-        gs = sym("zs", g.row, g.col)
-        if not all(intertwines(NCPoly.from_word((g,)), m, n, k) for k in range(through)):
-            report["raising"] = False
-        if not all(intertwines(NCPoly.from_word((gs,)), m, n, k) for k in range(1, through + 1)):
-            report["lowering"] = False
-    if cyclic_action(NCPoly.from_word((sym("f0"),)), m, n, ()) != {(): ONE}:
-        report["projector"] = False
-    return report
 
 
 # ---------------------------------------------------------------------------

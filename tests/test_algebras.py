@@ -122,6 +122,13 @@ class TestPresets:
         with pytest.raises(ValueError):
             parse_preset("nosuch:1x1")
 
+    def test_parse_preset_reads_ascii_digits_only(self):
+        # int() reads Arabic-Indic and other digits; a preset string takes
+        # only the ASCII ones, so "cmat:\u0662x\u0662" is no 2x2 preset
+        assert parse_preset("CMat:2X2") is make_preset("CMat", 2, 2)
+        with pytest.raises(ValueError, match="malformed preset string"):
+            parse_preset("cmat:\u0662x\u0662")
+
     def test_rank_one_cross_rule(self):
         pol = make_preset("Pol", 1, 1)
         z, zs = sym("z", 1, 1), sym("zs", 1, 1)

@@ -616,6 +616,41 @@ class TestNegativeBounds:
         assert json.loads(out)["rows"] == [{"degree": 0, "dimension": 1}]
 
 
+class TestNonAsciiNumerals:
+    """Sizes, presets and q0 take ASCII digits only: int() and Fraction()
+    read other scripts' digits, so Arabic-Indic two would be a 2."""
+
+    def test_preset_size(self, capsys):
+        code, out, err = run(capsys, "dims", "--algebra", "cmat:\u0662x\u0662")
+        assert (code, out) == (1, "")
+        assert "malformed preset string" in err
+
+    def test_mn_size(self, capsys):
+        code, out, err = run(capsys, "rep-check", "--mn", "\u0662x\u0662")
+        assert (code, out) == (1, "")
+        assert "malformed size" in err
+
+    def test_q0(self, capsys):
+        code, out, err = run(
+            capsys, "integral", "--algebra", "funu:1x1", "--input", TestIntegral.SANDWICH,
+            "--q0", "\u0664/\u0669",
+        )
+        assert (code, out) == (1, "")
+        assert "malformed q0 value" in err
+
+    def test_ascii_forms_are_kept(self, capsys):
+        # an upper-case X, padding and a sign, which int() and Fraction() read
+        code, out, _ = run(capsys, "dims", "--algebra", "CMat:2X2", "--max-degree", "1")
+        assert code == 0 and json.loads(out)["algebra"] == "cmat:2x2"
+        code, out, _ = run(capsys, "rep-check", "--mn", " 1X+1", "--max-degree", "0")
+        assert code == 0 and "9/9 checks passed" in out
+        code, out, _ = run(
+            capsys, "integral", "--algebra", "funu:1x1", "--input", TestIntegral.SANDWICH,
+            "--q0", " 0.25",
+        )
+        assert code == 0 and json.loads(out)["value_at_q0"] == "15"
+
+
 class TestAlphabet:
     """Generators outside the preset's alphabet are input errors (exit 1)."""
 

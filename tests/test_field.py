@@ -20,8 +20,6 @@ from qmatball.field import (
     from_fraction,
     from_int,
     from_laurent,
-    laurent_conj,
-    laurent_dot,
     parse_gauss,
     q_bracket,
     q_factorial,
@@ -29,6 +27,8 @@ from qmatball.field import (
     s_pow,
     to_laurent,
 )
+
+from cyclic_oracle import laurent_conj, laurent_dot
 
 
 # ---------------------------------------------------------------------------

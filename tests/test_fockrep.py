@@ -24,8 +24,6 @@ from qmatball.field import (
     from_fraction,
     from_int,
     from_laurent,
-    laurent_conj,
-    laurent_dot,
     q_pow,
     s_pow,
     to_laurent,
@@ -33,17 +31,13 @@ from qmatball.field import (
 from qmatball.fockrep import (
     CutoffError,
     TruncatedOperator,
-    apply_coordinate_word,
     corner_adjoint_relation_ok,
     cyclic_action,
     det_is_identity_ok,
     diagonal_laws_ok,
-    equivalence_report,
-    fock_gram_entries,
     gram_matrix,
     gram_minors_positive,
     hilbert_basis,
-    intertwines,
     minor_conjugation_ok,
     projector_pairing_rank,
     rep_minor,
@@ -51,20 +45,31 @@ from qmatball.fockrep import (
     rep_projector,
     rep_tpoly,
     rules_as_operators_failures,
+    star_representation_ok,
     type_identity_ok,
     vacuum_eigenvalue,
     vacuum_modulus_ok,
     vacuum_modulus_value,
-    vacuum_orbit,
     write_csv,
     write_json,
 )
-from qmatball.fockrep import _leading_minors_positive, _weight_terms
+from qmatball.fockrep import _leading_minors_positive
 from qmatball.ladder import sign_chain, staircase_transpositions
 from qmatball.qminors import corner_minor_label, qdet, qminor, volume_element
 from qmatball.words import NCPoly, Presentation, sym
 
+import cyclic_oracle
 import truncated_arithmetic as ta
+from cyclic_oracle import (
+    _weight_terms,
+    apply_coordinate_word,
+    equivalence_report,
+    fock_gram_entries,
+    intertwines,
+    laurent_conj,
+    laurent_dot,
+    vacuum_orbit,
+)
 from compact_involution import star_compact, star_compact_poly, t_gen
 from dense_linalg import mat_det, mat_rank
 
@@ -606,13 +611,13 @@ def _failing_keys(m, n, through):
 def _plant_in_action(monkeypatch, target, change):
     """Let the report see ``change(psi, column)`` as the action of the
     polynomial ``target`` on psi; every other action is left as it is."""
-    real = fockrep.cyclic_action
+    real = cyclic_oracle.cyclic_action
 
     def planted(f, m, n, psi):
         col = real(f, m, n, psi)
         return change(psi, col) if f == target else col
 
-    monkeypatch.setattr(fockrep, "cyclic_action", planted)
+    monkeypatch.setattr(cyclic_oracle, "cyclic_action", planted)
 
 
 def _first_scaled_by_q(psi, col):
@@ -628,13 +633,13 @@ class TestCyclicMatchCatchesPlantedFaults:
         # only the image the check applies is scaled; the vacuum orbit, and
         # so the Gram matrices, stay as they are
         target = NCPoly.from_word((sym(kind, 2, 1),))
-        real = fockrep.pol_image
+        real = cyclic_oracle.pol_image
 
         def planted(f, m, n):
             img = real(f, m, n)
             return img.scale(q_pow(1)) if f == target else img
 
-        monkeypatch.setattr(fockrep, "pol_image", planted)
+        monkeypatch.setattr(cyclic_oracle, "pol_image", planted)
         assert _failing_keys(2, 2, 2) == [key]
 
     @pytest.mark.parametrize("kind,key", [("z", "raising"), ("zs", "lowering")])
@@ -665,20 +670,20 @@ class TestCyclicMatchCatchesPlantedFaults:
     def test_a_rescaled_ladder_weight(self, monkeypatch):
         # ||e_K||^2 times q at one index K that a degree-1 vector reaches;
         # the intertwining keys compare vectors and never read a weight
-        real = fockrep._weight_terms
+        real = cyclic_oracle._weight_terms
         scaled = next(iter(vacuum_orbit(2, 2, 1)[0]))
 
         def planted(key):
             terms = real(key)
             return laurent_dot([(terms, {(2, 0): 1})]) if key == scaled else terms
 
-        monkeypatch.setattr(fockrep, "_weight_terms", planted)
+        monkeypatch.setattr(cyclic_oracle, "_weight_terms", planted)
         assert _failing_keys(2, 2, 2) == ["gram"]
 
     def test_an_off_block_symbolic_gram_entry(self, monkeypatch):
         # one Hermitian pair of entries between two weight blocks set to 1:
         # the ladder side leaves the pair out, and the whole triangle is read
-        real = fockrep._gram_entries
+        real = cyclic_oracle._gram_entries
         (p, *_), (r, *_) = fockrep._weight_blocks(2, 2, 2)[:2]
 
         def planted(m, n, k):
@@ -687,10 +692,10 @@ class TestCyclicMatchCatchesPlantedFaults:
                 return entries
             return {**entries, (p, r): ONE, (r, p): ONE}
 
-        monkeypatch.setattr(fockrep, "_gram_entries", planted)
+        monkeypatch.setattr(cyclic_oracle, "_gram_entries", planted)
         assert _failing_keys(2, 2, 2) == ["gram"]
 
-    def test_a_coefficient_outside_the_ring_raises(self, monkeypatch, capsys):
+    def test_a_coefficient_outside_the_ring_raises(self, monkeypatch):
         # the check reads every coefficient as integer terms; a 1/2 must
         # stop it with an error naming the value, never give a verdict
         half = from_fraction(Fraction(1, 2))
@@ -702,10 +707,6 @@ class TestCyclicMatchCatchesPlantedFaults:
         message = r"coefficient 1/2 is not in Z\[i\]\[s, 1/s\]"
         with pytest.raises(ValueError, match=message):
             equivalence_report(1, 1, 2)
-        assert cli.main(["rep-check", "--mn", "1x1", "--max-degree", "2"]) == 1
-        out, err = capsys.readouterr()
-        assert "checks passed" not in out
-        assert "coefficient 1/2 is not in" in err
 
 
 def _gram_by_whole_words(m, n, k):
@@ -903,6 +904,84 @@ class TestFailedCertificatesRaise:
 def _first_rule_scaled_by_s2(rules):
     pat, repl = next((p, r) for p, r in rules.items() if r)
     return {pat: repl.scale(s_pow(2))}
+
+
+CYCLIC_LINES = [
+    f"cyclic-module match: {key}" for key in ("gram", "lowering", "projector", "raising")
+]
+
+
+def _rep_check_failures(capsys, mn="2x2"):
+    """Exit code and FAIL lines of ``qmb rep-check`` at ``mn``."""
+    code = cli.main(["rep-check", "--mn", mn, "--max-degree", "2"])
+    out = capsys.readouterr().out
+    return code, [line[len("FAIL  "):] for line in out.splitlines() if line.startswith("FAIL")]
+
+
+def _zs_with_identity_term(monkeypatch):
+    """Let the certificate see pi(zs[1,1]) plus the identity, which sends
+    e_0 to itself; the rules as operators still read the real images."""
+    real = fockrep.coordinate_images
+
+    def planted(m, n):
+        images = dict(real(m, n))
+        g = sym("zs", 1, 1)
+        images[g] = images[g] + ladder.LadderOperator.identity(m * n)
+        return images
+
+    monkeypatch.setattr(fockrep, "coordinate_images", planted)
+
+
+def _no_f0_z_rule(rules):
+    return {(sym("f0"), sym("z", 2, 1)): None}
+
+
+def _no_zs_z_rule(rules):
+    return {(sym("zs", 1, 1), sym("z", 1, 1)): None}
+
+
+def _no_pol_z_z_rule(rules):
+    # a z z rule: the lowering certificate does not need it, the rule
+    # comparison does
+    return {next(p for p in rules if p[0].kind == p[1].kind == "z"): None}
+
+
+class TestStarRepresentationCertificate:
+    @pytest.mark.parametrize("mn", LAW_SIZES + [(3, 3)])
+    def test_holds(self, mn):
+        assert star_representation_ok(*mn)
+
+    def test_a_zs_image_that_does_not_kill_the_vacuum(self, monkeypatch, capsys):
+        _zs_with_identity_term(monkeypatch)
+        assert not star_representation_ok(2, 2)
+        assert _rep_check_failures(capsys) == (2, CYCLIC_LINES)
+
+    @pytest.mark.parametrize(
+        "extra",
+        [_no_f0_z_rule, _no_pol_z_z_rule, _first_rule_scaled_by_s2],
+        ids=["no-f0-z-rule", "pol-rule-missing", "pol-rule-replaced"],
+    )
+    def test_a_funu_that_is_not_pol_plus_the_projection(self, monkeypatch, capsys, extra):
+        _with_planted_rules(monkeypatch, "FunU", extra)
+        assert not star_representation_ok(2, 2)
+        assert _rep_check_failures(capsys) == (2, CYCLIC_LINES)
+
+    def test_a_funu_without_a_lowering_map(self, monkeypatch, capsys):
+        # one zs z rule taken out of both presets: FunU is still Pol plus
+        # the projection, but the lowering certificate fails
+        _with_planted_rules(monkeypatch, "Pol", _no_zs_z_rule)
+        _with_planted_rules(monkeypatch, "FunU", _no_zs_z_rule)
+        assert not star_representation_ok(2, 2)
+        assert _rep_check_failures(capsys) == (2, CYCLIC_LINES)
+
+    def test_a_failing_rule_fails_the_match(self, monkeypatch, capsys):
+        # the match reads the rules verdict too: a rule that fails as an
+        # operator fails all four cyclic-module lines with it, though the
+        # certificate itself still holds
+        monkeypatch.setattr(cli, "rules_as_operators_failures", lambda m, n: ["planted"])
+        assert star_representation_ok(2, 2)
+        code, failed = _rep_check_failures(capsys)
+        assert (code, failed) == (2, ["all coordinate rewrite rules hold as operators"] + CYCLIC_LINES)
 
 
 class TestLawsCatchPlantedFaults:
