@@ -28,24 +28,26 @@ emitted with sorted keys and every enumeration is sorted.
 from __future__ import annotations
 
 import argparse
-import io
 import json
+import os
 import re
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 from math import isqrt
 from pathlib import Path
 
 from .algebras import parse_preset
 from .braiding import TAGS, verify_rhat_properties
-from .field import GaussRat, from_int, I
+from .field import GaussRat, ZERO, from_int, I
 from .fockrep import (
     CutoffError,
     default_cutoff,
     det_is_identity_ok,
     diagonal_laws_ok,
-    gram_matrix,
     gram_minors_positive,
+    gram_rows,
+    hilbert_basis,
     rep_minor,
     rep_pol_poly,
     rep_projector,
@@ -139,17 +141,17 @@ def _poly_payload(f: NCPoly) -> dict:
     return json.loads(f.to_json())
 
 
-def _emit(text: str, out: str | None) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+def _output(out: str | None):
+    """Where every verb writes: the ``--out`` file, else stdout (left open)."""
+    try:
+        return open(out, "w") if out else nullcontext(sys.stdout)
+    except OSError as exc:
+        raise UsageError(f"cannot write output file {out!r}: {exc.strerror}") from exc
 
 
 def _emit_json(obj, out: str | None) -> None:
-    _emit(json.dumps(obj, indent=2, sort_keys=True), out)
+    with _output(out) as fh:
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _check_lines(results: list) -> int:
@@ -191,7 +193,8 @@ def cmd_dims(args) -> int:
             head = row[key]
             cell = " ".join(map(str, head)) if isinstance(head, list) else str(head)
             lines.append(f"{cell},{row['dimension']}")
-        _emit("\n".join(lines), args.out)
+        with _output(args.out) as fh:
+            fh.write("\n".join(lines) + "\n")
     else:
         _emit_json({"algebra": preset.label(), "rows": rows}, args.out)
     return 0
@@ -239,36 +242,29 @@ def cmd_act(args) -> int:
 
 
 def cmd_gram(args) -> int:
+    # the map and the --q0 verdict come first, so an error leaves no file
     m, n = _parse_mn(args.mn)
     k = args.max_degree
-    cells = [[c.to_string() for c in row] for row in gram_matrix(m, n, k)]
-    d = len(cells)
-    payload = {
-        "mn": f"{m}x{n}",
-        "degree": k,
-        "dimension": d,
-        "entries": cells,
-    }
-    code = 0
+    zero = ZERO.to_string()
+    cells = ([c.to_string() if c else zero for c in row] for row in gram_rows(m, n, k))
+    head = {"mn": f"{m}x{n}", "degree": k, "dimension": len(hilbert_basis(m, n, k))}
+    ok = True
     if args.q0 is not None:
         s0 = _parse_q0(args.q0)
         ok = all(gram_minors_positive(m, n, kk, s0) for kk in range(k + 1))
-        payload["q0"] = args.q0
-        payload["positive_minors_through_degree"] = ok
-        code = 0 if ok else 2
-    if args.format == "csv":
-        import csv
+        head.update(q0=args.q0, positive_minors_through_degree=ok)
+    with _output(args.out) as fh:
+        if args.format == "csv":
+            import csv
 
-        buf = io.StringIO()
-        buf.write(f"# mn={m}x{n} degree={k} dimension={d}\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["row", "col", "value"])
-        for i, row in enumerate(cells):
-            writer.writerows([i, j, cell] for j, cell in enumerate(row))
-        _emit(buf.getvalue(), args.out)
-    else:
-        _emit_json(payload, args.out)
-    return code
+            fh.write("# mn={mn} degree={degree} dimension={dimension}\n".format(**head))
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["row", "col", "value"])
+            for i, row in enumerate(cells):
+                writer.writerows([i, j, cell] for j, cell in enumerate(row))
+        else:
+            write_json(fh, head, cells, indent=2, sort_keys=True)
+    return 0 if ok else 2
 
 
 def cmd_integral(args) -> int:
@@ -396,12 +392,14 @@ def cmd_export(args) -> int:
             "coordinate-star:a,b, letter:i,j, corner, opposite-corner, "
             "volume, or projector"
         )
-    write = write_csv if args.format == "csv" else write_json
-    if args.out:
-        with open(args.out, "w") as fh:
-            write(op, fh)
-    else:
-        write(op, sys.stdout)
+    with _output(args.out) as fh:
+        if args.format == "csv":
+            write_csv(op, fh)
+        else:
+            head = {"legs": op.legs, "cert": op.cert, "shift_up": op.up, "shift_down": op.down}
+            rows = op.rows()
+            entries = ({"out": list(o), "in": list(i), "value": c.to_string()} for o, i, c in rows)
+            write_json(fh, head, entries)
     return 0
 
 
@@ -524,7 +522,14 @@ def main(argv=None) -> int:
         print("error: integral needs --input or --positivity N", file=sys.stderr)
         return 1
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so the flush at exit
+        # cannot fail again (the SIGPIPE note in Python's signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

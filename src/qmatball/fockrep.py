@@ -95,6 +95,7 @@ __all__ = [
     "star_representation_ok",
     "hilbert_basis",
     "cyclic_action",
+    "gram_rows",
     "gram_matrix",
     "gram_minors_positive",
     "projector_pairing_rank",
@@ -599,13 +600,18 @@ def _gram_entries(m: int, n: int, k: int) -> dict:
     return out
 
 
-def gram_matrix(m: int, n: int, k: int):
-    """The degree-k Gram matrix as dense rows: :func:`_gram_entries`, and
-    ZERO elsewhere.  Every FunU and Pol rule coefficient is real (the tests
-    check it through 3x3), so the matrix is real symmetric."""
+def gram_rows(m: int, n: int, k: int):
+    """The degree-k Gram matrix row by row: :func:`_gram_entries` (built on
+    the call), ZERO elsewhere.  Every FunU and Pol rule coefficient is real
+    (the tests check it through 3x3), so the matrix is real symmetric."""
     entries = _gram_entries(m, n, k)
     d = len(hilbert_basis(m, n, k))
-    return [[entries.get((p, r), ZERO) for r in range(d)] for p in range(d)]
+    return ([entries.get((p, r), ZERO) for r in range(d)] for p in range(d))
+
+
+def gram_matrix(m: int, n: int, k: int):
+    """The degree-k Gram matrix as a list of :func:`gram_rows`."""
+    return list(gram_rows(m, n, k))
 
 
 def gram_minors_positive(m: int, n: int, k: int, s0: Fraction) -> bool:
@@ -699,16 +705,16 @@ def write_csv(op: TruncatedOperator, fh) -> None:
         w.writerow([" ".join(map(str, kout)), " ".join(map(str, kin)), c.to_string()])
 
 
-def write_json(op: TruncatedOperator, fh) -> None:
-    """Write ``op`` to the text stream ``fh`` as one JSON object and a
-    newline, entry by entry: the bytes of ``json.dumps`` on the whole object
-    (keys legs, cert, shift_up, shift_down, entries)."""
-    head = json.dumps(
-        {"legs": op.legs, "cert": op.cert, "shift_up": op.up, "shift_down": op.down, "entries": []}
-    )
-    fh.write(head[:-2])  # everything up to the entries' closing "]}"
-    sep = ""
-    for kout, kin, c in op.rows():
-        fh.write(sep + json.dumps({"out": list(kout), "in": list(kin), "value": c.to_string()}))
-        sep = ", "
-    fh.write("]}\n")
+def write_json(fh, head: dict, entries, **style) -> None:
+    """Write ``json.dumps({**head, "entries": list(entries)}, **style)`` and a
+    newline to the text stream ``fh``, one item at a time: the head is dumped
+    with an empty list and split there (``style``: an int indent, sort_keys)."""
+    before, after = json.dumps({**head, "entries": []}, **style).split('"entries": []', 1)
+    indent = style.get("indent")
+    end = "" if indent is None else "\n" + " " * indent  # before the list's "]"
+    step, sep = end + " " * (indent or 0), None  # before each item and its lines
+    fh.write(before + '"entries": [')
+    for item in entries:
+        fh.write((sep or step) + json.dumps(item, **style).replace("\n", step))
+        sep = ("," if indent is not None else ", ") + step
+    fh.write((end if sep else "") + "]" + after + "\n")

@@ -7,6 +7,8 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -14,7 +16,7 @@ import pytest
 import qmatball
 from qmatball.cli import main
 from qmatball.field import ONE, Scalar, q_pow, s_pow
-from qmatball.fockrep import gram_matrix
+from qmatball.fockrep import gram_matrix, gram_minors_positive
 
 
 def run(capsys, *argv):
@@ -168,6 +170,30 @@ class TestAct:
         assert "letter token" in err
 
 
+def dense_gram_output(m, n, k, q0, fmt):
+    """(stdout, exit code) of ``qmb gram`` as it was while it built the dense
+    matrix of strings and wrote it in one piece: the oracle of the streamed
+    writer's bytes."""
+    cells = [[c.to_string() for c in row] for row in gram_matrix(m, n, k)]
+    d = len(cells)
+    payload = {"mn": f"{m}x{n}", "degree": k, "dimension": d, "entries": cells}
+    ok = True
+    if q0 is not None:
+        s0 = {"1/4": Fraction(1, 2), "4": Fraction(2)}[q0]
+        ok = all(gram_minors_positive(m, n, kk, s0) for kk in range(k + 1))
+        payload["q0"] = q0
+        payload["positive_minors_through_degree"] = ok
+    if fmt == "json":
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n", 0 if ok else 2
+    buf = io.StringIO()
+    buf.write(f"# mn={m}x{n} degree={k} dimension={d}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["row", "col", "value"])
+    for i, row in enumerate(cells):
+        writer.writerows([i, j, cell] for j, cell in enumerate(row))
+    return buf.getvalue(), 0 if ok else 2
+
+
 class TestGram:
     def test_matches_library_block(self, capsys):
         code, out, _ = run(capsys, "gram", "--mn", "1x2", "--max-degree", "2")
@@ -227,6 +253,29 @@ class TestGram:
         )
         assert code == 1
         assert "square of a rational" in err
+
+    @pytest.mark.parametrize("q0", [None, "1/4", "4"])
+    @pytest.mark.parametrize("mn", ["1x1", "1x2", "2x2", "2x3"])
+    def test_streamed_bytes_match_the_dense_writer(self, capsys, mn, q0):
+        # every degree through 3, both formats; with --q0 the JSON keys after
+        # "entries" are pinned too, and q = 4 fails the certificate
+        m, n = (int(x) for x in mn.split("x"))
+        for k, fmt in product(range(4), ("json", "csv")):
+            argv = ["gram", "--mn", mn, "--max-degree", str(k), "--format", fmt]
+            code, out, _ = run(capsys, *argv, *(("--q0", q0) if q0 else ()))
+            assert (out, code) == dense_gram_output(m, n, k, q0, fmt), (k, fmt)
+
+    @pytest.mark.parametrize(
+        "extra,want", [((), 0), (("--format", "csv"), 0), (("--q0", "4"), 2)]
+    )
+    def test_out_file_holds_the_stdout_bytes(self, capsys, tmp_path, extra, want):
+        argv = ("gram", "--mn", "2x2", "--max-degree", "3", *extra)
+        code, out, _ = run(capsys, *argv)
+        assert code == want
+        target = tmp_path / "gram.out"
+        code, quiet, _ = run(capsys, *argv, "--out", str(target))
+        assert (code, quiet) == (want, "")
+        assert target.read_bytes() == out.encode()
 
 
 class TestIntegral:
@@ -670,6 +719,61 @@ class TestAlphabet:
         assert code == 1
         assert out == ""
         assert "not in the alphabet" in err
+
+
+class TestOutput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("gram", "--mn", "1x1"),
+            ("export", "--mn", "1x1", "--what", "corner"),
+            ("dims", "--algebra", "pol:1x1"),
+        ],
+    )
+    def test_unwritable_out_is_one_error_line(self, capsys, tmp_path, argv):
+        target = tmp_path / "missing" / "x.out"
+        code, out, err = run(capsys, *argv, "--out", str(target))
+        assert (code, out) == (1, "")
+        (line,) = err.splitlines()
+        assert line.startswith(f"error: cannot write output file {str(target)!r}: ")
+        assert not target.parent.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("gram", "--mn", "1x1", "--q0", "2/3"),
+            ("export", "--mn", "1x1", "--what", "nope"),
+            ("nf", "--algebra", "pol:1x1", "--input", "{"),
+        ],
+    )
+    def test_usage_error_leaves_no_file(self, capsys, tmp_path, argv):
+        target = tmp_path / "x.out"
+        code, out, err = run(capsys, *argv, "--out", str(target))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+        assert not target.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("export", "--mn", "2x3", "--what", "coordinate:1,1", "--cutoff", "3"),
+            ("gram", "--mn", "2x2", "--max-degree", "8"),
+        ],
+    )
+    def test_closed_stdout_pipe_exits_one_quietly(self, argv):
+        # 147 kB and 549 kB of output, more than a pipe holds, so the child
+        # is still writing when the reader closes its end
+        env = {**os.environ, "PYTHONPATH": str(Path(qmatball.__file__).parents[1])}
+        child = subprocess.Popen(
+            [sys.executable, "-m", "qmatball.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert child.stdout.readline()
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        assert child.wait(timeout=120) == 1
+        assert "Traceback" not in err and "Exception ignored" not in err
+        assert sum(line.startswith("error:") for line in err.splitlines()) <= 1
 
 
 class TestTopLevel:

@@ -1193,11 +1193,26 @@ class TestExport:
         import json as _json
 
         z = rep_pol_poly(NCPoly.from_word((sym("z", 1, 1),)), 1, 1, 2)
+        head = {"legs": z.legs, "cert": z.cert}
+        entries = [{"out": list(o), "in": list(i), "value": c.to_string()} for o, i, c in z.rows()]
         buf = io.StringIO()
-        write_json(z, buf)
+        write_json(buf, head, iter(entries))
+        assert buf.getvalue() == _json.dumps({**head, "entries": entries}) + "\n"
         data = _json.loads(buf.getvalue())
         assert data["legs"] == 1 and data["cert"] == 2
         assert {"out": [1], "in": [0], "value": q_pow(1).to_string()} in data["entries"]
+
+    @pytest.mark.parametrize("style", [{}, {"indent": 2, "sort_keys": True}, {"indent": 4}])
+    @pytest.mark.parametrize("entries", [[], ["a"], [["x", "y"], [], {"k": [1, 2]}, "[]"]])
+    def test_json_stream_is_one_dump(self, style, entries):
+        # keys on both sides of "entries" once sorted, values that read like
+        # the empty list, an empty list, and items that span several lines
+        import json as _json
+
+        head = {"z": '"entries": []', "a": 0, "mn": "[]"}
+        buf = io.StringIO()
+        write_json(buf, head, iter(entries), **style)
+        assert buf.getvalue() == _json.dumps({**head, "entries": entries}, **style) + "\n"
 
     def test_tpoly_rejects_foreign_letters(self):
         with pytest.raises(ValueError):
