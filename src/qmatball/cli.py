@@ -22,7 +22,8 @@ Polynomials are passed as JSON (``--input``) in the same shape that
 
 Exit codes: ``0`` success, ``1`` usage or input error, ``2`` a verification
 verb found a failing property.  All output is deterministic: JSON objects are
-emitted with sorted keys and every enumeration is sorted.
+emitted with sorted keys, except ``export``'s, whose keys keep a fixed
+insertion order, and every enumeration is sorted.
 """
 
 from __future__ import annotations

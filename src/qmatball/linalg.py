@@ -1,12 +1,13 @@
-"""Dense exact linear algebra over any field-like elements (products,
-inverses and reduced row echelon forms, for the braiding tables), and one
-fraction-free kernel over the Gaussian integers.
+"""Exact linear algebra: the reduced row echelon form that solves the
+wedge rules' exchange system, and one fraction-free kernel over the
+Gaussian integers.
 
-Matrices are lists of lists.  Entries only need +, -, *, / and truthiness
-(empty == zero), which Scalar and Fraction provide.  Sizes here are tiny
-(at most a few hundred rows), so plain Gaussian elimination with exact field
-operations is the right tool.  Every row update skips zero entries of the
-pivot row, because exact products and differences are the cost here.
+:func:`mat_rref` works on lists of lists whose entries only need +, -, *, /
+and truthiness (empty == zero), which Scalar and Fraction provide.  The
+wedge systems are tiny (at most a few hundred rows), so plain Gauss-Jordan
+elimination with exact field operations is the right tool.  Every row
+update skips zero entries of the pivot row, because exact products and
+differences are the cost here.
 
 :func:`bareiss_zi` is the certificate kernel of the Gram and pairing
 blocks: Bareiss's fraction-free elimination (Math. Comp. 22, 1968) on
@@ -18,66 +19,15 @@ determinants (leading minors) and ranks in the package.
 
 from __future__ import annotations
 
-from .field import ONE, ZERO
-
 __all__ = [
     "bareiss_zi",
-    "mat_mul",
-    "mat_identity",
-    "mat_invert",
     "mat_rref",
 ]
-
-
-def mat_mul(A, B):
-    rows, inner, cols = len(A), len(B), len(B[0]) if B else 0
-    out = []
-    for i in range(rows):
-        Ai = A[i]
-        row = []
-        for j in range(cols):
-            acc = None
-            for k in range(inner):
-                a = Ai[k]
-                if not a:
-                    continue
-                b = B[k][j]
-                if not b:
-                    continue
-                acc = a * b if acc is None else acc + a * b
-            row.append(acc if acc is not None else Ai[0] - Ai[0])
-        out.append(row)
-    return out
-
-
-def mat_identity(n):
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
 def _eliminate(row, f, pivot_row):
     """row - f * pivot_row, skipping the zero entries of pivot_row."""
     return [a - f * b if b else a for a, b in zip(row, pivot_row)]
-
-
-def mat_invert(A):
-    """Gauss-Jordan inverse, the right half of the reduced row echelon form
-    of [A | I]; raises ValueError when A is singular.  One and zero are
-    taken from an entry of A (a / a and a - a), so the inverse has A's
-    entry type."""
-    n = len(A)
-    a = next((x for row in A for x in row if x), None)
-    if a is None:
-        if n:
-            raise ValueError("matrix is singular")
-        return []
-    one, zero = a / a, a - a
-    M, pivots = mat_rref(
-        [list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(A)]
-    )
-    # [A | I] has rank n, so n pivots; A is singular iff one lands past A
-    if pivots[n - 1] >= n:
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in M]
 
 
 def mat_rref(A):

@@ -1,14 +1,16 @@
 """Exchange tables: frozen entries, algebraic identities, derived rule families."""
 
+import hashlib
+
 import pytest
 
+from qmatball import braiding
+from qmatball.algebras import PRESET_NAMES, make_preset
 from qmatball.braiding import (
-    _exchange_matrix,
     braid_holds,
     hecke_holds,
     hecke_shift_inverse_ok,
     rhat,
-    rhat_inverse,
     rhat_operator,
     rules_conj_coord_diff,
     rules_coord_diff,
@@ -17,8 +19,9 @@ from qmatball.braiding import (
     verify_rhat_properties,
 )
 from qmatball.field import ONE, ZERO, q_pow
-from qmatball.linalg import mat_identity, mat_mul
-from qmatball.words import NCPoly, sym
+from qmatball.words import NCPoly, sym, word_tokens
+
+from dense_linalg import mat_det
 
 
 QINV = q_pow(-1)
@@ -26,18 +29,36 @@ Q = q_pow(1)
 
 
 def _direct_coord_diff(m, n):
-    """The directly stated relations z_b^be dz_a^al = sum M dz_a'^al' z_b'^be',
-    read off the exchange matrix M as rules on the patterns [z dz].  The
-    package orients the other way ([dz z], through the inverse of M); this
-    family is kept here only to check that inversion."""
-    idx, M = _exchange_matrix(m, n)
-    return {
-        (sym("z", b, be), sym("dz", a, al)): NCPoly({
-            (sym("dz", ap, alp), sym("z", bp, bep)): M[r][c]
-            for c, (bp, bep, ap, alp) in enumerate(idx)
-        })
-        for r, (b, be, a, al) in enumerate(idx)
-    }
+    """The directly stated relations
+    z_b^be dz_a^al = sum UU[(b',a'),(b,a)] VV[(be',al'),(be,al)] dz_a'^al' z_b'^be',
+    read off the plain tables as rules on the patterns [z dz].  The package
+    orients the other way ([dz z], through the closed-form Hecke inverse of
+    the tables); this family is kept here only to check that inverse."""
+    rules = {}
+    for ((bp, ap), (b, a)), cu in rhat("UU", n).items():
+        for ((bep, alp), (be, al)), cv in rhat("VV", m).items():
+            pat = (sym("z", b, be), sym("dz", a, al))
+            rules.setdefault(pat, {})[(sym("dz", ap, alp), sym("z", bp, bep))] = cu * cv
+    return {pat: NCPoly(terms) for pat, terms in rules.items()}
+
+
+def _dense(table, d):
+    """A sparse table as a dense matrix, rows and columns in lex pair order."""
+    pairs = [(x, y) for x in range(1, d + 1) for y in range(1, d + 1)]
+    return [[table.get((pp, up), ZERO) for up in pairs] for pp in pairs]
+
+
+def _planted(monkeypatch, tag, edit):
+    """Make every braiding function read the ``tag`` table through ``edit``."""
+    orig = braiding.rhat
+
+    def faulty(t, d):
+        table = orig(t, d)
+        if t == tag:
+            edit(table)
+        return table
+
+    monkeypatch.setattr(braiding, "rhat", faulty)
 
 
 class TestFrozenEntries:
@@ -56,7 +77,7 @@ class TestFrozenEntries:
         t = rhat("UU", 2)
         # a < b with a=b', b=a': unprimed (b, a) = (2, 1), primed (b', a') = (1, 2)
         assert t[((1, 2), (2, 1))] == QINV - Q
-        assert t[((2, 1), (1, 2))] == ZERO
+        assert ((2, 1), (1, 2)) not in t
 
     def test_vv_same_table_shape(self):
         assert rhat("VV", 3) == rhat("UU", 3)
@@ -76,7 +97,16 @@ class TestFrozenEntries:
         t = rhat("barUU", 2)
         # a=b=1 with a'=b'=2 > a: coefficient -(q^{-2} - 1)
         assert t[((2, 2), (1, 1))] == -(q_pow(-2) - ONE)
-        assert t[((1, 1), (2, 2))] == ZERO
+        assert ((1, 1), (2, 2)) not in t
+
+    @pytest.mark.parametrize("tag", ["UU", "VV", "barUU", "barVV"])
+    def test_only_nonzero_entries_are_stored(self, tag):
+        t = rhat(tag, 3)
+        assert all(t.values())
+        assert list(t) == sorted(t)
+        # plain: d^2 pairs and one swap term per pair a < b; bar: d^2 pairs
+        # and one cascade term per pair c > a
+        assert len(t) == 9 + 3
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(ValueError):
@@ -106,10 +136,11 @@ class TestIdentities:
     @pytest.mark.parametrize("tag", ["barUU", "barVV"])
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_bar_invertible(self, tag, d):
-        inv = rhat_inverse(tag, d)
-        assert inv is not None
-        _, R = rhat_operator(tag, d)
-        assert mat_mul(R, inv) == mat_identity(len(R))
+        # the triangular certificate, against a determinant by elimination
+        table = rhat(tag, d)
+        assert verify_rhat_properties(tag, d)["invertible"]
+        assert all(pp >= up for pp, up in table)
+        assert mat_det(_dense(table, d))
 
     def test_bar_is_not_hecke(self):
         # the conjugated tables have unipotent blocks: no Hecke-type quadratic
@@ -121,6 +152,52 @@ class TestIdentities:
         bar = verify_rhat_properties("barVV", 2)
         assert bar["invertible"]
         assert "hecke" not in bar
+
+    def test_operator_reads_the_output_pair_reversed(self):
+        R = rhat_operator("UU", 2)
+        assert R[((2, 1), (2, 1))] == QINV - Q
+        assert R[((1, 2), (2, 1))] == ONE
+        assert ((1, 2), (1, 2)) not in R
+        assert len(R) == len(rhat("UU", 2))
+
+
+class TestPlantedFaults:
+    """Each certificate rejects a table with one entry changed."""
+
+    def test_scaled_swap_entry_fails_the_plain_identities(self, monkeypatch):
+        def scale(table):
+            table[((1, 2), (2, 1))] = table[((1, 2), (2, 1))] * 2
+
+        _planted(monkeypatch, "UU", scale)
+        report = verify_rhat_properties("UU", 2)
+        assert not report["hecke"]
+        assert not report["braid"]
+        assert not report["hecke_shift_inverse"]
+        # still triangular with a nonzero diagonal, hence still invertible
+        assert report["invertible"]
+        assert all(verify_rhat_properties("VV", 2).values())
+
+    @pytest.mark.parametrize("tag", ["barUU", "barVV", "UU"])
+    def test_dropped_diagonal_entry_fails_invertible(self, monkeypatch, tag):
+        _planted(monkeypatch, tag, lambda table: table.pop(((2, 1), (2, 1))))
+        assert not verify_rhat_properties(tag, 2)["invertible"]
+
+    def test_bar_entry_above_the_diagonal_fails_invertible(self, monkeypatch):
+        def above(table):
+            table[((1, 1), (2, 2))] = ONE
+
+        _planted(monkeypatch, "barUU", above)
+        assert not verify_rhat_properties("barUU", 2)["invertible"]
+        assert verify_rhat_properties("barVV", 2)["invertible"]
+
+    @pytest.mark.parametrize("tag", ["UU", "VV"])
+    def test_coord_diff_refuses_a_table_without_hecke_inverse(self, monkeypatch, tag):
+        def scale(table):
+            table[((1, 2), (2, 1))] = table[((1, 2), (2, 1))] * 2
+
+        _planted(monkeypatch, tag, scale)
+        with pytest.raises(ArithmeticError, match="Hecke-shift inverse"):
+            rules_coord_diff(2, 2)
 
 
 class TestCrossConjRules:
@@ -175,18 +252,23 @@ class TestCoordDiffRules:
         )
 
     def test_orientations_are_mutually_inverse(self):
-        last = rules_coord_diff(2, 1)
-        first = _direct_coord_diff(2, 1)
         # substituting one family into the other must give the identity:
-        # for each pattern z dz, expanding each dz z word of its replacement
-        # via the diff-last family must return the original pattern.
-        for (zsym, dsym), repl in first.items():
-            acc = {}
-            for (d2, z2), c in repl.terms.items():
-                for w, c2 in last[(d2, z2)].terms.items():
-                    acc[w] = acc.get(w, ZERO) + c * c2
-            acc = {w: c for w, c in acc.items() if c}
-            assert acc == {(zsym, dsym): ONE}
+        # for each pattern of either family, expanding each word of its
+        # replacement via the other family must return the pattern.  The
+        # direct family is read off the tables, so this checks the
+        # closed-form inverse behind rules_coord_diff independently.
+        for m, n in ((2, 1), (1, 2), (2, 2), (3, 2)):
+            last = rules_coord_diff(m, n)
+            first = _direct_coord_diff(m, n)
+            assert len(first) == len(last) == (m * n) ** 2
+            for one, other in ((first, last), (last, first)):
+                for pat, repl in one.items():
+                    acc = {}
+                    for w2, c in repl.terms.items():
+                        for w, c2 in other[w2].terms.items():
+                            acc[w] = acc.get(w, ZERO) + c * c2
+                    acc = {w: c for w, c in acc.items() if c}
+                    assert acc == {pat: ONE}
 
     def test_every_replacement_keeps_bidegree(self):
         rules = rules_coord_diff(2, 2)
@@ -261,3 +343,29 @@ class TestEmitters:
             for w, c in repl.terms.items():
                 assert w[0].kind == "dzs" and w[1].kind == "zs"
                 assert c == c.conjugate()  # coefficients live in the real subfield
+
+
+def _rules_digest(sizes):
+    """sha256 over every rule of every preset at each size: the pattern
+    order, each pattern's tokens and each replacement's terms in their
+    order, as canonical coefficient strings and word tokens."""
+    h = hashlib.sha256()
+    for name in PRESET_NAMES:
+        for m, n in sizes:
+            h.update(f"{name} {m}x{n}\n".encode())
+            for pat, repl in make_preset(name, m, n).rules.items():
+                terms = "; ".join(
+                    f"{c.to_string()} {' '.join(word_tokens(w))}"
+                    for w, c in repl.terms.items()
+                )
+                h.update(f"{' '.join(word_tokens(pat))} -> {terms}\n".encode())
+    return h.hexdigest()
+
+
+def test_preset_rules_golden():
+    # recorded while the tables were dense d^4 maps and the [dz z] rules
+    # came from a Gauss-Jordan inverse of the (mn)^2 x (mn)^2 exchange matrix
+    sizes = [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3)]
+    assert _rules_digest(sizes) == (
+        "82dfc2dd3c4be7202b6f030947e58e70e08549664c18d37b487245b6d9757187"
+    )

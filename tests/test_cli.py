@@ -442,6 +442,17 @@ class TestRepCheck:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of rmatrix-check stdout, recorded while the tables were dense d^4
+# maps checked with dense matrix products and a Gauss-Jordan inverse
+RMATRIX_DIGESTS = {
+    0: "5734325d7435c07f9d52c7e52dbe60c4aa84612616674530537cb2d02b144b7e",
+    1: "40159ea75e1fc8b9c1854ca1a3251a96556ad12271cd2916f2109cfe3c350070",
+    2: "042a3b33e26aa02cb9182d927f3810bda15790bf2ace20dbf998b0b68d002295",
+    3: "bb367f94e431e4140b7b92065db6c41ddcabc04a3c4e62fe9489ae5091e99612",
+    4: "46d20a922279070e7c0f242780459538ccf11f766836d2d55b419d6b20f7cc74",
+}
+
+
 class TestRMatrixCheck:
     def test_dimension_two(self, capsys):
         code, out, _ = run(capsys, "rmatrix-check", "--dim", "2")
@@ -449,6 +460,12 @@ class TestRMatrixCheck:
         # UU and VV carry four properties each, the bar tables one each.
         assert out.count("PASS") == 10
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("dim", sorted(RMATRIX_DIGESTS))
+    def test_stdout_golden(self, capsys, dim):
+        code, out, _ = run(capsys, "rmatrix-check", "--dim", str(dim))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == RMATRIX_DIGESTS[dim]
 
 
 # sha256 of (csv, json) stdout over every export target of a size at a cutoff
